@@ -84,7 +84,7 @@ def _dataset_for(args, registry, scores, tasks):
     return join_scores(registry, scores, tasks[args.task])
 
 
-def _features_arg(args, dataset=None):
+def _features_arg(args):
     if getattr(args, "features", None):
         return [f.strip() for f in args.features.split(",")]
     return all_feature_names()
@@ -92,8 +92,8 @@ def _features_arg(args, dataset=None):
 
 def _cv_cached(args, dataset, features, kind, seed, grid, plan):
     """Run (or reuse) one CV evaluation, caching JSON in the out directory."""
-    key = _cache_key(args.registry, args.scores, args.task, sorted(features), kind, seed,
-                     [vars(g) if hasattr(g, "__dict__") else str(g) for g in (grid or [])],
+    key = _cache_key(args.registry, args.scores, dataset.task.task_id, sorted(features), kind,
+                     seed, [vars(g) if hasattr(g, "__dict__") else str(g) for g in (grid or [])],
                      plan.outer_folds, plan.inner_folds)
     cache_path = os.path.join(args.out, "cache", f"cv-{key}.json")
     if os.path.isfile(cache_path):
@@ -311,7 +311,6 @@ def cmd_report(args) -> int:
         try:
             base = run_cv(dataset, [], "median", plan).mae
             loglin = run_cv(dataset, [], "log_linear", plan).mae
-            args.task = task_id
             scaling = [float(_cv_cached(args, dataset, list(SCALING_FEATURES), "gbt", s,
                                         grid, plan)["mae"]) for s in seeds]
             allfeat = [float(_cv_cached(args, dataset, features_all, "gbt", s, grid,

@@ -6,6 +6,18 @@ oracle tests bit-stable). Each node records its cover (training samples
 reaching it), which the Shapley module uses as the background distribution.
 Fitting is fully deterministic: equal-gain ties break by lowest feature
 index, then lowest threshold, then routing missing left.
+
+Split search follows the presorted column blocks of XGBoost's exact greedy
+algorithm (Chen & Guestrin 2016, arXiv:1603.02754, sections 3.1 and 4.1).
+After the rows are put in canonical order, each column is sorted once per
+fit: present values ascending, ties in row order, missing rows last. A
+node filters that (features, rows) order matrix by membership, which keeps
+every column's order equal to a stable per-node sort, and then scores all
+columns and both missing-value routings in one 2-D cumulative-sum pass.
+Every SSE is bit-identical to scoring one column at a time: cumsum adds
+sequentially in any shape, but np.sum sums 8 or more terms in blocks, so
+the sums over a node's missing rows are taken per missing count on
+unpadded blocks, exactly as a 1-D np.sum would take them.
 """
 
 from __future__ import annotations
@@ -146,77 +158,86 @@ def _route(node: TreeNode, x: np.ndarray, miss: np.ndarray) -> float:
     return node.leaf_value
 
 
-def _best_split(X, mask, r, idx, min_leaf):
-    """Exact greedy search over all midpoints of present values.
+class _Presorted:
+    """Each column's row order, sorted once per fit: present values ascending
+    (ties in row order), then the missing rows in row order."""
 
-    Missing rows are tried on both sides and kept on the lower-SSE side.
-    Ties break deterministically: lowest feature index, lowest threshold,
-    missing routed left. Returns (sse_after, feature, threshold,
-    default_left) or None.
-    """
-    best = None  # (sse, j, thr, default_left)
-    r_idx = r[idx]
-    for j in range(X.shape[1]):
-        m = mask[idx, j]
-        vals = X[idx, j][~m]
-        if len(vals) < 2:
-            continue
-        rp = r_idx[~m]
-        rm = r_idx[m]
-        miss_cnt = int(m.sum())
-        miss_sum = rm.sum()
-        miss_sq = (rm * rm).sum()
+    def __init__(self, X: np.ndarray, mask: np.ndarray):
+        key = np.where(mask, np.nan, X).T  # NaN sorts last
+        self.order = np.argsort(key, axis=1, kind="stable")  # (p, n)
+        self.values = np.take_along_axis(key, self.order, axis=1)
+        self.columns = np.arange(X.shape[1])
 
-        order = np.argsort(vals, kind="mergesort")
-        sv = vals[order]
-        sr = rp[order]
-        cs = np.cumsum(sr)
-        css = np.cumsum(sr * sr)
-        tot_sum, tot_sq = cs[-1], css[-1]
-        boundaries = np.nonzero(sv[:-1] < sv[1:])[0]
-        if len(boundaries) == 0:
-            continue
-        k = boundaries + 1  # present rows on the left
-        ls, lq = cs[boundaries], css[boundaries]
-        rs, rq = tot_sum - ls, tot_sq - lq
-        rcnt = len(sv) - k
+    def best_split(self, r, idx, min_leaf):
+        """Exact greedy search over all midpoints of present values.
 
-        def _option(lc, lS, lQ, rc, rS, rQ):
-            with np.errstate(invalid="ignore", divide="ignore"):
-                sse = (lQ - lS * lS / lc) + (rQ - rS * rS / rc)
-            sse[(lc < min_leaf) | (rc < min_leaf)] = np.inf
-            i = int(np.argmin(sse))  # first occurrence: lowest threshold
-            return float(sse[i]), i
+        Missing rows are tried on both sides and kept on the lower-SSE side.
+        Ties break deterministically: lowest feature index, lowest threshold,
+        missing routed left. Returns (sse_after, feature, threshold,
+        default_left) or None. Call under ``np.errstate(divide="ignore",
+        invalid="ignore")``: positions past a column's present rows divide
+        by zero before they are masked out.
+        """
+        cols, k = self.columns, len(idx)
+        inside = np.zeros(self.order.shape[1], dtype=bool)
+        inside[idx] = True
+        sel = inside[self.order]
+        V = self.values[sel].reshape(-1, k)  # each row: present ascending, then NaN
+        R = r[self.order[sel]].reshape(-1, k)
+        n_miss = np.isnan(V).sum(axis=1)
+        n_present = k - n_miss
 
-        sse_left, i_left = _option(k + miss_cnt, ls + miss_sum, lq + miss_sq, rcnt, rs, rq)
-        if miss_cnt:
-            sse_right, i_right = _option(k, ls, lq, rcnt + miss_cnt,
-                                         rs + miss_sum, rq + miss_sq)
-        else:
-            sse_right, i_right = np.inf, 0
+        # per routing (missing rows left, right) and column: the count, sum
+        # and square sum of the missing rows to add to each side. The side
+        # that takes none adds -0.0, which leaves every bit unchanged.
+        # Sums must equal 1-D np.sum bit for bit, whose summation order
+        # depends on the term count: sum each missing count's columns as
+        # one C-contiguous block, never zero-padded.
+        miss = np.full((3, 2, len(cols)), -0.0)
+        miss[:, 0] = 0.0  # np.sum of no terms
+        miss[0, 0] = n_miss
+        for m in set(n_miss.tolist()) - {0}:
+            same = n_miss == m
+            tail = np.ascontiguousarray(R[same, k - m:])
+            miss[1, 0, same] = tail.sum(axis=1)
+            miss[2, 0, same] = (tail * tail).sum(axis=1)
+        mc, ms, mq = miss[..., None]
+
+        cs = np.cumsum(R, axis=1)
+        css = np.cumsum(R * R, axis=1)
+        last = np.maximum(n_present - 1, 0)
+        ls, lq = cs[:, :-1], css[:, :-1]  # column t: t + 1 present rows on the left
+        kk = np.arange(1, k)
+        # both routings at once; a column without missing rows scores the
+        # same on both, so the tie rule below keeps it left
+        lc, rc = kk + mc, (n_present[:, None] - kk) + mc[::-1]
+        lS, rS = ls + ms, (cs[cols, last][:, None] - ls) + ms[::-1]
+        lQ, rQ = lq + mq, (css[cols, last][:, None] - lq) + mq[::-1]
+        sse = (lQ - lS * lS / lc) + (rQ - rS * rS / rc)
+        sse[(lc < min_leaf) | (rc < min_leaf) | ~(V[:, :-1] < V[:, 1:])] = np.inf
+        t = sse.argmin(axis=2)  # first occurrence: lowest threshold
+        v = sse.min(axis=2)
         # ties between routings: lower threshold wins, then left
-        if sse_right < sse_left or (sse_right == sse_left and i_right < i_left):
-            value, i, default_left = sse_right, i_right, False
-        else:
-            value, i, default_left = sse_left, i_left, True
-        if not np.isfinite(value):
-            continue
-        if best is None or value < best[0]:
-            b = boundaries[i]
-            thr = 0.5 * (sv[b] + sv[b + 1])
-            best = (value, j, float(thr), default_left)
-    return best
+        right = (v[1] < v[0]) | ((v[1] == v[0]) & (t[1] < t[0]))
+        value = np.where(right, v[1], v[0])
+        value[~np.isfinite(value)] = np.inf
+        j = int(value.argmin())  # first occurrence: lowest feature index
+        if value[j] == np.inf:
+            return None
+        i = int(t[int(right[j]), j])
+        thr = 0.5 * (V[j, i] + V[j, i + 1])
+        return float(value[j]), j, float(thr), not bool(right[j])
 
 
-def _build(X, mask, r, idx, depth, config, train_pred) -> TreeNode:
-    node_mean = float(r[idx].mean())
+def _build(X, mask, presorted, r, idx, depth, config, train_pred) -> TreeNode:
+    node_mean = float(r[idx].sum() / len(idx))  # np.mean, bit for bit
     node = TreeNode(cover=len(idx))
     if depth >= config.max_depth or len(idx) < 2 * config.min_samples_leaf:
         node.leaf_value = node_mean
         train_pred[idx] = node_mean
         return node
     node_sse = float(((r[idx] - node_mean) ** 2).sum())
-    found = _best_split(X, mask, r, idx, config.min_samples_leaf)
+    found = presorted.best_split(r, idx, config.min_samples_leaf)
     if found is None or node_sse - found[0] <= MIN_GAIN:
         node.leaf_value = node_mean
         train_pred[idx] = node_mean
@@ -227,8 +248,8 @@ def _build(X, mask, r, idx, depth, config, train_pred) -> TreeNode:
     node.split_feature = int(j)
     node.threshold = float(thr)
     node.default_left = bool(default_left)
-    node.left = _build(X, mask, r, idx[go_left], depth + 1, config, train_pred)
-    node.right = _build(X, mask, r, idx[~go_left], depth + 1, config, train_pred)
+    node.left = _build(X, mask, presorted, r, idx[go_left], depth + 1, config, train_pred)
+    node.right = _build(X, mask, presorted, r, idx[~go_left], depth + 1, config, train_pred)
     return node
 
 
@@ -273,9 +294,11 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GBTConfig,
     pred = np.full(len(y), ensemble.base_score)
     idx = np.arange(len(y))
     train_pred = np.empty(len(y))
-    for _ in range(config.n_trees):
-        residual = y - pred
-        tree = _build(X, mask, residual, idx, 0, config, train_pred)
-        ensemble.trees.append(tree)
-        pred += config.learning_rate * train_pred
+    presorted = _Presorted(X, mask)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(config.n_trees):
+            residual = y - pred
+            tree = _build(X, mask, presorted, residual, idx, 0, config, train_pred)
+            ensemble.trees.append(tree)
+            pred += config.learning_rate * train_pred
     return ensemble

@@ -4,11 +4,25 @@ Uses the polynomial-time path algorithm with the training cover counts
 stored in each node as the background distribution (path-dependent
 expectations). Local accuracy holds exactly: base value plus the attribution
 vector reproduces the ensemble prediction for every explained row.
+
+All rows are explained in one traversal per tree. The path algorithm visits
+both children of every node for every row, so the visits and the
+zero-fractions ``z`` do not depend on the row; only the one-fractions ``o``
+and the permutation weights ``w`` do, and they are carried as (rows,)
+arrays (in the spirit of the path arrays of GPUTreeShap, Mitchell et al.
+2022, arXiv:2010.13972). ``tree_shap`` is the one-row case of the same
+routine. Summation order: the one-row recursion enters the child a row
+takes (hot) before the other (cold), so each row adds the leaves'
+contributions in its own order. Contributions are therefore kept per leaf
+and added per row in that hot-first depth-first order (a leaf's rank in it
+is the leaf count of every hot sibling subtree it follows), which keeps
+every attribution bit-identical to explaining the rows one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,71 +30,112 @@ from .gbtree import TreeEnsemble, TreeNode
 from .registry import FeatureMatrix
 
 
-@dataclass
-class _PathEl:
-    d: int  # feature index, -1 for the root placeholder
-    z: float  # fraction of paths flowing through when the feature is excluded
-    o: float  # indicator-weighted fraction when the feature is included
-    w: float  # permutation weight
+@lru_cache(maxsize=None)
+def _ranks(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """(l - i) and (i + 1) for i < l, as (l, 1) columns."""
+    i = np.arange(l)[:, None]
+    return l - i, i + 1
 
 
-def _extend(path: list[_PathEl], pz: float, po: float, pi: int) -> None:
-    l = len(path)
-    path.append(_PathEl(pi, pz, po, 1.0 if l == 0 else 0.0))
-    for i in range(l - 1, -1, -1):
-        path[i + 1].w += po * path[i].w * (i + 1) / (l + 1)
-        path[i].w = pz * path[i].w * (l - i) / (l + 1)
+def _extend_path(z, o, w, pz, po):
+    """The path (z, o, w) with one element (pz, po) appended.
 
-
-def _unwound_weights(path: list[_PathEl], index: int) -> list[float]:
-    """Weights of the path with element ``index`` removed (inverts _extend)."""
-    l = len(path) - 1
-    o, z = path[index].o, path[index].z
-    w = [0.0] * l
-    if o != 0.0:
-        n = path[l].w
-        for i in range(l - 1, -1, -1):
-            w[i] = n * (l + 1) / ((i + 1) * o)
-            n = path[i].w - w[i] * z * (l - i) / (l + 1)
+    ``z`` is a list of l floats, ``o`` and ``w`` are (l, rows) and ``po`` is
+    a scalar or (rows,).
+    """
+    l, rows = w.shape
+    new_o = np.empty((l + 1, rows))
+    new_o[:l] = o
+    new_o[l] = po
+    new_w = np.zeros((l + 1, rows))
+    if l == 0:
+        new_w[0] = 1.0
     else:
-        for i in range(l - 1, -1, -1):
-            w[i] = path[i].w * (l + 1) / (z * (l - i))
-    return w
+        down, up = _ranks(l)
+        new_w[:l] = pz * w * down / (l + 1)
+        new_w[1:] += po * w * up / (l + 1)
+    return z + [pz], new_o, new_w
 
 
-def _unwind(path: list[_PathEl], index: int) -> list[_PathEl]:
-    w = _unwound_weights(path, index)
-    kept = [el for i, el in enumerate(path) if i != index]
-    return [_PathEl(el.d, el.z, el.o, w[i]) for i, el in enumerate(kept)]
+def _unwound_weights(z, o, w, index):
+    """Path weights with element ``e`` removed, for each ``e`` in ``index``.
+
+    Inverts ``_extend_path``; returns (l - 1, len(index), rows). The removed
+    element's ``z`` is row-independent but its ``o`` is not, so the
+    ``o != 0`` branch is taken per row.
+    """
+    l = len(z) - 1
+    oi = o[index]
+    zi = np.array([z[e] for e in index])[:, None]
+    down, _ = _ranks(l)
+    zero_o = w[:l, None] * (l + 1) / (zi * down[:, :, None])
+    inverted = np.empty_like(zero_o)
+    n = w[l]
+    for i in range(l - 1, -1, -1):
+        inverted[i] = v = n * (l + 1) / ((i + 1) * oi)
+        n = w[i] - v * zi * (l - i) / (l + 1)
+    return np.where(oi != 0.0, inverted, zero_o)
 
 
-def _tree_phi(root: TreeNode, x: np.ndarray, miss: np.ndarray, phi: np.ndarray) -> None:
-    def rec(node: TreeNode, path: list[_PathEl], pz: float, po: float, pi: int) -> None:
-        path = [_PathEl(el.d, el.z, el.o, el.w) for el in path]
-        _extend(path, pz, po, pi)
-        if node.is_leaf:
-            for i in range(1, len(path)):
-                w = sum(_unwound_weights(path, i))
-                el = path[i]
-                phi[el.d] += w * (el.o - el.z) * node.leaf_value
-            return
-        j = node.split_feature
-        if miss[j] or np.isnan(x[j]):
-            hot = node.left if node.default_left else node.right
-        elif x[j] < node.threshold:
-            hot = node.left
-        else:
-            hot = node.right
-        cold = node.right if hot is node.left else node.left
-        iz, io = 1.0, 1.0
-        k = next((i for i, el in enumerate(path) if el.d == j), None)
-        if k is not None:
-            iz, io = path[k].z, path[k].o
-            path = _unwind(path, k)
-        rec(hot, path, iz * hot.cover / node.cover, io, j)
-        rec(cold, path, iz * cold.cover / node.cover, 0.0, j)
+def _count_leaves(node: TreeNode, counts: dict) -> int:
+    """Leaves under ``node``; also records the count of every subtree by id."""
+    n = 1 if node.is_leaf else _count_leaves(node.left, counts) + _count_leaves(node.right, counts)
+    counts[id(node)] = n
+    return n
 
-    rec(root, [], 1.0, 1.0, -1)
+
+def _visit(node, walk, d, z, o, w, pz, po, pi, rank) -> None:
+    """Extend the path by (pz, po, pi) into ``node``; at a leaf, record its
+    contributions in ``walk = (X, gone, leaf counts, leaves)``."""
+    X, gone, counts, leaves = walk
+    z, o, w = _extend_path(z, o, w, pz, po)
+    d = d + [pi]
+    if node.is_leaf:
+        total = sum(_unwound_weights(z, o, w, range(1, len(d))))
+        zs = np.array(z[1:])[:, None]
+        leaves.append((rank, d[1:], total * (o[1:] - zs) * node.leaf_value))
+        return
+    j = node.split_feature
+    hot_left = np.where(gone[:, j], node.default_left, X[:, j] < node.threshold)
+    iz, io = 1.0, 1.0
+    if j in d:
+        k = d.index(j)
+        iz, io = z[k], o[k]
+        w = _unwound_weights(z, o, w, [k])[:, 0]
+        z, o, d = z[:k] + z[k + 1:], np.delete(o, k, axis=0), d[:k] + d[k + 1:]
+    # a row visits its hot child first, so the cold child's leaves come
+    # after all the leaves of the hot one
+    for child, hot, other in ((node.left, hot_left, node.right),
+                              (node.right, ~hot_left, node.left)):
+        _visit(child, walk, d, z, o, w, iz * child.cover / node.cover, np.where(hot, io, 0.0),
+               j, np.where(hot, rank, rank + counts[id(other)]))
+
+
+def _add_tree_phi(root: TreeNode, X: np.ndarray, gone: np.ndarray, phi: np.ndarray) -> None:
+    """Add one tree's attributions for every row of ``X`` into ``phi`` (rows, p).
+
+    ``gone`` marks the entries routed by default direction (missing or NaN).
+    """
+    if root.is_leaf:
+        return
+    rows = X.shape[0]
+    counts: dict[int, int] = {}
+    _count_leaves(root, counts)
+    leaves = []  # (visit rank per row, path features, contributions (len, rows))
+    _visit(root, (X, gone, counts, leaves), [], [], np.empty((0, rows)), np.empty((0, rows)),
+           1.0, 1.0, -1, np.zeros(rows, dtype=np.int64))
+
+    # every row visits the same leaves, but in its own order; add their
+    # contributions in that order so phi sums bit-identically
+    cols = sorted({f for _, feats, _ in leaves for f in feats})
+    pos = {f: i for i, f in enumerate(cols)}
+    contrib = np.zeros((len(leaves), rows, len(cols)))
+    for leaf, (_, feats, values) in enumerate(leaves):
+        contrib[leaf][:, [pos[f] for f in feats]] = values.T
+    order = np.argsort(np.array([rank for rank, _, _ in leaves]), axis=0)
+    every_row = np.arange(rows)
+    for step in order:
+        phi[:, cols] += contrib[step, every_row]
 
 
 def tree_expectation(node: TreeNode) -> float:
@@ -91,6 +146,16 @@ def tree_expectation(node: TreeNode) -> float:
             + node.right.cover * tree_expectation(node.right)) / node.cover
 
 
+def _shap_rows(ensemble: TreeEnsemble, X: np.ndarray, miss: np.ndarray) -> np.ndarray:
+    """Attributions (rows, p) of every row of ``X``, one traversal per tree."""
+    phi = np.zeros(X.shape)
+    gone = miss | np.isnan(X)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for tree in ensemble.trees:
+            _add_tree_phi(tree, X, gone, phi)
+    return ensemble.learning_rate * phi
+
+
 def tree_shap(ensemble: TreeEnsemble, x: np.ndarray,
               miss: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Attribution vector and base value for one feature row."""
@@ -99,12 +164,11 @@ def tree_shap(ensemble: TreeEnsemble, x: np.ndarray,
         raise ValueError("column mismatch")
     if miss is None:
         miss = np.isnan(x)
-    phi = np.zeros(len(x))
     base = ensemble.base_score
     for tree in ensemble.trees:
-        _tree_phi(tree, x, miss, phi)
         base += ensemble.learning_rate * tree_expectation(tree)
-    return ensemble.learning_rate * phi, float(base)
+    phi = _shap_rows(ensemble, x[None, :], np.asarray(miss, dtype=bool)[None, :])
+    return phi[0], float(base)
 
 
 @dataclass(frozen=True)
@@ -118,13 +182,10 @@ class ShapMatrix:
 def shap_matrix(ensemble: TreeEnsemble, X: FeatureMatrix) -> ShapMatrix:
     if X.column_names != ensemble.column_names:
         raise ValueError("column mismatch")
-    rows = []
     base = ensemble.base_score + ensemble.learning_rate * sum(
         tree_expectation(t) for t in ensemble.trees)
-    for i in range(len(X.model_ids)):
-        phi, _ = tree_shap(ensemble, X.values[i], X.missing_mask[i])
-        rows.append(phi)
-    return ShapMatrix(X.model_ids, X.column_names, np.array(rows), float(base))
+    phi = _shap_rows(ensemble, X.values, X.missing_mask)
+    return ShapMatrix(X.model_ids, X.column_names, phi, float(base))
 
 
 @dataclass(frozen=True)

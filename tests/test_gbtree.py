@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_fitted_ensemble
-from perfpred.gbtree import GBTConfig, TreeEnsemble, fit_gbt, paper_grid
+from perfpred.gbtree import GBTConfig, TreeEnsemble, _Presorted, fit_gbt, paper_grid
 from perfpred.prng import CounterRng
 
 
@@ -185,3 +187,102 @@ def test_paper_grid_shape():
     assert {c.learning_rate for c in grid} == {0.01, 0.1, 0.3}
     assert {c.n_trees for c in grid} == {50, 100}
     assert all(c.min_samples_leaf == 2 for c in grid)
+
+
+# ---------------------------------------------------------------------------
+# root split semantics against a brute-force search
+
+
+@st.composite
+def split_problems(draw):
+    """Small integer matrices: many value ties, missing entries, and integer
+    targets whose mean is an integer, so every root residual, sum and
+    square sum is exact in floating point."""
+    n = draw(st.integers(4, 14))
+    p = draw(st.integers(1, 4))
+    cells = st.lists(st.integers(0, 3), min_size=n * p, max_size=n * p)
+    X = np.array(draw(cells), dtype=float).reshape(n, p)
+    flags = st.lists(st.booleans(), min_size=n * p, max_size=n * p)
+    missing = np.array(draw(flags)).reshape(n, p) & draw(st.booleans())
+    y = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    y[-1] -= y.sum() % n
+    min_leaf = draw(st.integers(1, min(3, n // 2)))
+    as_nan = draw(st.booleans())
+    return X, missing, y, min_leaf, as_nan
+
+
+def brute_force_root(X, missing, y, min_leaf):
+    """Every (feature, midpoint, missing side) by exact SSE. Returns the
+    first optimum in (feature, threshold, left before right) order, or None
+    when no split gains, plus the side statistics of every optimum."""
+    r = [Fraction(int(v)) for v in y - y.mean()]
+    node_sse = sum(v * v for v in r) - sum(r) ** 2 / len(r)
+    candidates = []
+    for j in range(X.shape[1]):
+        present = ~missing[:, j]
+        levels = np.unique(X[present, j])
+        for a, b in zip(levels[:-1], levels[1:]):
+            thr = 0.5 * (a + b)
+            for default_left in (True, False):
+                left = np.where(missing[:, j], default_left, X[:, j] < thr)
+                sides = [[v for v, g in zip(r, left) if g == side] for side in (True, False)]
+                if min(len(sides[0]), len(sides[1])) < min_leaf:
+                    continue
+                stats = tuple((len(s), sum(s), sum(v * v for v in s)) for s in sides)
+                sse = sum(q - t * t / c for c, t, q in stats)
+                candidates.append((sse, stats, (j, thr, default_left)))
+    if not candidates:
+        return None, set()
+    best = min(c[0] for c in candidates)
+    optima = [c for c in candidates if c[0] == best]
+    if node_sse - best == 0:
+        return None, set()
+    return optima[0][2], {c[1] for c in optima}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(split_problems())
+def test_root_split_matches_brute_force_search(problem):
+    X, missing, y, min_leaf, as_nan = problem
+    assume(not missing.all())
+    expected, optimum_stats = brute_force_root(X, missing, y, min_leaf)
+    # equal exact SSEs from different side sums may round apart in floating
+    # point; equal side sums give bit-equal SSEs, so their tie is decidable
+    assume(len(optimum_stats) <= 1)
+    config = GBTConfig(max_depth=1, learning_rate=1.0, n_trees=1, min_samples_leaf=min_leaf)
+    if as_nan:
+        ens = fit_gbt(np.where(missing, np.nan, X), y, config)
+    else:
+        ens = fit_gbt(X, y, config, mask=missing)
+    root = ens.trees[0]
+    if expected is None:
+        assert root.is_leaf
+    else:
+        assert (root.split_feature, root.threshold, root.default_left) == expected
+
+
+def test_split_sse_is_bit_equal_to_one_column_scoring():
+    # the missing-side sums follow 1-D np.sum, whose summation order changes
+    # at 8 terms; residuals spanning many magnitudes expose any other order
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        n = 40
+        X = rng.normal(size=(n, 3))
+        mask = rng.random((n, 3)) < 0.5
+        r = rng.normal(size=n) * 10.0 ** rng.integers(-4, 5, size=n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sse, j, thr, default_left = _Presorted(X, mask).best_split(r, np.arange(n), 1)
+        m = mask[:, j]
+        sr = r[~m][np.argsort(X[~m, j], kind="stable")]
+        cs, css = np.cumsum(sr), np.cumsum(sr * sr)
+        b = int((X[~m, j] < thr).sum())  # present rows on the left
+        sums = [cs[b - 1], cs[-1] - cs[b - 1]]
+        squares = [css[b - 1], css[-1] - css[b - 1]]
+        counts = [b, len(sr) - b]
+        side = 0 if default_left else 1
+        rm = r[m]
+        sums[side] += rm.sum()
+        squares[side] += (rm * rm).sum()
+        counts[side] += len(rm)
+        left, right = (q - s * s / c for s, q, c in zip(sums, squares, counts))
+        assert sse == left + right

@@ -2,7 +2,8 @@
 
 A change that keeps these digests keeps every number the library produces
 on these inputs. A change that alters numerics on purpose re-records them
-with ``python tests/test_goldens.py`` and says why in CHANGES.md.
+with ``PYTHONPATH=src python tests/test_goldens.py`` and says why in
+CHANGES.md.
 """
 
 from __future__ import annotations

@@ -176,3 +176,46 @@ def test_dependence_counts_missing_rows():
     assert len(points) == 25
     with pytest.raises(ValueError, match="unknown feature"):
         shap_dependence(ens, X2, "nope")
+
+
+def _feature_matrix(values, mask):
+    n, p = values.shape
+    return FeatureMatrix(tuple(f"m{i}" for i in range(n)),
+                         tuple(Column(f"f{j}", "F", "identity") for j in range(p)),
+                         values, mask)
+
+
+def test_shap_matrix_rows_are_byte_equal_to_tree_shap():
+    ens, values = random_fitted_ensemble(CounterRng(55), p=4, n_rows=40, n_trees=20, depth=5,
+                                         missing_rate=0.3)
+    mask = np.isnan(values)
+    sm = shap_matrix(ens, _feature_matrix(values, mask))
+    for i in range(values.shape[0]):
+        phi, _ = tree_shap(ens, values[i], mask[i])
+        assert sm.values[i].tobytes() == phi.tobytes()
+
+
+def test_shap_matrix_unwinds_repeated_feature_with_missing_values():
+    # f0 splits twice along the root-left path, so the second split unwinds
+    # the first one's path element; both f0 splits and the f1 split route
+    # missing values by default direction
+    inner = TreeNode(cover=6, split_feature=0, threshold=-0.5, default_left=False,
+                     left=TreeNode(cover=2, leaf_value=-2.0),
+                     right=TreeNode(cover=4, leaf_value=0.5))
+    root = TreeNode(cover=10, split_feature=0, threshold=0.5, default_left=True, left=inner,
+                    right=stump(1, 0.0, 1.0, 3.0, 3, 1, default_left=False))
+    ens = TreeEnsemble(base_score=0.2, learning_rate=0.5,
+                       trees=[root, stump(1, 1.0, -1.0, 1.0, 7, 3),
+                              stump(2, 0.0, 0.3, -0.4, 5, 5)],
+                       column_names=("f0", "f1", "f2"))
+    values = np.array([[-1.0, 2.0, 1.0], [0.0, np.nan, -1.0], [np.nan, np.nan, np.nan],
+                       [1.0, -1.0, 0.5], [-2.0, 0.5, np.nan], [3.0, 1.5, -2.0]])
+    mask = np.isnan(values)
+    mask[3, 1] = True  # missing by mask although a value is present
+    sm = shap_matrix(ens, _feature_matrix(values, mask))
+    for i in range(values.shape[0]):
+        ref, ref_base = brute_shapley(ens, values[i], mask[i])
+        assert np.abs(sm.values[i] - ref).max() < 1e-12
+        assert sm.base_value == pytest.approx(ref_base, abs=1e-12)
+        phi, _ = tree_shap(ens, values[i], mask[i])
+        assert sm.values[i].tobytes() == phi.tobytes()
