@@ -19,16 +19,17 @@ import tempfile
 
 import numpy as np
 
-from . import baselines, metabias, shapley
+from . import __version__, baselines, metabias, shapley
 from .gbtree import fit_gbt, paper_grid
 from .pipeline import (
     SCALING_FEATURES,
     CVPlan,
     greedy_select,
     grid_search,
-    multi_seed_mae,
     run_cv,
+    scale_points,
 )
+from .prng import PRNG_ID
 from .registry import (
     ENUM_VOCAB,
     RegistryError,
@@ -37,7 +38,6 @@ from .registry import (
     join_scores,
     load_registry,
     load_scores,
-    validate_raw_records,
 )
 from .stats import bh_fdr, mean_ci95, paired_t_test
 
@@ -60,14 +60,15 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _cache_key(*parts) -> str:
+def _cache_key(paths, *parts) -> str:
+    """Digest of the contents of the files at ``paths`` and of ``parts``."""
     h = hashlib.sha256()
+    for path in paths:
+        with open(path, "rb") as f:
+            h.update(f.read())
+        h.update(b"\x00")
     for part in parts:
-        if isinstance(part, str) and os.path.isfile(part):
-            with open(part, "rb") as f:
-                h.update(f.read())
-        else:
-            h.update(json.dumps(part, sort_keys=True, default=str).encode())
+        h.update(json.dumps(part, sort_keys=True, default=str).encode())
         h.update(b"\x00")
     return h.hexdigest()[:16]
 
@@ -91,17 +92,38 @@ def _features_arg(args):
 
 
 def _cv_cached(args, dataset, features, kind, seed, grid, plan):
-    """Run (or reuse) one CV evaluation, caching JSON in the out directory."""
-    key = _cache_key(args.registry, args.scores, dataset.task.task_id, sorted(features), kind,
-                     seed, [vars(g) if hasattr(g, "__dict__") else str(g) for g in (grid or [])],
+    """Run (or reuse) one CV evaluation, caching JSON in the out directory.
+
+    A cache file that does not parse as a JSON object is recomputed and
+    overwritten.
+    """
+    key = _cache_key((args.registry, args.scores), __version__, PRNG_ID, dataset.task.task_id,
+                     sorted(features), kind, seed,
+                     [vars(g) if hasattr(g, "__dict__") else str(g) for g in (grid or [])],
                      plan.outer_folds, plan.inner_folds)
     cache_path = os.path.join(args.out, "cache", f"cv-{key}.json")
-    if os.path.isfile(cache_path):
+    try:
         with open(cache_path) as f:
-            return json.load(f)
+            cached = json.load(f)
+        if isinstance(cached, dict):
+            return cached
+    except (FileNotFoundError, ValueError):  # ValueError: not JSON, or not UTF-8
+        pass
     result = run_cv(dataset, features, kind, plan.with_seed(seed), grid).to_dict()
     _atomic_write(cache_path, _json_text(result))
     return result
+
+
+def _compare_cached(args, dataset, features, seeds):
+    """Scale-only against ``features`` GBT MAE over ``seeds``, each CV cached.
+
+    Returns ((mean, ci95 half-width, per-seed MAEs) for scale-only and for
+    ``features``, (t, df, p) of the paired t-test).
+    """
+    plan, grid = CVPlan(), paper_grid()
+    maes = [[float(_cv_cached(args, dataset, fs, "gbt", s, grid, plan)["mae"]) for s in seeds]
+            for fs in (list(SCALING_FEATURES), features)]
+    return [(*mean_ci95(m), m) for m in maes], paired_t_test(*maes)
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +132,11 @@ def _cv_cached(args, dataset, features, kind, seed, grid, plan):
 
 def cmd_validate(args) -> int:
     violations = []
-    try:
-        with open(args.registry) as f:
-            raw = json.load(f)
-        if not isinstance(raw, list):
-            violations.append("registry file must be a JSON list of records")
-        else:
-            _, violations = validate_raw_records(raw)
-    except json.JSONDecodeError as e:
-        violations = [f"registry parse failure: {e}"]
-    try:
-        load_scores(args.scores)
-    except RegistryError as e:
-        violations.extend(e.violations)
+    for load, path in ((load_registry, args.registry), (load_scores, args.scores)):
+        try:
+            load(path)
+        except RegistryError as e:
+            violations.extend(e.violations)
 
     report = {"violations": violations, "ok": not violations}
     if args.out:
@@ -153,9 +167,7 @@ def cmd_encode(args) -> int:
 def cmd_fit_scaling(args) -> int:
     registry, scores, tasks = _load_inputs(args)
     dataset = _dataset_for(args, registry, scores, tasks)
-    points = [baselines.ScalePoint(r.arch.total_params, r.data.total_tokens_billions * 1e9,
-                                   float(v))
-              for r, v in zip(dataset.records, dataset.values)]
+    points = scale_points(dataset)
     params, r2 = baselines.fit_power_law(points, dataset.task.polarity)
     a, b, c = baselines.fit_log_linear(points)
     out = {
@@ -193,7 +205,7 @@ def cmd_select(args) -> int:
     else:
         candidates = [f for f in all_feature_names() if f not in SCALING_FEATURES]
     seeds = list(range(args.seeds))
-    trace = greedy_select(dataset, candidates, CVPlan(seed=args.seed), paper_grid(),
+    trace = greedy_select(dataset, candidates, CVPlan(), paper_grid(),
                           seeds, tol=args.tol)
     _atomic_write(os.path.join(args.out, f"select-{args.task}.json"),
                   _json_text(trace.to_dict()))
@@ -205,16 +217,8 @@ def cmd_compare(args) -> int:
     registry, scores, tasks = _load_inputs(args)
     dataset = _dataset_for(args, registry, scores, tasks)
     seeds = list(range(args.seeds))
-    plan = CVPlan()
-    grid = paper_grid()
-    features_all = _features_arg(args)
-    scaling = [float(_cv_cached(args, dataset, list(SCALING_FEATURES), "gbt", s, grid, plan)["mae"])
-               for s in seeds]
-    allfeat = [float(_cv_cached(args, dataset, features_all, "gbt", s, grid, plan)["mae"])
-               for s in seeds]
-    t, df, p = paired_t_test(scaling, allfeat)
-    m1, hw1 = mean_ci95(scaling)
-    m2, hw2 = mean_ci95(allfeat)
+    ((m1, hw1, scaling), (m2, hw2, allfeat)), (t, df, p) = _compare_cached(
+        args, dataset, _features_arg(args), seeds)
     out = {
         "task_id": args.task,
         "seeds": seeds,
@@ -299,8 +303,6 @@ def cmd_bias_audit(args) -> int:
 def cmd_report(args) -> int:
     registry, scores, tasks = _load_inputs(args)
     seeds = list(range(args.seeds))
-    plan = CVPlan()
-    grid = paper_grid()
     features_all = _features_arg(args)
     header = ("| Benchmark | Baseline MAE | Log-Linear MAE | Scaling Laws MAE | "
               "All Features MAE | p-val (corrected) |")
@@ -309,15 +311,10 @@ def cmd_report(args) -> int:
         dataset = join_scores(registry, scores, tasks[task_id])
         scale = 100.0  # accuracy in percent, Brier x100
         try:
-            base = run_cv(dataset, [], "median", plan).mae
-            loglin = run_cv(dataset, [], "log_linear", plan).mae
-            scaling = [float(_cv_cached(args, dataset, list(SCALING_FEATURES), "gbt", s,
-                                        grid, plan)["mae"]) for s in seeds]
-            allfeat = [float(_cv_cached(args, dataset, features_all, "gbt", s, grid,
-                                        plan)["mae"]) for s in seeds]
-            _, _, p = paired_t_test(scaling, allfeat)
-            m1, hw1 = mean_ci95(scaling)
-            m2, hw2 = mean_ci95(allfeat)
+            base = run_cv(dataset, [], "median", CVPlan()).mae
+            loglin = run_cv(dataset, [], "log_linear", CVPlan()).mae
+            ((m1, hw1, _), (m2, hw2, _)), (_, _, p) = _compare_cached(
+                args, dataset, features_all, seeds)
             rows.append((task_id, base * scale, loglin * scale,
                          (m1 * scale, hw1 * scale), (m2 * scale, hw2 * scale)))
             pvals.append(p)
@@ -344,9 +341,7 @@ def cmd_plot_data(args) -> int:
     registry, scores, tasks = _load_inputs(args)
     dataset = _dataset_for(args, registry, scores, tasks)
     if args.kind == "scaling_heatmap":
-        points = [baselines.ScalePoint(r.arch.total_params,
-                                       r.data.total_tokens_billions * 1e9, float(v))
-                  for r, v in zip(dataset.records, dataset.values)]
+        points = scale_points(dataset)
         params, _ = baselines.fit_power_law(points, dataset.task.polarity)
         ns = np.logspace(np.log10(min(p.N for p in points)),
                          np.log10(max(p.N for p in points)), args.grid)
@@ -393,69 +388,56 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Benchmark performance prediction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, task=True):
+    def command(name, help, func, task=True):
+        # no abbreviations: "compare --seed" must not pass for --seeds
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
         p.add_argument("--registry", required=True)
         p.add_argument("--scores", required=True)
         if task:
             p.add_argument("--task")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--seeds", type=int, default=5)
         p.add_argument("--out", default="out")
-        p.add_argument("--jobs", type=int, default=1)
+        return p
 
-    p = sub.add_parser("validate", help="check registry and scores files")
-    common(p, task=False)
-    p.set_defaults(func=cmd_validate)
+    command("validate", "check registry and scores files", cmd_validate, task=False)
 
-    p = sub.add_parser("encode", help="export the encoded feature matrix")
-    common(p)
+    p = command("encode", "export the encoded feature matrix", cmd_encode)
     p.add_argument("--features")
-    p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("fit-scaling", help="fit power-law and log-linear baselines")
-    common(p)
-    p.set_defaults(func=cmd_fit_scaling)
+    command("fit-scaling", "fit power-law and log-linear baselines", cmd_fit_scaling)
 
-    p = sub.add_parser("cv", help="cross-validated evaluation of one predictor")
-    common(p)
+    p = command("cv", "cross-validated evaluation of one predictor", cmd_cv)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", choices=["median", "log_linear", "power_law", "gbt"],
                    default="gbt")
     p.add_argument("--features")
-    p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("select", help="greedy forward feature selection")
-    common(p)
+    p = command("select", "greedy forward feature selection", cmd_select)
+    p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--candidates")
     p.add_argument("--tol", type=float, default=1e-4)
-    p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("compare", help="scaling vs all-features across seeds")
-    common(p)
+    p = command("compare", "scaling vs all-features across seeds", cmd_compare)
+    p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--features")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("shap", help="export attribution matrix and ranking")
-    common(p)
+    p = command("shap", "export attribution matrix and ranking", cmd_shap)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--features")
-    p.set_defaults(func=cmd_shap)
 
-    p = sub.add_parser("bias-audit", help="PET-PEESE audit of architecture levels")
-    common(p, task=False)
-    p.set_defaults(func=cmd_bias_audit)
+    command("bias-audit", "PET-PEESE audit of architecture levels", cmd_bias_audit, task=False)
 
-    p = sub.add_parser("report", help="full MAE comparison table")
-    common(p, task=False)
+    p = command("report", "full MAE comparison table", cmd_report, task=False)
+    p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--features")
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("plot-data", help="CSV data for heatmap/beeswarm/dependence plots")
-    common(p)
+    p = command("plot-data", "CSV data for heatmap/beeswarm/dependence plots", cmd_plot_data)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", required=True,
                    choices=["scaling_heatmap", "shap_beeswarm", "shap_dependence"])
     p.add_argument("--feature")
     p.add_argument("--features")
     p.add_argument("--grid", type=int, default=50)
-    p.set_defaults(func=cmd_plot_data)
 
     return parser
 

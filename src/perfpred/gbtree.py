@@ -72,6 +72,15 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.leaf_value is not None
 
+    def goes_left(self, X: np.ndarray, gone: np.ndarray, rows) -> np.ndarray:
+        """Which of ``rows`` take the left child: a row whose split value is
+        ``gone`` (missing or NaN) follows the default direction, any other
+        goes left when its value is below the threshold."""
+        j = self.split_feature
+        left = X[:, j][rows] < self.threshold
+        left[gone[:, j][rows]] = self.default_left
+        return left
+
     def to_dict(self) -> dict:
         if self.is_leaf:
             return {"cover": self.cover, "leaf_value": self.leaf_value}
@@ -107,26 +116,29 @@ class TreeEnsemble:
     config: GBTConfig | None = None
 
     def predict_row(self, x: np.ndarray, miss: np.ndarray) -> float:
-        if len(x) != len(self.column_names):
-            raise ValueError("column mismatch")
-        total = self.base_score
-        for tree in self.trees:
-            total += self.learning_rate * _route(tree, x, miss)
-        return float(total)
+        return float(self.predict(np.reshape(x, (1, -1)), np.reshape(miss, (1, -1)))[0])
 
     def predict(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_row(X[i], mask[i]) for i in range(X.shape[0])])
+        return self._staged(X, mask)[:, -1]
 
     def staged_predict(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Predictions after 0..n_trees rounds: shape (rows, n_trees + 1)."""
-        out = np.empty((X.shape[0], len(self.trees) + 1))
-        out[:, 0] = self.base_score
-        for i in range(X.shape[0]):
-            acc = self.base_score
-            for t, tree in enumerate(self.trees):
-                acc += self.learning_rate * _route(tree, X[i], mask[i])
-                out[i, t + 1] = acc
-        return out
+        return self._staged(X, mask)
+
+    def _staged(self, X, mask) -> np.ndarray:
+        # cumsum adds along each row in order, so every column is bit-identical
+        # to accumulating base + lr * leaf one tree at a time
+        X = np.asarray(X, dtype=float)
+        if X.shape[1] != len(self.column_names):
+            raise ValueError("column mismatch")
+        gone = np.asarray(mask, dtype=bool) | np.isnan(X)
+        steps = np.empty((X.shape[0], len(self.trees) + 1))
+        steps[:, 0] = self.base_score
+        rows = np.arange(X.shape[0])
+        for t, tree in enumerate(self.trees, 1):
+            _fill_leaves(tree, X, gone, rows, steps[:, t])
+        steps[:, 1:] *= self.learning_rate
+        return np.cumsum(steps, axis=1)
 
     def to_dict(self) -> dict:
         return {
@@ -146,16 +158,14 @@ class TreeEnsemble:
         )
 
 
-def _route(node: TreeNode, x: np.ndarray, miss: np.ndarray) -> float:
-    while not node.is_leaf:
-        j = node.split_feature
-        if miss[j] or np.isnan(x[j]):
-            node = node.left if node.default_left else node.right
-        elif x[j] < node.threshold:
-            node = node.left
-        else:
-            node = node.right
-    return node.leaf_value
+def _fill_leaves(node: TreeNode, X, gone, rows, out) -> None:
+    """Write into ``out[rows]`` the leaf value each of ``rows`` reaches."""
+    if node.is_leaf:
+        out[rows] = node.leaf_value
+        return
+    left = node.goes_left(X, gone, rows)
+    _fill_leaves(node.left, X, gone, rows[left], out)
+    _fill_leaves(node.right, X, gone, rows[~left], out)
 
 
 class _Presorted:
@@ -243,11 +253,10 @@ def _build(X, mask, presorted, r, idx, depth, config, train_pred) -> TreeNode:
         train_pred[idx] = node_mean
         return node
     _, j, thr, default_left = found
-    m = mask[idx, j]
-    go_left = np.where(m, default_left, X[idx, j] < thr)
     node.split_feature = int(j)
     node.threshold = float(thr)
     node.default_left = bool(default_left)
+    go_left = node.goes_left(X, mask, idx)
     node.left = _build(X, mask, presorted, r, idx[go_left], depth + 1, config, train_pred)
     node.right = _build(X, mask, presorted, r, idx[~go_left], depth + 1, config, train_pred)
     return node

@@ -67,14 +67,11 @@ class CVResult:
         }
 
 
-def _scale_points(dataset: Dataset, idx) -> list[baselines.ScalePoint]:
+def scale_points(dataset: Dataset) -> list[baselines.ScalePoint]:
+    """One point per model: parameter count N, token count D and the score."""
     return [
-        baselines.ScalePoint(
-            dataset.records[i].arch.total_params,
-            dataset.records[i].data.total_tokens_billions * 1e9,
-            float(dataset.values[i]),
-        )
-        for i in idx
+        baselines.ScalePoint(r.arch.total_params, r.data.total_tokens_billions * 1e9, float(v))
+        for r, v in zip(dataset.records, dataset.values)
     ]
 
 
@@ -137,6 +134,7 @@ def run_cv(dataset: Dataset, feature_names, predictor_kind: str, plan: CVPlan,
     assign = fold_assignment(dataset.model_ids, plan.seed, plan.outer_folds)
     folds = np.array([assign[m] for m in dataset.model_ids])
     X = encode_features(dataset, list(feature_names)) if predictor_kind == "gbt" else None
+    points = scale_points(dataset)
 
     preds = np.empty(n)
     fold_configs: list[dict] = []
@@ -148,19 +146,15 @@ def run_cv(dataset: Dataset, feature_names, predictor_kind: str, plan: CVPlan,
         if predictor_kind == "median":
             preds[test_idx] = baselines.median_predictor(y_train)
         elif predictor_kind == "log_linear":
-            a, b, c = baselines.fit_log_linear(_scale_points(dataset, train_idx))
+            a, b, c = baselines.fit_log_linear([points[i] for i in train_idx])
             for i in test_idx:
-                rec = dataset.records[i]
-                preds[i] = (a + b * np.log10(rec.arch.total_params)
-                            + c * np.log10(rec.data.total_tokens_billions * 1e9))
+                preds[i] = a + b * np.log10(points[i].N) + c * np.log10(points[i].D)
         elif predictor_kind == "power_law":
-            params, _ = baselines.fit_power_law(_scale_points(dataset, train_idx),
+            params, _ = baselines.fit_power_law([points[i] for i in train_idx],
                                                 dataset.task.polarity)
             for i in test_idx:
-                rec = dataset.records[i]
                 preds[i] = baselines.predict_power_law_score(
-                    params, rec.arch.total_params,
-                    rec.data.total_tokens_billions * 1e9, dataset.task.polarity)
+                    params, points[i].N, points[i].D, dataset.task.polarity)
         else:
             train_X = X.subset_rows(train_idx)
             best = grid_search(train_X, y_train, grid, plan.inner_folds, plan.seed)

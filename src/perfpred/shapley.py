@@ -96,7 +96,7 @@ def _visit(node, walk, d, z, o, w, pz, po, pi, rank) -> None:
         leaves.append((rank, d[1:], total * (o[1:] - zs) * node.leaf_value))
         return
     j = node.split_feature
-    hot_left = np.where(gone[:, j], node.default_left, X[:, j] < node.threshold)
+    hot_left = node.goes_left(X, gone, slice(None))
     iz, io = 1.0, 1.0
     if j in d:
         k = d.index(j)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from perfpred.cli import main
+from perfpred.cli import build_parser, main
 from perfpred.pipeline import CVPlan, run_cv
 from perfpred.registry import join_scores, load_registry, load_scores
 from perfpred.synthdata import GenSpec, gen_registry, write_registry, write_scores
@@ -48,6 +48,20 @@ def test_validate_reports_all_violations(synth_files, tmp_path, capsys):
     assert out.count("VIOLATION") >= 3  # both records broken, every problem listed
     report = json.loads((tmp_path / "validate.json").read_text())
     assert not report["ok"] and len(report["violations"]) >= 3
+
+
+def test_validate_lists_parse_failure_and_score_violations(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[{")
+    scores = tmp_path / "scores.csv"
+    scores.write_text("model_id,task_id,shots,metric_kind,value\nm,t,0,accuracy,2.0\n")
+    code = main(["validate", "--registry", str(bad), "--scores", str(scores),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    report = json.loads((tmp_path / "validate.json").read_text())
+    assert len(report["violations"]) == 2
+    assert report["violations"][0].startswith("parse failure:")
+    assert "outside" in report["violations"][1]
 
 
 def test_missing_file_is_io_error(tmp_path):
@@ -124,6 +138,41 @@ def test_cv_reuses_cache(synth_files, tmp_path):
                      "--out", str(tmp_path)]) == 0
     cache_files = os.listdir(tmp_path / "cache")
     assert len(cache_files) == 1
+
+
+@pytest.mark.parametrize("corrupt", ["{not json", "[1, 2]", "\udcff"])
+def test_cv_recomputes_corrupt_cache(synth_files, tmp_path, corrupt):
+    reg, scores = synth_files
+    argv = ["cv", "--registry", reg, "--scores", scores, "--task", "taskA",
+            "--kind", "median"]
+    assert main(argv + ["--out", str(tmp_path / "clean")]) == 0
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    (cache_file,) = (out / "cache").iterdir()
+    cache_file.write_bytes(corrupt.encode("utf-8", "surrogateescape"))
+    assert main(argv + ["--out", str(out)]) == 0
+    assert list((out / "cache").iterdir()) == [cache_file]
+    clean = tmp_path / "clean"
+    assert (out / "cv-taskA-median-0.json").read_bytes() == \
+        (clean / "cv-taskA-median-0.json").read_bytes()
+    assert cache_file.read_bytes() == next((clean / "cache").iterdir()).read_bytes()
+
+
+def test_parser_takes_only_flags_a_subcommand_uses():
+    parser = build_parser()
+    io = ["--registry", "r.json", "--scores", "s.csv"]
+    for argv in (["compare", *io, "--seed", "3"], ["validate", *io, "--jobs", "2"],
+                 ["fit-scaling", *io, "--seeds", "2"], ["report", *io, "--seed", "1"],
+                 ["select", *io, "--seed", "1"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+    # the flag combinations the benchmark runs
+    assert parser.parse_args(["cv", *io, "--task", "t", "--kind", "gbt", "--seed", "0",
+                              "--features", "a,b"]).seed == 0
+    assert parser.parse_args(["report", *io, "--seeds", "2", "--features", "a,b"]).seeds == 2
+    parser.parse_args(["fit-scaling", *io, "--task", "t", "--out", "o"])
+    parser.parse_args(["bias-audit", *io])
+    assert parser.parse_args(["select", *io, "--task", "t", "--seeds", "3"]).seeds == 3
 
 
 def test_compare_small_run(synth_files, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_fitted_ensemble
+from conftest import _cond_expectation, random_fitted_ensemble
 from perfpred.gbtree import GBTConfig, TreeEnsemble, _Presorted, fit_gbt, paper_grid
 from perfpred.prng import CounterRng
 
@@ -161,6 +161,28 @@ def test_serialization_roundtrip():
     assert clone.predict(X, mask) == pytest.approx(ens.predict(X, mask), abs=0)
 
 
+def test_staged_predict_is_the_sequential_sum_of_routed_leaves():
+    # routing every feature through the Shapley oracle reaches the leaf each
+    # row takes; accumulating base + lr * leaf tree by tree must give every
+    # staged column bit for bit, and predict the last one
+    rng = CounterRng(17)
+    for trial in range(12):
+        ens, X = random_fitted_ensemble(rng, n_rows=20, n_trees=6,
+                                        depth=rng.randint(4) + 1, missing_rate=0.3)
+        mask = np.array([[rng.uniform() < 0.2 for _ in range(X.shape[1])]
+                         for _ in range(X.shape[0])])
+        staged = ens.staged_predict(X, mask)
+        everything = set(range(X.shape[1]))
+        for i in range(X.shape[0]):
+            acc = ens.base_score
+            want = [acc]
+            for tree in ens.trees:
+                acc += ens.learning_rate * _cond_expectation(tree, X[i], mask[i], everything)
+                want.append(acc)
+            assert staged[i].tobytes() == np.array(want).tobytes()
+        assert ens.predict(X, mask).tobytes() == staged[:, -1].tobytes()
+
+
 def test_input_validation():
     with pytest.raises(ValueError, match="empty"):
         fit_gbt(np.empty((0, 2)), np.empty(0), GBTConfig())
@@ -177,6 +199,8 @@ def test_input_validation():
     ens, _ = random_fitted_ensemble(CounterRng(2), p=3)
     with pytest.raises(ValueError, match="column mismatch"):
         ens.predict_row(np.zeros(2), np.zeros(2, dtype=bool))
+    with pytest.raises(ValueError, match="column mismatch"):
+        ens.staged_predict(np.zeros((2, 4)), np.zeros((2, 4), dtype=bool))
 
 
 def test_paper_grid_shape():
