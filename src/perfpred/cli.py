@@ -265,14 +265,19 @@ def cmd_bias_audit(args) -> int:
         print("no accuracy tasks available")
         return 1
     audited = ["positional_embeddings", "layer_norm", "attention_variant"]
+    weighted = []
+    for task_id in acc_tasks:
+        dataset = join_scores(registry, scores, tasks[task_id])
+        try:
+            weighted.append((dataset, metabias.precision_weights(dataset)))
+        except ValueError:
+            continue
     rows = []
     for feature in audited:
         for level in ENUM_VOCAB[feature]:
             effects = []
-            for task_id in acc_tasks:
-                dataset = join_scores(registry, scores, tasks[task_id])
+            for dataset, weights in weighted:
                 try:
-                    weights = metabias.precision_weights(dataset)
                     effects.append(metabias.estimate_contrast(dataset, feature, level, weights))
                 except ValueError:
                     continue

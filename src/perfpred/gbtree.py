@@ -18,6 +18,22 @@ Every SSE is bit-identical to scoring one column at a time: cumsum adds
 sequentially in any shape, but np.sum sums 8 or more terms in blocks, so
 the sums over a node's missing rows are taken per missing count on
 unpadded blocks, exactly as a 1-D np.sum would take them.
+
+Most of a node's search does not depend on the residuals: which rows it
+gathers from each column's order, how many of them are missing, the row
+counts on each side of every threshold and which thresholds are
+inadmissible. That part is a node plan. XGBoost builds its sorted column
+blocks once before training and reuses them in every round (section 4.1);
+the same node membership also recurs across boosting rounds, so each fit
+keeps its node plans, and the child partitions of each split chosen at a
+node, keyed by the node's rows (always ascending, so the key is canonical).
+A round then only gathers the residuals, sums the missing rows, takes the
+two cumulative sums and scores. The cache holds at most ``PLAN_BUDGET``
+array bytes per fit; a node that misses it computes its plan as before, and
+the result is bit-identical either way. Fits of a few rows and columns
+keep every plan they reuse; nested-CV fits on 92 models with the two scale
+columns keep 93% of them; a 92 x 74 fit reuses about half its memberships,
+but its plans take tens to hundreds of KB, so it keeps only the first few.
 """
 
 from __future__ import annotations
@@ -168,15 +184,82 @@ def _fill_leaves(node: TreeNode, X, gone, rows, out) -> None:
     _fill_leaves(node.right, X, gone, rows[~left], out)
 
 
+PLAN_BUDGET = 256 * 1024  # array bytes of node plans and child partitions kept per fit
+
+
+class _NodePlan:
+    """The part of one node's split search that does not depend on the
+    residuals. Its rows are the node's columns ordered by missing count, so
+    the missing rows of each count form one slice.
+
+    ``gather`` holds the node's rows in each column's presorted order, or is
+    None when no split is admissible. ``counts`` and ``bad`` are indexed by
+    (side, routing): routing 0 sends the missing rows left, routing 1 right.
+    """
+
+    __slots__ = ("gather", "columns", "tails", "totals", "counts", "bad")
+
+    def __init__(self, presorted: "_Presorted", idx: np.ndarray, min_leaf: int):
+        k = len(idx)
+        inside = np.zeros(presorted.order.shape[1], dtype=bool)
+        inside[idx] = True
+        sel = inside[presorted.order]
+        gather = presorted.order[sel].reshape(-1, k)
+        V = presorted.values[sel].reshape(-1, k)  # each row: present ascending, then NaN
+        n_miss = np.isnan(V).sum(axis=1)
+        rows = np.argsort(n_miss, kind="stable")
+        gather, V, n_miss = gather[rows], V[rows], n_miss[rows]
+        n_present = k - n_miss
+
+        # the side that does not take the missing rows adds nothing to its
+        # count and sums: the same bits as adding -0.0
+        kk = np.arange(1, k)  # threshold t: t + 1 present rows on the left
+        counts = np.empty((2, 2, len(V), k - 1))
+        counts[0, 0] = kk + n_miss[:, None]
+        counts[0, 1] = kk
+        counts[1, 0] = n_present[:, None] - kk
+        counts[1, 1] = counts[1, 0] + n_miss[:, None]
+        short = counts < min_leaf
+        bad = short[0] | short[1] | ~(V[:, :-1] < V[:, 1:])
+        if bad.all():
+            self.gather = None
+            return
+        self.gather, self.counts, self.bad = gather, counts, bad
+        self.columns = np.argsort(rows)  # feature -> row of this plan
+        # flat positions in the (statistic, row, position) cumulative sums
+        # of each row's last present value
+        self.totals = (np.arange(2)[:, None] * len(V) + np.arange(len(V))) * k \
+            + np.maximum(n_present - 1, 0)
+        # (first row, end row, first missing position) of each missing count
+        edges = [0, *(np.flatnonzero(np.diff(n_miss)) + 1).tolist(), len(V)]
+        self.tails = [(a, b, k - int(n_miss[a])) for a, b in zip(edges, edges[1:]) if n_miss[a]]
+
+    def nbytes(self) -> int:
+        if self.gather is None:
+            return 0
+        return sum(a.nbytes for a in (self.gather, self.columns, self.totals, self.counts, self.bad))
+
+
 class _Presorted:
     """Each column's row order, sorted once per fit: present values ascending
-    (ties in row order), then the missing rows in row order."""
+    (ties in row order), then the missing rows in row order. Node plans and
+    child partitions are kept per fit, keyed by node membership, up to
+    ``PLAN_BUDGET`` bytes."""
 
     def __init__(self, X: np.ndarray, mask: np.ndarray):
+        self.X, self.mask = X, mask
         key = np.where(mask, np.nan, X).T  # NaN sorts last
         self.order = np.argsort(key, axis=1, kind="stable")  # (p, n)
         self.values = np.take_along_axis(key, self.order, axis=1)
-        self.columns = np.arange(X.shape[1])
+        self.plans: dict = {}
+        self.parts: dict = {}
+        self.cached_bytes = 0
+
+    def _keep(self, store: dict, key, value, nbytes: int) -> None:
+        nbytes += len(key[0])
+        if self.cached_bytes + nbytes <= PLAN_BUDGET:
+            store[key] = value
+            self.cached_bytes += nbytes
 
     def best_split(self, r, idx, min_leaf):
         """Exact greedy search over all midpoints of present values.
@@ -186,67 +269,77 @@ class _Presorted:
         missing routed left. Returns (sse_after, feature, threshold,
         default_left) or None. Call under ``np.errstate(divide="ignore",
         invalid="ignore")``: positions past a column's present rows divide
-        by zero before they are masked out.
+        by zero before they are masked out. Everything that does not depend
+        on ``r`` comes from the node's plan, kept per fit when it fits.
         """
-        cols, k = self.columns, len(idx)
-        inside = np.zeros(self.order.shape[1], dtype=bool)
-        inside[idx] = True
-        sel = inside[self.order]
-        V = self.values[sel].reshape(-1, k)  # each row: present ascending, then NaN
-        R = r[self.order[sel]].reshape(-1, k)
-        n_miss = np.isnan(V).sum(axis=1)
-        n_present = k - n_miss
-
-        # per routing (missing rows left, right) and column: the count, sum
-        # and square sum of the missing rows to add to each side. The side
-        # that takes none adds -0.0, which leaves every bit unchanged.
-        # Sums must equal 1-D np.sum bit for bit, whose summation order
-        # depends on the term count: sum each missing count's columns as
-        # one C-contiguous block, never zero-padded.
-        miss = np.full((3, 2, len(cols)), -0.0)
-        miss[:, 0] = 0.0  # np.sum of no terms
-        miss[0, 0] = n_miss
-        for m in set(n_miss.tolist()) - {0}:
-            same = n_miss == m
-            tail = np.ascontiguousarray(R[same, k - m:])
-            miss[1, 0, same] = tail.sum(axis=1)
-            miss[2, 0, same] = (tail * tail).sum(axis=1)
-        mc, ms, mq = miss[..., None]
-
-        cs = np.cumsum(R, axis=1)
-        css = np.cumsum(R * R, axis=1)
-        last = np.maximum(n_present - 1, 0)
-        ls, lq = cs[:, :-1], css[:, :-1]  # column t: t + 1 present rows on the left
-        kk = np.arange(1, k)
-        # both routings at once; a column without missing rows scores the
-        # same on both, so the tie rule below keeps it left
-        lc, rc = kk + mc, (n_present[:, None] - kk) + mc[::-1]
-        lS, rS = ls + ms, (cs[cols, last][:, None] - ls) + ms[::-1]
-        lQ, rQ = lq + mq, (css[cols, last][:, None] - lq) + mq[::-1]
-        sse = (lQ - lS * lS / lc) + (rQ - rS * rS / rc)
-        sse[(lc < min_leaf) | (rc < min_leaf) | ~(V[:, :-1] < V[:, 1:])] = np.inf
+        key = (idx.tobytes(), min_leaf)
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = _NodePlan(self, idx, min_leaf)
+            self._keep(self.plans, key, plan, plan.nbytes())
+        if plan.gather is None:
+            return None
+        p, k = plan.gather.shape
+        stack = np.empty((2, p, k))  # residuals, their squares
+        r.take(plan.gather, out=stack[0])
+        np.multiply(stack[0], stack[0], out=stack[1])
+        # sums over the missing rows must equal 1-D np.sum bit for bit, whose
+        # summation order depends on the term count: each missing count's
+        # block is summed on its own, never zero-padded (0.0 where none)
+        missing = np.zeros((2, p))
+        for a, b, start in plan.tails:
+            np.add.reduce(stack[:, a:b, start:], axis=2, out=missing[:, a:b])
+        cum = stack.cumsum(axis=2)
+        left = cum[..., :-1]
+        # (statistic, side * 2 + routing, row, threshold), filled in place
+        # because large temporaries cost page faults
+        sides = np.empty((2, 4, p, k - 1))
+        np.add(left, missing[..., None], out=sides[:, 0])
+        sides[:, 1] = left
+        np.subtract(cum.take(plan.totals)[..., None], left, out=sides[:, 2])
+        np.add(sides[:, 2], missing[..., None], out=sides[:, 3])
+        S, Q = sides.reshape(2, 2, 2, p, k - 1)
+        S *= S
+        S /= plan.counts
+        np.subtract(Q, S, out=S)
+        sse = np.add(S[0], S[1], out=S[0])
+        sse[plan.bad] = np.inf
         t = sse.argmin(axis=2)  # first occurrence: lowest threshold
         v = sse.min(axis=2)
-        # ties between routings: lower threshold wins, then left
+        # ties between routings: lower threshold wins, then left; a column
+        # without missing rows scores the same on both, so it stays left
         right = (v[1] < v[0]) | ((v[1] == v[0]) & (t[1] < t[0]))
-        value = np.where(right, v[1], v[0])
+        value = np.where(right, v[1], v[0])[plan.columns]
         value[~np.isfinite(value)] = np.inf
         j = int(value.argmin())  # first occurrence: lowest feature index
         if value[j] == np.inf:
             return None
-        i = int(t[int(right[j]), j])
-        thr = 0.5 * (V[j, i] + V[j, i + 1])
-        return float(value[j]), j, float(thr), not bool(right[j])
+        row = plan.columns[j]
+        i = int(t[int(right[row]), row])
+        below, above = self.X[plan.gather[row, i:i + 2], j]  # both present
+        return float(value[j]), j, float(0.5 * (below + above)), not bool(right[row])
+
+    def partition(self, node: TreeNode, idx: np.ndarray):
+        """``idx`` split into the rows that take ``node``'s left child and
+        those that take its right child."""
+        key = (idx.tobytes(), node.split_feature, node.threshold, node.default_left)
+        parts = self.parts.get(key)
+        if parts is None:
+            left = node.goes_left(self.X, self.mask, idx)
+            parts = idx[left], idx[~left]
+            self._keep(self.parts, key, parts, idx.nbytes)
+        return parts
 
 
-def _build(X, mask, presorted, r, idx, depth, config, train_pred) -> TreeNode:
-    node_mean = float(r[idx].sum() / len(idx))  # np.mean, bit for bit
+def _build(presorted, r, idx, depth, config, train_pred) -> TreeNode:
+    node_r = r[idx]
+    node_mean = float(node_r.sum() / len(idx))  # np.mean, bit for bit
     node = TreeNode(cover=len(idx))
     if depth >= config.max_depth or len(idx) < 2 * config.min_samples_leaf:
         node.leaf_value = node_mean
         train_pred[idx] = node_mean
         return node
-    node_sse = float(((r[idx] - node_mean) ** 2).sum())
+    node_sse = float(((node_r - node_mean) ** 2).sum())
     found = presorted.best_split(r, idx, config.min_samples_leaf)
     if found is None or node_sse - found[0] <= MIN_GAIN:
         node.leaf_value = node_mean
@@ -256,9 +349,9 @@ def _build(X, mask, presorted, r, idx, depth, config, train_pred) -> TreeNode:
     node.split_feature = int(j)
     node.threshold = float(thr)
     node.default_left = bool(default_left)
-    go_left = node.goes_left(X, mask, idx)
-    node.left = _build(X, mask, presorted, r, idx[go_left], depth + 1, config, train_pred)
-    node.right = _build(X, mask, presorted, r, idx[~go_left], depth + 1, config, train_pred)
+    left, right = presorted.partition(node, idx)
+    node.left = _build(presorted, r, left, depth + 1, config, train_pred)
+    node.right = _build(presorted, r, right, depth + 1, config, train_pred)
     return node
 
 
@@ -307,7 +400,7 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GBTConfig,
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(config.n_trees):
             residual = y - pred
-            tree = _build(X, mask, presorted, residual, idx, 0, config, train_pred)
+            tree = _build(presorted, residual, idx, 0, config, train_pred)
             ensemble.trees.append(tree)
             pred += config.learning_rate * train_pred
     return ensemble

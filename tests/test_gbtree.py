@@ -1,11 +1,13 @@
 import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import _cond_expectation, random_fitted_ensemble
+from perfpred import gbtree
 from perfpred.gbtree import GBTConfig, TreeEnsemble, _Presorted, fit_gbt, paper_grid
 from perfpred.prng import CounterRng
 
@@ -310,3 +312,117 @@ def test_split_sse_is_bit_equal_to_one_column_scoring():
         counts[side] += len(rm)
         left, right = (q - s * s / c for s, q, c in zip(sums, squares, counts))
         assert sse == left + right
+
+
+# ---------------------------------------------------------------------------
+# node plans: a fit that keeps them equals a fit that keeps none
+
+
+def fit_json(X, y, config, mask=None, budget=gbtree.PLAN_BUDGET):
+    with mock.patch.object(gbtree, "PLAN_BUDGET", budget):
+        return json.dumps(fit_gbt(X, y, config, mask=mask).to_dict())
+
+
+@st.composite
+def boosting_problems(draw):
+    """Narrow fits with value ties, NaN or masked entries (up to 60%
+    missing), targets over many magnitudes, and every depth and leaf size
+    the paper grid could meet."""
+    n = draw(st.integers(6, 15))
+    p = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        X = rng.integers(0, 3, size=(n, p)).astype(float)
+    else:
+        X = rng.normal(size=(n, p))
+    missing = rng.random((n, p)) < draw(st.sampled_from([0.0, 0.2, 0.4, 0.6]))
+    y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    config = GBTConfig(max_depth=draw(st.integers(1, 5)), learning_rate=0.3,
+                       n_trees=draw(st.integers(1, 12)),
+                       min_samples_leaf=draw(st.integers(1, 3)))
+    as_nan = draw(st.booleans())
+    return X, missing, y, config, as_nan
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(boosting_problems())
+def test_node_plans_do_not_change_any_fit(problem):
+    X, missing, y, config, as_nan = problem
+    assume(len(y) >= 2 * config.min_samples_leaf and not missing.all())
+    if as_nan:
+        X, mask = np.where(missing, np.nan, X), None
+    else:
+        mask = missing
+    assert fit_json(X, y, config, mask) == fit_json(X, y, config, mask, budget=0)
+
+
+def test_node_plans_do_not_change_a_wide_fit():
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(40, 30))
+    X[rng.random(X.shape) < 0.4] = np.nan
+    y = rng.normal(size=40)
+    config = GBTConfig(max_depth=4, learning_rate=0.3, n_trees=8, min_samples_leaf=2)
+    assert fit_json(X, y, config) == fit_json(X, y, config, budget=0)
+    assert fit_json(X, y, config) == fit_json(X, y, config, budget=10**9)
+
+
+def kept_presorted(X, y, config):
+    """Fit and return the fit's _Presorted, with the plans it kept."""
+    kept = []
+
+    class Kept(_Presorted):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append(self)
+
+    with mock.patch.object(gbtree, "_Presorted", Kept):
+        ens = fit_gbt(X, y, config)
+    return ens, kept[0]
+
+
+def test_node_plans_stay_within_the_budget():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(92, 74))
+    X[rng.random(X.shape) < 0.5] = np.nan
+    y = rng.normal(size=92)
+    _, presorted = kept_presorted(X, y, GBTConfig(max_depth=5, learning_rate=0.1, n_trees=10))
+    held = sum(plan.nbytes() + len(key[0]) for key, plan in presorted.plans.items())
+    held += sum(left.nbytes + right.nbytes + len(key[0])
+                for key, (left, right) in presorted.parts.items())
+    assert held == presorted.cached_bytes <= gbtree.PLAN_BUDGET
+    assert presorted.plans and presorted.parts
+
+
+def test_node_without_admissible_split_is_the_same_leaf_when_cached():
+    # a constant column, a tied column whose one odd value would leave fewer
+    # than min_samples_leaf rows on its side, and a column missing all but once
+    X = np.array([[1.0, 0.0, np.nan], [1.0, 0.0, np.nan], [1.0, 0.0, 5.0],
+                  [1.0, 0.0, np.nan], [1.0, 1.0, np.nan]])
+    y = np.array([0.0, 1.0, 3.0, 0.5, 2.0])
+    presorted = _Presorted(X, np.isnan(X))
+    idx = np.arange(5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert presorted.best_split(y - y.mean(), idx, 2) is None
+        assert presorted.best_split(y[::-1].copy(), idx, 2) is None  # from the cache
+    assert list(presorted.plans.values())[0].gather is None
+    config = GBTConfig(max_depth=3, learning_rate=0.5, n_trees=4, min_samples_leaf=2)
+    ens = fit_gbt(X, y, config)
+    assert all(t.is_leaf and t.cover == 5 for t in ens.trees)
+    assert fit_json(X, y, config) == fit_json(X, y, config, budget=0)
+
+
+def test_a_node_that_splits_differently_in_a_later_round_gets_its_own_children():
+    # the root splits at 0.5 in round 1 and at 1.5 in round 2: the same
+    # membership, so the cached children must be keyed by the split too
+    X = np.array([[0.0], [1.0], [2.0], [2.0], [2.0], [3.0]])
+    y = np.array([2.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+    config = GBTConfig(max_depth=2, learning_rate=0.5, n_trees=2, min_samples_leaf=1)
+    ens, presorted = kept_presorted(X, y, config)
+    assert [(t.split_feature, t.threshold) for t in ens.trees] == [(0, 0.5), (0, 1.5)]
+    for tree in ens.trees:
+        assert tree.left.cover == int((X[:, 0] < tree.threshold).sum())
+        assert tree.right.cover == 6 - tree.left.cover
+    root = np.arange(6).tobytes()
+    assert [len(left) for key, (left, _) in presorted.parts.items() if key[0] == root] == [1, 2]
+    assert fit_json(X, y, config) == fit_json(X, y, config, budget=0)
