@@ -20,18 +20,12 @@ import tempfile
 import numpy as np
 
 from . import __version__, baselines, metabias, shapley
-from .gbtree import fit_gbt, paper_grid
-from .pipeline import (
-    SCALING_FEATURES,
-    CVPlan,
-    greedy_select,
-    grid_search,
-    run_cv,
-    scale_points,
-)
+from .gbtree import fit_gbt, paper_grid  # noqa: F401 (perfbench checks tracing wraps fit_gbt here)
+from .pipeline import SCALING_FEATURES, CVPlan, fit_tuned, greedy_select, run_cv, scale_points
 from .prng import PRNG_ID
 from .registry import (
     ENUM_VOCAB,
+    FEATURE_SECTIONS,
     RegistryError,
     all_feature_names,
     encode_features,
@@ -74,32 +68,36 @@ def _cache_key(paths, *parts) -> str:
 
 
 def _load_inputs(args):
-    registry = load_registry(args.registry)
-    scores, tasks = load_scores(args.scores)
-    return registry, scores, tasks
+    return load_registry(args.registry), *load_scores(args.scores)
 
 
-def _dataset_for(args, registry, scores, tasks):
+def _task_dataset(args):
+    registry, scores, tasks = _load_inputs(args)
     if args.task not in tasks:
         raise RegistryError([f"task {args.task!r} not present in scores file"])
     return join_scores(registry, scores, tasks[args.task])
 
 
-def _features_arg(args):
-    if getattr(args, "features", None):
-        return [f.strip() for f in args.features.split(",")]
-    return all_feature_names()
+def _feature_names(text, default=None):
+    """The comma-separated names in ``text`` (if none, ``default`` or every
+    feature); every undocumented name, empty ones too, is a violation."""
+    if not text:
+        return all_feature_names() if default is None else default
+    names = [f.strip() for f in text.split(",")]
+    unknown = [f"unknown feature name: {n!r}" for n in names if n not in FEATURE_SECTIONS]
+    if unknown:
+        raise RegistryError(unknown)
+    return names
 
 
-def _cv_cached(args, dataset, features, kind, seed, grid, plan):
+def _cv_cached(args, dataset, features, kind, grid, plan):
     """Run (or reuse) one CV evaluation, caching JSON in the out directory.
 
     A cache file that does not parse as a JSON object is recomputed and
     overwritten.
     """
     key = _cache_key((args.registry, args.scores), __version__, PRNG_ID, dataset.task.task_id,
-                     sorted(features), kind, seed,
-                     [vars(g) if hasattr(g, "__dict__") else str(g) for g in (grid or [])],
+                     sorted(features), kind, plan.seed, [vars(g) for g in (grid or [])],
                      plan.outer_folds, plan.inner_folds)
     cache_path = os.path.join(args.out, "cache", f"cv-{key}.json")
     try:
@@ -109,7 +107,7 @@ def _cv_cached(args, dataset, features, kind, seed, grid, plan):
             return cached
     except (FileNotFoundError, ValueError):  # ValueError: not JSON, or not UTF-8
         pass
-    result = run_cv(dataset, features, kind, plan.with_seed(seed), grid).to_dict()
+    result = run_cv(dataset, features, kind, plan, grid).to_dict()
     _atomic_write(cache_path, _json_text(result))
     return result
 
@@ -120,9 +118,9 @@ def _compare_cached(args, dataset, features, seeds):
     Returns ((mean, ci95 half-width, per-seed MAEs) for scale-only and for
     ``features``, (t, df, p) of the paired t-test).
     """
-    plan, grid = CVPlan(), paper_grid()
-    maes = [[float(_cv_cached(args, dataset, fs, "gbt", s, grid, plan)["mae"]) for s in seeds]
-            for fs in (list(SCALING_FEATURES), features)]
+    grid = paper_grid()
+    maes = [[float(_cv_cached(args, dataset, fs, "gbt", grid, CVPlan(seed=s))["mae"])
+             for s in seeds] for fs in (list(SCALING_FEATURES), features)]
     return [(*mean_ci95(m), m) for m in maes], paired_t_test(*maes)
 
 
@@ -150,9 +148,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    registry, scores, tasks = _load_inputs(args)
-    dataset = _dataset_for(args, registry, scores, tasks)
-    X = encode_features(dataset, _features_arg(args))
+    dataset = _task_dataset(args)
+    X = encode_features(dataset, _feature_names(args.features))
     lines = ["model_id," + ",".join(
         f"{c.name}[{c.source_group}]" for c in X.columns)]
     for i, mid in enumerate(X.model_ids):
@@ -165,8 +162,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_fit_scaling(args) -> int:
-    registry, scores, tasks = _load_inputs(args)
-    dataset = _dataset_for(args, registry, scores, tasks)
+    dataset = _task_dataset(args)
     points = scale_points(dataset)
     params, r2 = baselines.fit_power_law(points, dataset.task.polarity)
     a, b, c = baselines.fit_log_linear(points)
@@ -184,13 +180,11 @@ def cmd_fit_scaling(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    registry, scores, tasks = _load_inputs(args)
-    dataset = _dataset_for(args, registry, scores, tasks)
+    dataset = _task_dataset(args)
     # baseline predictors ignore the feature matrix; record that honestly
-    features = _features_arg(args) if args.kind == "gbt" else []
-    plan = CVPlan(seed=args.seed)
+    features = _feature_names(args.features) if args.kind == "gbt" else []
     grid = paper_grid() if args.kind == "gbt" else None
-    result = _cv_cached(args, dataset, features, args.kind, args.seed, grid, plan)
+    result = _cv_cached(args, dataset, features, args.kind, grid, CVPlan(seed=args.seed))
     path = os.path.join(args.out, f"cv-{args.task}-{args.kind}-{args.seed}.json")
     _atomic_write(path, _json_text(result))
     print(f"{args.task} [{args.kind}] MAE = {result['mae']:.5f}")
@@ -198,12 +192,9 @@ def cmd_cv(args) -> int:
 
 
 def cmd_select(args) -> int:
-    registry, scores, tasks = _load_inputs(args)
-    dataset = _dataset_for(args, registry, scores, tasks)
-    if args.candidates:
-        candidates = [f.strip() for f in args.candidates.split(",")]
-    else:
-        candidates = [f for f in all_feature_names() if f not in SCALING_FEATURES]
+    dataset = _task_dataset(args)
+    candidates = _feature_names(args.candidates,
+                                [f for f in all_feature_names() if f not in SCALING_FEATURES])
     seeds = list(range(args.seeds))
     trace = greedy_select(dataset, candidates, CVPlan(), paper_grid(),
                           seeds, tol=args.tol)
@@ -214,11 +205,10 @@ def cmd_select(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    registry, scores, tasks = _load_inputs(args)
-    dataset = _dataset_for(args, registry, scores, tasks)
+    dataset = _task_dataset(args)
     seeds = list(range(args.seeds))
     ((m1, hw1, scaling), (m2, hw2, allfeat)), (t, df, p) = _compare_cached(
-        args, dataset, _features_arg(args), seeds)
+        args, dataset, _feature_names(args.features), seeds)
     out = {
         "task_id": args.task,
         "seeds": seeds,
@@ -231,18 +221,14 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _fit_full(dataset, features, seed):
-    X = encode_features(dataset, features)
-    best = grid_search(X, dataset.values, paper_grid(), 3, seed)
-    return X, fit_gbt(X.values, dataset.values, best, mask=X.missing_mask,
-                      column_names=X.column_names)
+def _encode_and_fit(args, dataset):
+    """The encoded ``--features`` and an ensemble tuned and fitted on all rows."""
+    X = encode_features(dataset, _feature_names(args.features))
+    return X, fit_tuned(X, dataset.values, paper_grid(), CVPlan().inner_folds, args.seed)[1]
 
 
 def cmd_shap(args) -> int:
-    registry, scores, tasks = _load_inputs(args)
-    dataset = _dataset_for(args, registry, scores, tasks)
-    features = _features_arg(args)
-    X, ensemble = _fit_full(dataset, features, args.seed)
+    X, ensemble = _encode_and_fit(args, _task_dataset(args))
     sm = shapley.shap_matrix(ensemble, X)
     lines = ["model_id,feature,feature_value,phi"]
     for i, mid in enumerate(sm.model_ids):
@@ -250,7 +236,7 @@ def cmd_shap(args) -> int:
             value = "" if X.missing_mask[i, j] else repr(float(X.values[i, j]))
             lines.append(f"{mid},{name},{value},{sm.values[i, j]!r}")
     _atomic_write(os.path.join(args.out, f"shap-{args.task}.csv"), "\n".join(lines) + "\n")
-    ranking = shapley.shap_summary(ensemble, X, aggregate_categoricals=True)
+    ranking = shapley._summary(sm, X, aggregate_categoricals=True)
     rlines = ["feature,mean_abs_phi"] + [f"{e.feature},{e.mean_abs_phi!r}" for e in ranking]
     _atomic_write(os.path.join(args.out, f"shap-ranking-{args.task}.csv"),
                   "\n".join(rlines) + "\n")
@@ -308,7 +294,7 @@ def cmd_bias_audit(args) -> int:
 def cmd_report(args) -> int:
     registry, scores, tasks = _load_inputs(args)
     seeds = list(range(args.seeds))
-    features_all = _features_arg(args)
+    features_all = _feature_names(args.features)
     header = ("| Benchmark | Baseline MAE | Log-Linear MAE | Scaling Laws MAE | "
               "All Features MAE | p-val (corrected) |")
     rows, pvals = [], []
@@ -343,8 +329,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    registry, scores, tasks = _load_inputs(args)
-    dataset = _dataset_for(args, registry, scores, tasks)
+    dataset = _task_dataset(args)
     if args.kind == "scaling_heatmap":
         points = scale_points(dataset)
         params, _ = baselines.fit_power_law(points, dataset.task.polarity)
@@ -362,7 +347,7 @@ def cmd_plot_data(args) -> int:
         _atomic_write(os.path.join(args.out, f"heatmap-{args.task}.csv"),
                       "\n".join(lines) + "\n")
     elif args.kind == "shap_beeswarm":
-        X, ensemble = _fit_full(dataset, _features_arg(args), args.seed)
+        X, ensemble = _encode_and_fit(args, dataset)
         entries = shapley.shap_summary(ensemble, X, aggregate_categoricals=True)
         lines = ["feature,mean_abs_phi,feature_value,phi"]
         for e in entries:
@@ -373,14 +358,12 @@ def cmd_plot_data(args) -> int:
     elif args.kind == "shap_dependence":
         if not args.feature:
             raise RegistryError(["shap_dependence requires --feature"])
-        X, ensemble = _fit_full(dataset, _features_arg(args), args.seed)
+        X, ensemble = _encode_and_fit(args, dataset)
         points, n_missing = shapley.shap_dependence(ensemble, X, args.feature)
         lines = [f"# missing_rows={n_missing}", "feature_value,phi"]
         lines += [f"{v!r},{phi!r}" for v, phi in points]
         _atomic_write(os.path.join(args.out, f"dependence-{args.task}-{args.feature}.csv"),
                       "\n".join(lines) + "\n")
-    else:
-        raise RegistryError([f"unknown plot kind {args.kind!r}"])
     print(f"wrote {args.kind} data for {args.task}")
     return 0
 
@@ -400,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--registry", required=True)
         p.add_argument("--scores", required=True)
         if task:
-            p.add_argument("--task")
+            p.add_argument("--task", required=True)
         p.add_argument("--out", default="out")
         return p
 

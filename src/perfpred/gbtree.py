@@ -55,7 +55,6 @@ class GBTConfig:
     learning_rate: float = 0.1
     n_trees: int = 100
     min_samples_leaf: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_depth < 1 or self.n_trees < 0 or self.min_samples_leaf < 1:
@@ -64,10 +63,10 @@ class GBTConfig:
             raise ValueError("learning_rate must be in (0, 1]")
 
 
-def paper_grid(min_samples_leaf: int = 2, seed: int = 0) -> list[GBTConfig]:
+def paper_grid() -> list[GBTConfig]:
     """The 3 x 3 x 2 hyperparameter grid searched per fold."""
     return [
-        GBTConfig(d, lr, nt, min_samples_leaf, seed)
+        GBTConfig(d, lr, nt)
         for d in PAPER_GRID_DEPTHS
         for lr in PAPER_GRID_RATES
         for nt in PAPER_GRID_TREES
@@ -129,7 +128,6 @@ class TreeEnsemble:
     learning_rate: float
     trees: list[TreeNode] = field(default_factory=list)
     column_names: tuple[str, ...] = ()
-    config: GBTConfig | None = None
 
     def predict_row(self, x: np.ndarray, miss: np.ndarray) -> float:
         return float(self.predict(np.reshape(x, (1, -1)), np.reshape(miss, (1, -1)))[0])
@@ -392,7 +390,7 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GBTConfig,
     X, y, mask = X[order], y[order], mask[order]
 
     ensemble = TreeEnsemble(base_score=float(y.mean()), learning_rate=config.learning_rate,
-                            column_names=column_names, config=config)
+                            column_names=column_names)
     pred = np.full(len(y), ensemble.base_score)
     idx = np.arange(len(y))
     train_pred = np.empty(len(y))

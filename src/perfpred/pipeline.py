@@ -9,7 +9,7 @@ produce identical splits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -91,15 +91,13 @@ def grid_search(train_X: FeatureMatrix, train_y: np.ndarray, grid: list[GBTConfi
 
     # boosting is stagewise, so an n_trees=k ensemble is a prefix of the
     # n_trees=m>k one; share fits across the tree-count axis of the grid
-    groups: dict[tuple, list[tuple[int, int]]] = {}
+    groups: dict[GBTConfig, list[tuple[int, int]]] = {}
     for gi, c in enumerate(grid):
-        key = (c.max_depth, c.learning_rate, c.min_samples_leaf, c.seed)
-        groups.setdefault(key, []).append((c.n_trees, gi))
+        groups.setdefault(replace(c, n_trees=0), []).append((c.n_trees, gi))
 
     preds_by_config = {gi: np.empty(n) for gi in range(len(grid))}
-    for key, members in groups.items():
-        nt_max = max(nt for nt, _ in members)
-        proto = GBTConfig(key[0], key[1], nt_max, key[2], key[3])
+    for shape, members in groups.items():
+        proto = replace(shape, n_trees=max(nt for nt, _ in members))
         for f in range(inner_folds):
             test = folds == f
             ens = fit_gbt(train_X.values[~test], train_y[~test], proto,
@@ -114,6 +112,13 @@ def grid_search(train_X: FeatureMatrix, train_y: np.ndarray, grid: list[GBTConfi
     ]
     scored.sort()
     return grid[scored[0][4]]
+
+
+def fit_tuned(X: FeatureMatrix, y: np.ndarray, grid: list[GBTConfig], inner_folds: int,
+              seed: int) -> tuple[GBTConfig, TreeEnsemble]:
+    """Grid-search on ``X``, then refit the winning config on all of ``X``."""
+    best = grid_search(X, y, grid, inner_folds, seed)
+    return best, fit_gbt(X.values, y, best, mask=X.missing_mask, column_names=X.column_names)
 
 
 def run_cv(dataset: Dataset, feature_names, predictor_kind: str, plan: CVPlan,
@@ -156,17 +161,10 @@ def run_cv(dataset: Dataset, feature_names, predictor_kind: str, plan: CVPlan,
                 preds[i] = baselines.predict_power_law_score(
                     params, points[i].N, points[i].D, dataset.task.polarity)
         else:
-            train_X = X.subset_rows(train_idx)
-            best = grid_search(train_X, y_train, grid, plan.inner_folds, plan.seed)
-            ens = fit_gbt(train_X.values, y_train, best, mask=train_X.missing_mask,
-                          column_names=train_X.column_names)
+            best, ens = fit_tuned(X.subset_rows(train_idx), y_train, grid, plan.inner_folds,
+                                  plan.seed)
             preds[test_idx] = ens.predict(X.values[test_idx], X.missing_mask[test_idx])
-            fold_configs.append({
-                "max_depth": best.max_depth,
-                "learning_rate": best.learning_rate,
-                "n_trees": best.n_trees,
-                "min_samples_leaf": best.min_samples_leaf,
-            })
+            fold_configs.append(asdict(best))
 
     return CVResult(
         task_id=dataset.task.task_id,

@@ -92,6 +92,15 @@ GEN_FEATURES: dict[str, str] = {
     "numbers_ratio": "per100k",
 }
 
+# Every documented feature name -> the record section that holds it, in
+# canonical order: architecture, pretraining data, then generations.
+FEATURE_SECTIONS: dict[str, str] = {
+    **dict.fromkeys(ARCH_NUMERIC + ARCH_CATEGORICAL, "arch"),
+    **dict.fromkeys(DATA_NUMERIC, "data"),
+    **dict.fromkeys(GEN_FEATURES, "gen"),
+}
+_SECTION_GROUPS = {"arch": "A", "data": "D", "gen": "F"}
+
 PCT_SUM_TOLERANCE = 0.5
 LOG10_FEATURES = ("total_params", "total_tokens_billions")
 
@@ -395,12 +404,8 @@ def _rows_from_csv(path, mapping: dict[str, str]) -> list[dict]:
                     value = float(cell)
                 except ValueError:
                     value = cell  # validation reports the type problem
-                if canonical in ARCH_NUMERIC:
-                    obj["arch"][canonical] = value
-                elif canonical in DATA_NUMERIC:
-                    obj["data"][canonical] = value
-                else:
-                    obj["gen"][canonical] = value
+                # an undocumented name lands in gen, where validation reports it
+                obj[FEATURE_SECTIONS.get(canonical, "gen")][canonical] = value
             rows.append(obj)
     return rows
 
@@ -501,24 +506,20 @@ def join_scores(registry: Registry, scores: list[ScoreRecord], task: TaskSpec) -
 # encoding
 
 
+def _section(name: str) -> str:
+    try:
+        return FEATURE_SECTIONS[name]
+    except KeyError:
+        raise KeyError(f"unknown feature name: {name}") from None
+
+
 def feature_group(name: str) -> str:
-    if name in ARCH_NUMERIC or name in ARCH_CATEGORICAL:
-        return "A"
-    if name in DATA_NUMERIC:
-        return "D"
-    if name in GEN_FEATURES:
-        return "F"
-    raise KeyError(f"unknown feature name: {name}")
+    return _SECTION_GROUPS[_section(name)]
 
 
 def feature_value(rec: ModelRecord, name: str) -> float | str | None:
-    if name in ARCH_NUMERIC or name in ARCH_CATEGORICAL:
-        return getattr(rec.arch, name)
-    if name in DATA_NUMERIC:
-        return getattr(rec.data, name)
-    if name in GEN_FEATURES:
-        return rec.gen.get(name)
-    raise KeyError(f"unknown feature name: {name}")
+    section = _section(name)
+    return rec.gen.get(name) if section == "gen" else getattr(getattr(rec, section), name)
 
 
 def encode_features(dataset: Dataset, feature_names: list[str]) -> FeatureMatrix:
@@ -529,38 +530,23 @@ def encode_features(dataset: Dataset, feature_names: list[str]) -> FeatureMatrix
     stay masked (NaN), never imputed.
     """
     columns: list[Column] = []
+    cells: list[list] = []  # one list of n values per column
     for name in feature_names:
         group = feature_group(name)
-        if name in ARCH_CATEGORICAL:
+        raw = [feature_value(rec, name) for rec in dataset.records]
+        if name in ENUM_VOCAB:
             for level in ENUM_VOCAB[name]:
                 columns.append(Column(f"{name}={level}", group, f"onehot({level})"))
-        elif name in LOG10_FEATURES:
-            columns.append(Column(name, group, "log10"))
+                cells.append([np.nan if v is None else float(v == level) for v in raw])
         else:
-            columns.append(Column(name, group, "identity"))
-
-    n, p = len(dataset), len(columns)
-    values = np.full((n, p), np.nan)
-    mask = np.ones((n, p), dtype=bool)
-    for i, rec in enumerate(dataset.records):
-        j = 0
-        for name in feature_names:
-            raw = feature_value(rec, name)
-            if name in ARCH_CATEGORICAL:
-                levels = ENUM_VOCAB[name]
-                if raw is not None:
-                    for k, level in enumerate(levels):
-                        values[i, j + k] = 1.0 if raw == level else 0.0
-                        mask[i, j + k] = False
-                j += len(levels)
-            else:
-                if raw is not None:
-                    values[i, j] = math.log10(raw) if name in LOG10_FEATURES else raw
-                    mask[i, j] = False
-                j += 1
-    return FeatureMatrix(dataset.model_ids, tuple(columns), values, mask)
+            log = name in LOG10_FEATURES
+            columns.append(Column(name, group, "log10" if log else "identity"))
+            cells.append([np.nan if v is None else math.log10(v) if log else v for v in raw])
+    values = np.array(cells, dtype=float).reshape(len(columns), len(dataset)).T.copy()
+    # validation rejects non-finite numbers, so NaN marks exactly the missing entries
+    return FeatureMatrix(dataset.model_ids, tuple(columns), values, np.isnan(values))
 
 
 def all_feature_names() -> list[str]:
     """Every documented feature, in canonical order."""
-    return list(ARCH_NUMERIC) + list(ARCH_CATEGORICAL) + list(DATA_NUMERIC) + list(GEN_FEATURES)
+    return list(FEATURE_SECTIONS)

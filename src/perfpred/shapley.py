@@ -209,29 +209,31 @@ def shap_summary(ensemble: TreeEnsemble, X: FeatureMatrix,
     """
     if len(X.model_ids) == 0:
         raise ValueError("empty feature matrix")
-    sm = shap_matrix(ensemble, X)
+    return _summary(shap_matrix(ensemble, X), X, aggregate_categoricals)
+
+
+def _summary(sm: ShapMatrix, X: FeatureMatrix, aggregate_categoricals: bool) -> list[SummaryEntry]:
+    """``shap_summary`` of the attributions ``sm`` already computed for ``X``."""
+    if aggregate_categoricals:
+        by_base: dict[str, list[int]] = {}
+        for j, name in enumerate(sm.feature_names):
+            by_base.setdefault(_onehot_base(name) or name, []).append(j)
+        groups = list(by_base.items())
+    else:  # one column per group: its sum is the column, save that -0.0 becomes 0.0
+        groups = [(name, [j]) for j, name in enumerate(sm.feature_names)]
     entries: list[SummaryEntry] = []
-    if not aggregate_categoricals:
-        for j, name in enumerate(sm.feature_names):
-            pts = tuple((float(X.values[i, j]), float(sm.values[i, j]))
-                        for i in range(len(sm.model_ids)))
-            entries.append(SummaryEntry(name, float(np.abs(sm.values[:, j]).mean()), pts))
-    else:
-        groups: dict[str, list[int]] = {}
-        for j, name in enumerate(sm.feature_names):
-            groups.setdefault(_onehot_base(name) or name, []).append(j)
-        for gname, cols in groups.items():
-            total = sm.values[:, cols].sum(axis=1)
-            pts = []
-            for i in range(len(sm.model_ids)):
-                if len(cols) == 1:
-                    value = float(X.values[i, cols[0]])
-                else:
-                    active = [sm.feature_names[j].split("=", 1)[1]
-                              for j in cols if X.values[i, j] == 1.0]
-                    value = active[0] if active else None
-                pts.append((value, float(total[i])))
-            entries.append(SummaryEntry(gname, float(np.abs(total).mean()), tuple(pts)))
+    for gname, cols in groups:
+        total = sm.values[:, cols].sum(axis=1)
+        pts = []
+        for i in range(len(sm.model_ids)):
+            if len(cols) == 1:
+                value = float(X.values[i, cols[0]])
+            else:
+                active = [sm.feature_names[j].split("=", 1)[1]
+                          for j in cols if X.values[i, j] == 1.0]
+                value = active[0] if active else None
+            pts.append((value, float(total[i])))
+        entries.append(SummaryEntry(gname, float(np.abs(total).mean()), tuple(pts)))
     entries.sort(key=lambda e: (-e.mean_abs_phi, e.feature))
     return entries
 

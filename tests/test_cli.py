@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from perfpred import shapley
 from perfpred.cli import build_parser, main
 from perfpred.pipeline import CVPlan, run_cv
 from perfpred.registry import join_scores, load_registry, load_scores
@@ -161,9 +162,14 @@ def test_cv_recomputes_corrupt_cache(synth_files, tmp_path, corrupt):
 def test_parser_takes_only_flags_a_subcommand_uses():
     parser = build_parser()
     io = ["--registry", "r.json", "--scores", "s.csv"]
-    for argv in (["compare", *io, "--seed", "3"], ["validate", *io, "--jobs", "2"],
-                 ["fit-scaling", *io, "--seeds", "2"], ["report", *io, "--seed", "1"],
-                 ["select", *io, "--seed", "1"]):
+    task = ["--task", "t"]
+    for argv in (["compare", *io, *task, "--seed", "3"], ["validate", *io, "--jobs", "2"],
+                 ["fit-scaling", *io, *task, "--seeds", "2"], ["report", *io, "--seed", "1"],
+                 ["select", *io, *task, "--seed", "1"],
+                 # --task is required wherever it is taken
+                 ["encode", *io], ["fit-scaling", *io], ["cv", *io, "--kind", "median"],
+                 ["select", *io], ["compare", *io], ["shap", *io],
+                 ["plot-data", *io, "--kind", "scaling_heatmap"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
     # the flag combinations the benchmark runs
@@ -173,6 +179,29 @@ def test_parser_takes_only_flags_a_subcommand_uses():
     parser.parse_args(["fit-scaling", *io, "--task", "t", "--out", "o"])
     parser.parse_args(["bias-audit", *io])
     assert parser.parse_args(["select", *io, "--task", "t", "--seeds", "3"]).seeds == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--task", "taskA", "--features"],
+    ["cv", "--task", "taskA", "--features"],
+    ["select", "--task", "taskA", "--candidates"],
+    ["compare", "--task", "taskA", "--features"],
+    ["shap", "--task", "taskA", "--features"],
+    ["report", "--features"],
+    ["plot-data", "--task", "taskA", "--kind", "shap_beeswarm", "--features"],
+    ["plot-data", "--task", "taskA", "--kind", "shap_dependence", "--feature", "pct_code",
+     "--features"],
+], ids=lambda argv: "-".join(a for a in argv if not a.startswith("-") and a != "taskA"))
+def test_unknown_feature_names_are_all_reported(synth_files, tmp_path, capsys, argv):
+    reg, scores = synth_files
+    code = main([argv[0], "--registry", reg, "--scores", scores, "--out", str(tmp_path),
+                 *argv[1:], "pct_code,bogus, ,total_params,nope"])
+    assert code == 1
+    err = capsys.readouterr().err
+    for bad in ("'bogus'", "''", "'nope'"):
+        assert f"VIOLATION: unknown feature name: {bad}" in err
+    assert "pct_code" not in err and "Traceback" not in err
+    assert not (tmp_path / "cache").exists()
 
 
 def test_compare_small_run(synth_files, tmp_path):
@@ -222,8 +251,11 @@ def test_plot_data_dependence_and_errors(synth_files, tmp_path):
     assert code == 1  # --feature is required for dependence data
 
 
-def test_shap_export(synth_files, tmp_path):
+def test_shap_export(synth_files, tmp_path, monkeypatch):
     reg, scores = synth_files
+    explained = []
+    monkeypatch.setattr(shapley, "shap_matrix",
+                        lambda *a, f=shapley.shap_matrix: explained.append(1) or f(*a))
     code = main(["shap", "--registry", reg, "--scores", scores,
                  "--task", "taskA", "--out", str(tmp_path),
                  "--features", "total_params,total_tokens_billions,activation"])
@@ -234,6 +266,7 @@ def test_shap_export(synth_files, tmp_path):
     ranking = (tmp_path / "shap-ranking-taskA.csv").read_text().strip().split("\n")
     assert ranking[0] == "feature,mean_abs_phi"
     assert len(ranking) == 4  # aggregated: two scale features + activation
+    assert len(explained) == 1  # the ranking reuses the exported matrix
 
 
 def test_bias_audit_runs(synth_files, tmp_path):

@@ -1,11 +1,16 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import raw_record, small_dataset
 from perfpred.registry import (
+    ARCH_CATEGORICAL,
+    ARCH_NUMERIC,
+    DATA_NUMERIC,
     ENUM_VOCAB,
     GEN_FEATURES,
     Registry,
@@ -15,12 +20,14 @@ from perfpred.registry import (
     all_feature_names,
     encode_features,
     feature_group,
+    feature_value,
     join_scores,
     load_registry,
     load_scores,
     serialize_registry,
     validate_raw_records,
 )
+from perfpred.synthdata import GenSpec, synth_dataset
 
 
 def write_registry_json(tmp_path, raws, name="registry.json"):
@@ -237,3 +244,44 @@ def test_encode_all_features_column_count():
     assert groups["activation=gelu"] == "A"
     assert groups["pct_web"] == "D"
     assert groups["entropy_mean"] == "F"
+
+
+def test_every_feature_name_lands_in_its_declared_section(tmp_path):
+    declared = {**dict.fromkeys(ARCH_NUMERIC + ARCH_CATEGORICAL, ("arch", "A")),
+                **dict.fromkeys(DATA_NUMERIC, ("data", "D")),
+                **dict.fromkeys(GEN_FEATURES, ("gen", "F"))}
+    assert all_feature_names() == list(declared)
+    for name in all_feature_names():
+        value = ENUM_VOCAB[name][1] if name in ENUM_VOCAB else 12.5
+        row = {"id": "m1", "params": "1000000000", "tokens": "300", "x": str(value)}
+        mapping = {"id": "model_id", "params": "total_params",
+                   "tokens": "total_tokens_billions", "x": name}
+        if name in ("total_params", "total_tokens_billions"):
+            del row["x"], mapping["x"]
+            row["params" if name == "total_params" else "tokens"] = str(value)
+        csv_path = tmp_path / f"{name}.csv"
+        csv_path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+        map_path = tmp_path / f"{name}.json"
+        map_path.write_text(json.dumps(mapping))
+        rec = load_registry(csv_path, format="csv_with_mapping", mapping_path=map_path).get("m1")
+        section, group = declared[name]
+        held = rec.gen.get(name) if section == "gen" else getattr(getattr(rec, section), name)
+        assert held == value and feature_value(rec, name) == value, name
+        assert feature_group(name) == group, name
+
+
+@functools.lru_cache(maxsize=None)
+def _gappy_dataset():
+    return synth_dataset(GenSpec(n_models=30, missing_rate=0.25), seed=2)[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.permutations(all_feature_names()), st.integers(0, len(all_feature_names())))
+def test_encoding_a_concatenated_name_list_concatenates_the_matrices(names, cut):
+    ds = _gappy_dataset()
+    a, b = names[:cut], names[cut:]
+    whole, left, right = (encode_features(ds, fs) for fs in (a + b, a, b))
+    assert whole.columns == left.columns + right.columns
+    assert whole.values.tobytes() == np.hstack([left.values, right.values]).tobytes()
+    assert np.array_equal(whole.missing_mask, np.hstack([left.missing_mask, right.missing_mask]))
+    assert np.array_equal(whole.missing_mask, np.isnan(whole.values))
