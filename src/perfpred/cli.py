@@ -80,14 +80,23 @@ def _task_dataset(args):
 
 def _feature_names(text, default=None):
     """The comma-separated names in ``text`` (if none, ``default`` or every
-    feature); every undocumented name, empty ones too, is a violation."""
+    feature); every undocumented name, empty ones too, and every repeated
+    name is a violation."""
     if not text:
         return all_feature_names() if default is None else default
     names = [f.strip() for f in text.split(",")]
-    unknown = [f"unknown feature name: {n!r}" for n in names if n not in FEATURE_SECTIONS]
-    if unknown:
-        raise RegistryError(unknown)
+    violations = [f"unknown feature name: {n!r}" for n in names if n not in FEATURE_SECTIONS]
+    violations += [f"repeated feature name: {n!r}" for n in dict.fromkeys(names)
+                   if names.count(n) > 1]
+    if violations:
+        raise RegistryError(violations)
     return names
+
+
+def _reject_features(args, applies_to: str) -> None:
+    """``--features`` is a violation where the chosen ``--kind`` reads none."""
+    if args.features is not None:
+        raise RegistryError([f"--features only applies to {applies_to}, not --kind {args.kind}"])
 
 
 def _cv_cached(args, dataset, features, kind, grid, plan):
@@ -181,9 +190,12 @@ def cmd_fit_scaling(args) -> int:
 
 def cmd_cv(args) -> int:
     dataset = _task_dataset(args)
-    # baseline predictors ignore the feature matrix; record that honestly
-    features = _feature_names(args.features) if args.kind == "gbt" else []
-    grid = paper_grid() if args.kind == "gbt" else None
+    if args.kind == "gbt":
+        features, grid = _feature_names(args.features), paper_grid()
+    else:
+        # baseline predictors read no feature matrix; record that honestly
+        _reject_features(args, "--kind gbt")
+        features, grid = [], None
     result = _cv_cached(args, dataset, features, args.kind, grid, CVPlan(seed=args.seed))
     path = os.path.join(args.out, f"cv-{args.task}-{args.kind}-{args.seed}.json")
     _atomic_write(path, _json_text(result))
@@ -234,7 +246,7 @@ def cmd_shap(args) -> int:
     for i, mid in enumerate(sm.model_ids):
         for j, name in enumerate(sm.feature_names):
             value = "" if X.missing_mask[i, j] else repr(float(X.values[i, j]))
-            lines.append(f"{mid},{name},{value},{sm.values[i, j]!r}")
+            lines.append(f"{mid},{name},{value},{float(sm.values[i, j])!r}")
     _atomic_write(os.path.join(args.out, f"shap-{args.task}.csv"), "\n".join(lines) + "\n")
     ranking = shapley._summary(sm, X, aggregate_categoricals=True)
     rlines = ["feature,mean_abs_phi"] + [f"{e.feature},{e.mean_abs_phi!r}" for e in ranking]
@@ -331,6 +343,7 @@ def cmd_report(args) -> int:
 def cmd_plot_data(args) -> int:
     dataset = _task_dataset(args)
     if args.kind == "scaling_heatmap":
+        _reject_features(args, "--kind shap_beeswarm or shap_dependence")
         points = scale_points(dataset)
         params, _ = baselines.fit_power_law(points, dataset.task.polarity)
         ns = np.logspace(np.log10(min(p.N for p in points)),
@@ -341,7 +354,7 @@ def cmd_plot_data(args) -> int:
         for n in ns:
             for d in ds:
                 s = baselines.predict_power_law_score(params, n, d, dataset.task.polarity)
-                lines.append(f"grid,{n!r},{d!r},{s!r}")
+                lines.append(f"grid,{float(n)!r},{float(d)!r},{s!r}")
         for p in points:
             lines.append(f"model,{p.N!r},{p.D!r},{p.target!r}")
         _atomic_write(os.path.join(args.out, f"heatmap-{args.task}.csv"),

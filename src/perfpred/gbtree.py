@@ -23,17 +23,22 @@ Most of a node's search does not depend on the residuals: which rows it
 gathers from each column's order, how many of them are missing, the row
 counts on each side of every threshold and which thresholds are
 inadmissible. That part is a node plan. XGBoost builds its sorted column
-blocks once before training and reuses them in every round (section 4.1);
-the same node membership also recurs across boosting rounds, so each fit
-keeps its node plans, and the child partitions of each split chosen at a
-node, keyed by the node's rows (always ascending, so the key is canonical).
-A round then only gathers the residuals, sums the missing rows, takes the
-two cumulative sums and scores. The cache holds at most ``PLAN_BUDGET``
-array bytes per fit; a node that misses it computes its plan as before, and
-the result is bit-identical either way. Fits of a few rows and columns
-keep every plan they reuse; nested-CV fits on 92 models with the two scale
-columns keep 93% of them; a 92 x 74 fit reuses about half its memberships,
-but its plans take tens to hundreds of KB, so it keeps only the first few.
+blocks once before training and reuses them in every round (section 4.1),
+and ``fit_gbt_batch`` goes one step further: independent fits on the same
+rows (a grid search's configs on one training split) share one presort and
+one plan store, and boost in lockstep. Each round grows every fit's tree
+one level at a time, the depth-wise growth of Mitchell & Frank 2017 (PeerJ
+CS 3:e127). The frontier nodes of all fits are grouped by membership and
+leaf size; a group takes its node means and SSEs in one pass and calls
+``best_split`` once over all of its residual vectors, so a plan, and the
+child partitions of each split, are built once per batch. They are kept
+across rounds, keyed by the node's rows (always ascending, so the key is
+canonical), up to ``PLAN_BUDGET`` array bytes per batch; a node that misses
+the store computes its plan again, and the result is bit-identical either
+way. Node sums run over C-ordered rows, never zero-padded, so each equals
+the 1-D np.sum of one fit alone, and each fit keeps its own depth limit,
+gain floor and tie-breaks: every ensemble of a batch is the one its config
+gives alone, bit for bit. ``fit_gbt`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -182,7 +187,7 @@ def _fill_leaves(node: TreeNode, X, gone, rows, out) -> None:
     _fill_leaves(node.right, X, gone, rows[~left], out)
 
 
-PLAN_BUDGET = 256 * 1024  # array bytes of node plans and child partitions kept per fit
+PLAN_BUDGET = 256 * 1024  # array bytes of node plans and child partitions kept per batch
 
 
 class _NodePlan:
@@ -222,12 +227,11 @@ class _NodePlan:
         if bad.all():
             self.gather = None
             return
-        self.gather, self.counts, self.bad = gather, counts, bad
+        # counts and bad broadcast over a leading fit axis
+        self.gather, self.counts, self.bad = gather, counts[:, :, None], bad[:, None]
         self.columns = np.argsort(rows)  # feature -> row of this plan
-        # flat positions in the (statistic, row, position) cumulative sums
-        # of each row's last present value
-        self.totals = (np.arange(2)[:, None] * len(V) + np.arange(len(V))) * k \
-            + np.maximum(n_present - 1, 0)
+        # flat (row, position) of each row's last present value
+        self.totals = np.arange(len(V)) * k + np.maximum(n_present - 1, 0)
         # (first row, end row, first missing position) of each missing count
         edges = [0, *(np.flatnonzero(np.diff(n_miss)) + 1).tolist(), len(V)]
         self.tails = [(a, b, k - int(n_miss[a])) for a, b in zip(edges, edges[1:]) if n_miss[a]]
@@ -239,10 +243,10 @@ class _NodePlan:
 
 
 class _Presorted:
-    """Each column's row order, sorted once per fit: present values ascending
-    (ties in row order), then the missing rows in row order. Node plans and
-    child partitions are kept per fit, keyed by node membership, up to
-    ``PLAN_BUDGET`` bytes."""
+    """Each column's row order, sorted once per batch: present values
+    ascending (ties in row order), then the missing rows in row order. Node
+    plans and child partitions are kept per batch, keyed by node membership,
+    up to ``PLAN_BUDGET`` bytes."""
 
     def __init__(self, X: np.ndarray, mask: np.ndarray):
         self.X, self.mask = X, mask
@@ -259,63 +263,71 @@ class _Presorted:
             store[key] = value
             self.cached_bytes += nbytes
 
-    def best_split(self, r, idx, min_leaf):
-        """Exact greedy search over all midpoints of present values.
+    def best_split(self, R, idx, min_leaf):
+        """Exact greedy search over all midpoints of present values, for
+        each residual vector (row) of ``R``.
 
         Missing rows are tried on both sides and kept on the lower-SSE side.
         Ties break deterministically: lowest feature index, lowest threshold,
-        missing routed left. Returns (sse_after, feature, threshold,
-        default_left) or None. Call under ``np.errstate(divide="ignore",
-        invalid="ignore")``: positions past a column's present rows divide
-        by zero before they are masked out. Everything that does not depend
-        on ``r`` comes from the node's plan, kept per fit when it fits.
+        missing routed left. Returns one (sse_after, feature, threshold,
+        default_left) or None per row of ``R``. Call under
+        ``np.errstate(divide="ignore", invalid="ignore")``: positions past a
+        column's present rows divide by zero before they are masked out.
+        Everything that does not depend on ``R`` comes from the node's plan,
+        built once for all rows of ``R`` and kept when it fits.
         """
         key = (idx.tobytes(), min_leaf)
         plan = self.plans.get(key)
         if plan is None:
             plan = _NodePlan(self, idx, min_leaf)
             self._keep(self.plans, key, plan, plan.nbytes())
+        fits = len(R)
         if plan.gather is None:
-            return None
+            return [None] * fits
         p, k = plan.gather.shape
-        stack = np.empty((2, p, k))  # residuals, their squares
-        r.take(plan.gather, out=stack[0])
+        stack = np.empty((2, fits, p, k))  # residuals, their squares
+        np.take(R, plan.gather, axis=1, out=stack[0])
         np.multiply(stack[0], stack[0], out=stack[1])
         # sums over the missing rows must equal 1-D np.sum bit for bit, whose
         # summation order depends on the term count: each missing count's
         # block is summed on its own, never zero-padded (0.0 where none)
-        missing = np.zeros((2, p))
+        missing = np.zeros((2, fits, p))
         for a, b, start in plan.tails:
-            np.add.reduce(stack[:, a:b, start:], axis=2, out=missing[:, a:b])
-        cum = stack.cumsum(axis=2)
+            np.add.reduce(stack[..., a:b, start:], axis=3, out=missing[..., a:b])
+        cum = stack.cumsum(axis=3)
         left = cum[..., :-1]
-        # (statistic, side * 2 + routing, row, threshold), filled in place
-        # because large temporaries cost page faults
-        sides = np.empty((2, 4, p, k - 1))
+        # (statistic, side * 2 + routing, fit, row, threshold), filled in
+        # place because large temporaries cost page faults
+        sides = np.empty((2, 4, fits, p, k - 1))
         np.add(left, missing[..., None], out=sides[:, 0])
         sides[:, 1] = left
-        np.subtract(cum.take(plan.totals)[..., None], left, out=sides[:, 2])
+        total = cum.reshape(2, fits, p * k).take(plan.totals, axis=2)
+        np.subtract(total[..., None], left, out=sides[:, 2])
         np.add(sides[:, 2], missing[..., None], out=sides[:, 3])
-        S, Q = sides.reshape(2, 2, 2, p, k - 1)
+        S, Q = sides.reshape(2, 2, 2, fits, p, k - 1)
         S *= S
         S /= plan.counts
         np.subtract(Q, S, out=S)
-        sse = np.add(S[0], S[1], out=S[0])
-        sse[plan.bad] = np.inf
-        t = sse.argmin(axis=2)  # first occurrence: lowest threshold
-        v = sse.min(axis=2)
+        sse = np.add(S[0], S[1], out=S[0])  # (routing, fit, row, threshold)
+        np.copyto(sse, np.inf, where=plan.bad)
+        t = sse.argmin(axis=3)  # first occurrence: lowest threshold
+        v = sse.min(axis=3)
         # ties between routings: lower threshold wins, then left; a column
         # without missing rows scores the same on both, so it stays left
         right = (v[1] < v[0]) | ((v[1] == v[0]) & (t[1] < t[0]))
-        value = np.where(right, v[1], v[0])[plan.columns]
+        value = np.where(right, v[1], v[0])[:, plan.columns]  # (fit, feature)
         value[~np.isfinite(value)] = np.inf
-        j = int(value.argmin())  # first occurrence: lowest feature index
-        if value[j] == np.inf:
-            return None
-        row = plan.columns[j]
-        i = int(t[int(right[row]), row])
-        below, above = self.X[plan.gather[row, i:i + 2], j]  # both present
-        return float(value[j]), j, float(0.5 * (below + above)), not bool(right[row])
+        found = []
+        for f, j in enumerate(value.argmin(axis=1).tolist()):  # lowest feature index
+            if value[f, j] == np.inf:
+                found.append(None)
+                continue
+            row = plan.columns[j]
+            i = int(t[int(right[f, row]), f, row])
+            below, above = self.X[plan.gather[row, i:i + 2], j]  # both present
+            found.append((float(value[f, j]), j, float(0.5 * (below + above)),
+                          not bool(right[f, row])))
+        return found
 
     def partition(self, node: TreeNode, idx: np.ndarray):
         """``idx`` split into the rows that take ``node``'s left child and
@@ -329,38 +341,60 @@ class _Presorted:
         return parts
 
 
-def _build(presorted, r, idx, depth, config, train_pred) -> TreeNode:
-    node_r = r[idx]
-    node_mean = float(node_r.sum() / len(idx))  # np.mean, bit for bit
-    node = TreeNode(cover=len(idx))
-    if depth >= config.max_depth or len(idx) < 2 * config.min_samples_leaf:
-        node.leaf_value = node_mean
-        train_pred[idx] = node_mean
-        return node
-    node_sse = float(((node_r - node_mean) ** 2).sum())
-    found = presorted.best_split(r, idx, config.min_samples_leaf)
-    if found is None or node_sse - found[0] <= MIN_GAIN:
-        node.leaf_value = node_mean
-        train_pred[idx] = node_mean
-        return node
-    _, j, thr, default_left = found
-    node.split_feature = int(j)
-    node.threshold = float(thr)
-    node.default_left = bool(default_left)
-    left, right = presorted.partition(node, idx)
-    node.left = _build(presorted, r, left, depth + 1, config, train_pred)
-    node.right = _build(presorted, r, right, depth + 1, config, train_pred)
-    return node
+def _grow(presorted, R, configs, root) -> tuple[list[TreeNode], np.ndarray]:
+    """One tree per residual vector (row) of ``R``, each limited by its own
+    config, grown together one level at a time from the rows ``root``.
+    Returns the trees and each row's training-set predictions.
 
-
-def fit_gbt(X: np.ndarray, y: np.ndarray, config: GBTConfig,
-            mask: np.ndarray | None = None,
-            column_names: tuple[str, ...] | None = None) -> TreeEnsemble:
-    """Boost depth-limited regression trees against squared error.
-
-    ``mask`` marks missing entries (NaN values are treated as missing too);
-    targets must be fully observed.
+    The nodes of a level are grouped by (membership, leaf size). A group
+    gathers its fits' node residuals in C order, so each node sum equals the
+    1-D np.sum of that fit alone, and searches all its fits in one call.
     """
+    train_pred = np.empty(R.shape)
+    trees = [TreeNode(cover=len(root)) for _ in configs]
+    frontier = [(f, tree, root) for f, tree in enumerate(trees)]
+    depth = 0
+    while frontier:
+        groups: dict = {}
+        for f, node, idx in frontier:
+            key = (idx.tobytes(), configs[f].min_samples_leaf)
+            _, fits, nodes = groups.setdefault(key, (idx, [], []))
+            fits.append(f)
+            nodes.append(node)
+        frontier = []
+        for (_, min_leaf), (idx, fits, nodes) in groups.items():
+            rows = R.take(fits, axis=0)
+            node_r = rows.take(idx, axis=1)  # C order, unlike rows[:, idx]
+            node_mean = np.add.reduce(node_r, 1) / len(idx)  # np.mean, bit for bit
+            splits = [None] * len(nodes)
+            grow = [m for m, f in enumerate(fits) if depth < configs[f].max_depth] \
+                if len(idx) >= 2 * min_leaf else []
+            if grow:
+                mean = node_mean[:, None]
+                if len(grow) < len(nodes):
+                    rows, node_r, mean = rows[grow], node_r[grow], mean[grow]
+                node_sse = np.add.reduce((node_r - mean) ** 2, 1).tolist()
+                for m, sse, split in zip(grow, node_sse,
+                                         presorted.best_split(rows, idx, min_leaf)):
+                    if split is not None and not (sse - split[0] <= MIN_GAIN):
+                        splits[m] = split
+            children: dict = {}
+            for f, node, mean, split in zip(fits, nodes, node_mean.tolist(), splits):
+                if split is None:
+                    node.leaf_value = mean
+                    train_pred[f][idx] = mean
+                    continue
+                _, node.split_feature, node.threshold, node.default_left = split
+                if split[1:] not in children:
+                    children[split[1:]] = presorted.partition(node, idx)
+                left, right = children[split[1:]]
+                node.left, node.right = TreeNode(cover=len(left)), TreeNode(cover=len(right))
+                frontier += [(f, node.left, left), (f, node.right, right)]
+        depth += 1
+    return trees, train_pred
+
+
+def _validated(X, y, configs, mask):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -369,13 +403,26 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GBTConfig,
         raise ValueError("X and y row counts differ")
     if np.isnan(y).any():
         raise ValueError("targets contain NaN")
-    if X.shape[0] < 2 * config.min_samples_leaf:
+    if any(X.shape[0] < 2 * c.min_samples_leaf for c in configs):
         raise ValueError("too few rows for min_samples_leaf")
     if mask is None:
         mask = np.isnan(X)
     mask = np.asarray(mask, dtype=bool) | np.isnan(X)
     if mask.all():
         raise ValueError("all feature values missing")
+    return X, y, mask
+
+
+def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
+                  mask: np.ndarray | None = None,
+                  column_names: tuple[str, ...] | None = None) -> list[TreeEnsemble]:
+    """One boosted ensemble per config, all fitted on the same rows.
+
+    The fits share one presort and one node-plan store and boost in
+    lockstep, round by round; a fit retires after its own ``n_trees``.
+    Each ensemble is bit-identical to fitting its config alone.
+    """
+    X, y, mask = _validated(X, y, configs, mask)
     if column_names is None:
         column_names = tuple(f"f{j}" for j in range(X.shape[1]))
 
@@ -389,16 +436,29 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GBTConfig,
     order = np.lexsort(keys)
     X, y, mask = X[order], y[order], mask[order]
 
-    ensemble = TreeEnsemble(base_score=float(y.mean()), learning_rate=config.learning_rate,
-                            column_names=column_names)
-    pred = np.full(len(y), ensemble.base_score)
-    idx = np.arange(len(y))
-    train_pred = np.empty(len(y))
+    base_score = float(y.mean())
+    ensembles = [TreeEnsemble(base_score=base_score, learning_rate=c.learning_rate,
+                              column_names=column_names) for c in configs]
+    rates = np.array([[c.learning_rate] for c in configs])
+    pred = np.full((len(configs), len(y)), base_score)
+    root = np.arange(len(y))
     presorted = _Presorted(X, mask)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(config.n_trees):
-            residual = y - pred
-            tree = _build(presorted, residual, idx, 0, config, train_pred)
-            ensemble.trees.append(tree)
-            pred += config.learning_rate * train_pred
-    return ensemble
+        for t in range(max((c.n_trees for c in configs), default=0)):
+            live = [f for f, c in enumerate(configs) if c.n_trees > t]
+            trees, train_pred = _grow(presorted, y - pred[live], [configs[f] for f in live], root)
+            for f, tree in zip(live, trees):
+                ensembles[f].trees.append(tree)
+            pred[live] += rates[live] * train_pred
+    return ensembles
+
+
+def fit_gbt(X: np.ndarray, y: np.ndarray, config: GBTConfig,
+            mask: np.ndarray | None = None,
+            column_names: tuple[str, ...] | None = None) -> TreeEnsemble:
+    """Boost depth-limited regression trees against squared error.
+
+    ``mask`` marks missing entries (NaN values are treated as missing too);
+    targets must be fully observed.
+    """
+    return fit_gbt_batch(X, y, [config], mask, column_names)[0]

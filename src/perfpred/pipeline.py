@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import baselines
-from .gbtree import GBTConfig, TreeEnsemble, fit_gbt
+from .gbtree import GBTConfig, TreeEnsemble, fit_gbt, fit_gbt_batch
 from .metrics import mae
 from .prng import PRNG_ID, CounterRng
 from .registry import Dataset, FeatureMatrix, encode_features
@@ -95,14 +95,17 @@ def grid_search(train_X: FeatureMatrix, train_y: np.ndarray, grid: list[GBTConfi
     for gi, c in enumerate(grid):
         groups.setdefault(replace(c, n_trees=0), []).append((c.n_trees, gi))
 
+    # the prototypes share each inner fold's training rows, so each fold
+    # fits them as one lockstep batch
+    protos = [replace(shape, n_trees=max(nt for nt, _ in members))
+              for shape, members in groups.items()]
     preds_by_config = {gi: np.empty(n) for gi in range(len(grid))}
-    for shape, members in groups.items():
-        proto = replace(shape, n_trees=max(nt for nt, _ in members))
-        for f in range(inner_folds):
-            test = folds == f
-            ens = fit_gbt(train_X.values[~test], train_y[~test], proto,
-                          mask=train_X.missing_mask[~test],
-                          column_names=train_X.column_names)
+    for f in range(inner_folds):
+        test = folds == f
+        fits = fit_gbt_batch(train_X.values[~test], train_y[~test], protos,
+                             mask=train_X.missing_mask[~test],
+                             column_names=train_X.column_names)
+        for members, ens in zip(groups.values(), fits):
             staged = ens.staged_predict(train_X.values[test], train_X.missing_mask[test])
             for nt, gi in members:
                 preds_by_config[gi][test] = staged[:, nt]

@@ -181,7 +181,8 @@ def test_parser_takes_only_flags_a_subcommand_uses():
     assert parser.parse_args(["select", *io, "--task", "t", "--seeds", "3"]).seeds == 3
 
 
-@pytest.mark.parametrize("argv", [
+# every subcommand that reads a feature list, ending in the flag that takes it
+FEATURE_LIST_ARGVS = [
     ["encode", "--task", "taskA", "--features"],
     ["cv", "--task", "taskA", "--features"],
     ["select", "--task", "taskA", "--candidates"],
@@ -191,7 +192,14 @@ def test_parser_takes_only_flags_a_subcommand_uses():
     ["plot-data", "--task", "taskA", "--kind", "shap_beeswarm", "--features"],
     ["plot-data", "--task", "taskA", "--kind", "shap_dependence", "--feature", "pct_code",
      "--features"],
-], ids=lambda argv: "-".join(a for a in argv if not a.startswith("-") and a != "taskA"))
+]
+
+
+def argv_id(argv):
+    return "-".join(a for a in argv if not a.startswith("-") and a != "taskA")
+
+
+@pytest.mark.parametrize("argv", FEATURE_LIST_ARGVS, ids=argv_id)
 def test_unknown_feature_names_are_all_reported(synth_files, tmp_path, capsys, argv):
     reg, scores = synth_files
     code = main([argv[0], "--registry", reg, "--scores", scores, "--out", str(tmp_path),
@@ -203,6 +211,38 @@ def test_unknown_feature_names_are_all_reported(synth_files, tmp_path, capsys, a
     assert "pct_code" not in err and "Traceback" not in err
     assert not (tmp_path / "cache").exists()
 
+
+
+@pytest.mark.parametrize("argv", FEATURE_LIST_ARGVS, ids=argv_id)
+def test_repeated_feature_names_are_all_reported(synth_files, tmp_path, capsys, argv):
+    reg, scores = synth_files
+    code = main([argv[0], "--registry", reg, "--scores", scores, "--out", str(tmp_path),
+                 *argv[1:], "total_params,pct_code,total_params,bogus,pct_code,total_params"])
+    assert code == 1
+    violations = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("VIOLATION: ")]
+    assert sorted(violations) == ["VIOLATION: repeated feature name: 'pct_code'",
+                                  "VIOLATION: repeated feature name: 'total_params'",
+                                  "VIOLATION: unknown feature name: 'bogus'"]
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cv", "--kind", "median"],
+    ["cv", "--kind", "log_linear"],
+    ["cv", "--kind", "power_law"],
+    ["plot-data", "--kind", "scaling_heatmap"],
+], ids=argv_id)
+def test_features_is_refused_where_the_kind_reads_no_features(synth_files, tmp_path, capsys,
+                                                              argv):
+    reg, scores = synth_files
+    code = main([argv[0], "--registry", reg, "--scores", scores, "--task", "taskA",
+                 "--out", str(tmp_path), *argv[1:], "--features", "total_params"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"VIOLATION: --features only applies to " in err and argv[-1] in err
+    assert "Traceback" not in err
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 def test_compare_small_run(synth_files, tmp_path):
     reg, scores = synth_files
@@ -268,6 +308,23 @@ def test_shap_export(synth_files, tmp_path, monkeypatch):
     assert len(ranking) == 4  # aggregated: two scale features + activation
     assert len(explained) == 1  # the ranking reuses the exported matrix
 
+
+def test_csv_exports_hold_plain_numbers(synth_files, tmp_path):
+    # numpy scalars print as np.float64(...), which no CSV reader parses
+    reg, scores = synth_files
+    common = ["--registry", reg, "--scores", scores, "--task", "taskA", "--out", str(tmp_path)]
+    assert main(["shap", *common, "--features", "total_params,total_tokens_billions"]) == 0
+    assert main(["plot-data", *common, "--kind", "scaling_heatmap", "--grid", "5"]) == 0
+    shap_rows = (tmp_path / "shap-taskA.csv").read_text().splitlines()[1:]
+    heatmap_rows = (tmp_path / "heatmap-taskA.csv").read_text().splitlines()[1:]
+    assert len(shap_rows) == 24 * 2 and len(heatmap_rows) == 5 * 5 + 24
+    for row in shap_rows:  # model_id, feature, feature_value (empty if missing), phi
+        value, phi = row.split(",")[2:]
+        for cell in [phi] + ([value] if value else []):
+            float(cell)
+    for row in heatmap_rows:  # kind, N, D, value
+        for cell in row.split(",")[1:]:
+            float(cell)
 
 def test_bias_audit_runs(synth_files, tmp_path):
     reg, scores = synth_files

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import _cond_expectation, random_fitted_ensemble
 from perfpred import gbtree
-from perfpred.gbtree import GBTConfig, TreeEnsemble, _Presorted, fit_gbt, paper_grid
+from perfpred.gbtree import GBTConfig, TreeEnsemble, _Presorted, fit_gbt, fit_gbt_batch, paper_grid
 from perfpred.prng import CounterRng
 
 
@@ -297,7 +297,7 @@ def test_split_sse_is_bit_equal_to_one_column_scoring():
         mask = rng.random((n, 3)) < 0.5
         r = rng.normal(size=n) * 10.0 ** rng.integers(-4, 5, size=n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            sse, j, thr, default_left = _Presorted(X, mask).best_split(r, np.arange(n), 1)
+            (sse, j, thr, default_left), = _Presorted(X, mask).best_split(r[None], np.arange(n), 1)
         m = mask[:, j]
         sr = r[~m][np.argsort(X[~m, j], kind="stable")]
         cs, css = np.cumsum(sr), np.cumsum(sr * sr)
@@ -403,8 +403,8 @@ def test_node_without_admissible_split_is_the_same_leaf_when_cached():
     presorted = _Presorted(X, np.isnan(X))
     idx = np.arange(5)
     with np.errstate(divide="ignore", invalid="ignore"):
-        assert presorted.best_split(y - y.mean(), idx, 2) is None
-        assert presorted.best_split(y[::-1].copy(), idx, 2) is None  # from the cache
+        assert presorted.best_split((y - y.mean())[None], idx, 2) == [None]
+        assert presorted.best_split(y[None, ::-1].copy(), idx, 2) == [None]  # from the cache
     assert list(presorted.plans.values())[0].gather is None
     config = GBTConfig(max_depth=3, learning_rate=0.5, n_trees=4, min_samples_leaf=2)
     ens = fit_gbt(X, y, config)
@@ -426,3 +426,74 @@ def test_a_node_that_splits_differently_in_a_later_round_gets_its_own_children()
     root = np.arange(6).tobytes()
     assert [len(left) for key, (left, _) in presorted.parts.items() if key[0] == root] == [1, 2]
     assert fit_json(X, y, config) == fit_json(X, y, config, budget=0)
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches: every fit of a batch is the fit of its config alone
+
+
+@st.composite
+def batch_problems(draw):
+    """Shared rows (9 to 40, so node sums reach 8 terms and more) with value
+    ties, NaN or masked entries, and configs of every depth, leaf size and
+    several rates; their tree counts differ, so fits retire in different
+    rounds, and repeated configs share every node."""
+    n = draw(st.integers(9, 40))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(0, 3, size=(n, p)).astype(float)
+    else:
+        X = rng.normal(size=(n, p))
+    missing = rng.random((n, p)) < draw(st.sampled_from([0.0, 0.2, 0.5]))
+    y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    config = st.builds(GBTConfig, max_depth=st.integers(1, 5),
+                       learning_rate=st.sampled_from([0.01, 0.1, 0.3, 1.0]),
+                       n_trees=st.integers(0, 6), min_samples_leaf=st.integers(1, 3))
+    configs = draw(st.lists(config, min_size=2, max_size=6))
+    if draw(st.booleans()):
+        X, mask = np.where(missing, np.nan, X), None
+    else:
+        mask = missing
+    return X, mask, y, configs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batch_problems())
+def test_each_fit_of_a_batch_equals_its_config_fitted_alone(problem):
+    X, mask, y, configs = problem
+    assume(mask is None or not mask.all())
+    batch = fit_gbt_batch(X, y, configs, mask=mask)
+    assert [len(e.trees) for e in batch] == [c.n_trees for c in configs]
+    for ensemble, config in zip(batch, configs):
+        alone = fit_gbt(X, y, config, mask=mask)
+        assert json.dumps(ensemble.to_dict()) == json.dumps(alone.to_dict())
+
+
+def plans_built(X, y, configs, budget=gbtree.PLAN_BUDGET):
+    built = []
+
+    class Counted(gbtree._NodePlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(1)
+
+    with mock.patch.object(gbtree, "_NodePlan", Counted), \
+            mock.patch.object(gbtree, "PLAN_BUDGET", budget):
+        fit_gbt_batch(X, y, configs)
+    return len(built)
+
+
+def test_a_batch_builds_each_membership_plan_once():
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(30, 3))
+    X[rng.random(X.shape) < 0.3] = np.nan
+    y = rng.normal(size=30)
+    config = GBTConfig(max_depth=3, learning_rate=0.3, n_trees=6)
+    for budget in (gbtree.PLAN_BUDGET, 0):
+        # copies of one config share every node: the plans of one fit serve all
+        alone = plans_built(X, y, [config], budget)
+        assert plans_built(X, y, [config] * 4, budget) == alone > 0
+    # fits of other rates share the root of each round, and with it its plan
+    rates = [GBTConfig(3, lr, 6) for lr in (0.01, 0.1, 0.3)]
+    assert plans_built(X, y, rates, 0) < sum(plans_built(X, y, [c], 0) for c in rates)
