@@ -286,7 +286,7 @@ class _Presorted:
             return [None] * fits
         p, k = plan.gather.shape
         stack = np.empty((2, fits, p, k))  # residuals, their squares
-        np.take(R, plan.gather, axis=1, out=stack[0])
+        R.take(plan.gather, axis=1, out=stack[0])
         np.multiply(stack[0], stack[0], out=stack[1])
         # sums over the missing rows must equal 1-D np.sum bit for bit, whose
         # summation order depends on the term count: each missing count's
@@ -394,7 +394,15 @@ def _grow(presorted, R, configs, root) -> tuple[list[TreeNode], np.ndarray]:
     return trees, train_pred
 
 
-def _validated(X, y, configs, mask):
+def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
+                  mask: np.ndarray | None = None,
+                  column_names: tuple[str, ...] | None = None) -> list[TreeEnsemble]:
+    """One boosted ensemble per config, all fitted on the same rows.
+
+    The fits share one presort and one node-plan store and boost in
+    lockstep, round by round; a fit retires after its own ``n_trees``.
+    Each ensemble is bit-identical to fitting its config alone.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -410,19 +418,6 @@ def _validated(X, y, configs, mask):
     mask = np.asarray(mask, dtype=bool) | np.isnan(X)
     if mask.all():
         raise ValueError("all feature values missing")
-    return X, y, mask
-
-
-def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
-                  mask: np.ndarray | None = None,
-                  column_names: tuple[str, ...] | None = None) -> list[TreeEnsemble]:
-    """One boosted ensemble per config, all fitted on the same rows.
-
-    The fits share one presort and one node-plan store and boost in
-    lockstep, round by round; a fit retires after its own ``n_trees``.
-    Each ensemble is bit-identical to fitting its config alone.
-    """
-    X, y, mask = _validated(X, y, configs, mask)
     if column_names is None:
         column_names = tuple(f"f{j}" for j in range(X.shape[1]))
 
