@@ -192,15 +192,19 @@ PLAN_BUDGET = 256 * 1024  # array bytes of node plans and child partitions kept 
 
 class _NodePlan:
     """The part of one node's split search that does not depend on the
-    residuals. Its rows are the node's columns ordered by missing count, so
-    the missing rows of each count form one slice.
+    residuals. Its rows are the node's columns that have an admissible
+    threshold (a column without one can never split the node), ordered by
+    missing count, so the missing rows of each count form one slice.
 
-    ``gather`` holds the node's rows in each column's presorted order, or is
-    None when no split is admissible. ``counts`` and ``bad`` are indexed by
-    (side, routing): routing 0 sends the missing rows left, routing 1 right.
+    ``gather`` holds the node's rows in each row's presorted order, or is
+    None when no split is admissible. ``features`` lists the columns kept,
+    ascending, and ``columns`` the row of each. ``counts`` and ``bad`` are
+    indexed by (side, routing): routing 0 sends the missing rows left,
+    routing 1 right. Without missing rows both routings score alike, so the
+    plan holds routing 0 only.
     """
 
-    __slots__ = ("gather", "columns", "tails", "totals", "counts", "bad")
+    __slots__ = ("gather", "features", "columns", "tails", "totals", "counts", "bad")
 
     def __init__(self, presorted: "_Presorted", idx: np.ndarray, min_leaf: int):
         k = len(idx)
@@ -210,8 +214,6 @@ class _NodePlan:
         gather = presorted.order[sel].reshape(-1, k)
         V = presorted.values[sel].reshape(-1, k)  # each row: present ascending, then NaN
         n_miss = np.isnan(V).sum(axis=1)
-        rows = np.argsort(n_miss, kind="stable")
-        gather, V, n_miss = gather[rows], V[rows], n_miss[rows]
         n_present = k - n_miss
 
         # the side that does not take the missing rows adds nothing to its
@@ -224,17 +226,30 @@ class _NodePlan:
         counts[1, 1] = counts[1, 0] + n_miss[:, None]
         short = counts < min_leaf
         bad = short[0] | short[1] | ~(V[:, :-1] < V[:, 1:])
-        if bad.all():
+        self.features = np.flatnonzero(~bad.all(axis=(0, 2))).tolist()
+        if not self.features:
             self.gather = None
             return
-        # counts and bad broadcast over a leading fit axis
-        self.gather, self.counts, self.bad = gather, counts[:, :, None], bad[:, None]
-        self.columns = np.argsort(rows)  # feature -> row of this plan
-        # flat (row, position) of each row's last present value
-        self.totals = np.arange(len(V)) * k + np.maximum(n_present - 1, 0)
+        n_miss = n_miss.tolist()
+        rows = sorted(self.features, key=n_miss.__getitem__)  # stable
+        if rows != list(range(len(V))):
+            gather, n_present, counts, bad = gather[rows], n_present[rows], \
+                counts[:, :, rows], bad[:, rows]
         # (first row, end row, first missing position) of each missing count
-        edges = [0, *(np.flatnonzero(np.diff(n_miss)) + 1).tolist(), len(V)]
-        self.tails = [(a, b, k - int(n_miss[a])) for a, b in zip(edges, edges[1:]) if n_miss[a]]
+        self.tails, a = [], 0
+        for b in range(1, len(rows) + 1):
+            if b == len(rows) or n_miss[rows[b]] != n_miss[rows[a]]:
+                if n_miss[rows[a]]:
+                    self.tails.append((a, b, k - n_miss[rows[a]]))
+                a = b
+        routings = 2 if self.tails else 1
+        # counts and bad broadcast over a leading fit axis
+        self.gather = gather
+        self.counts, self.bad = counts[:, :routings, None], bad[:routings, None]
+        row_of = {j: r for r, j in enumerate(rows)}
+        self.columns = np.array([row_of[j] for j in self.features])
+        # flat (row, position) of each row's last present value
+        self.totals = np.arange(len(rows)) * k + np.maximum(n_present - 1, 0)
 
     def nbytes(self) -> int:
         if self.gather is None:
@@ -296,15 +311,17 @@ class _Presorted:
             np.add.reduce(stack[..., a:b, start:], axis=3, out=missing[..., a:b])
         cum = stack.cumsum(axis=3)
         left = cum[..., :-1]
-        # (statistic, side * 2 + routing, fit, row, threshold), filled in
-        # place because large temporaries cost page faults
-        sides = np.empty((2, 4, fits, p, k - 1))
+        total = cum.reshape(2, fits, p * k).take(plan.totals, axis=2)[..., None]
+        # (statistic, side * routings + routing, fit, row, threshold), filled
+        # in place because large temporaries cost page faults
+        routings = plan.bad.shape[0]
+        sides = np.empty((2, 2 * routings, fits, p, k - 1))
         np.add(left, missing[..., None], out=sides[:, 0])
-        sides[:, 1] = left
-        total = cum.reshape(2, fits, p * k).take(plan.totals, axis=2)
-        np.subtract(total[..., None], left, out=sides[:, 2])
-        np.add(sides[:, 2], missing[..., None], out=sides[:, 3])
-        S, Q = sides.reshape(2, 2, 2, fits, p, k - 1)
+        np.subtract(total, left, out=sides[:, routings])
+        if routings == 2:
+            sides[:, 1] = left
+            np.add(sides[:, 2], missing[..., None], out=sides[:, 3])
+        S, Q = sides.reshape(2, 2, routings, fits, p, k - 1)
         S *= S
         S /= plan.counts
         np.subtract(Q, S, out=S)
@@ -314,18 +331,18 @@ class _Presorted:
         v = sse.min(axis=3)
         # ties between routings: lower threshold wins, then left; a column
         # without missing rows scores the same on both, so it stays left
-        right = (v[1] < v[0]) | ((v[1] == v[0]) & (t[1] < t[0]))
-        value = np.where(right, v[1], v[0])[:, plan.columns]  # (fit, feature)
+        right = (v[-1] < v[0]) | ((v[-1] == v[0]) & (t[-1] < t[0]))
+        value = np.where(right, v[-1], v[0])[:, plan.columns]  # (fit, kept feature)
         value[~np.isfinite(value)] = np.inf
         found = []
-        for f, j in enumerate(value.argmin(axis=1).tolist()):  # lowest feature index
-            if value[f, j] == np.inf:
+        for f, c in enumerate(value.argmin(axis=1).tolist()):  # lowest feature index
+            if value[f, c] == np.inf:
                 found.append(None)
                 continue
-            row = plan.columns[j]
+            j, row = plan.features[c], plan.columns[c]
             i = int(t[int(right[f, row]), f, row])
             below, above = self.X[plan.gather[row, i:i + 2], j]  # both present
-            found.append((float(value[f, j]), j, float(0.5 * (below + above)),
+            found.append((float(value[f, c]), j, float(0.5 * (below + above)),
                           not bool(right[f, row])))
         return found
 
