@@ -196,9 +196,9 @@ class _NodePlan:
     threshold (a column without one can never split the node), ordered by
     missing count, so the missing rows of each count form one slice.
 
-    ``gather`` holds the node's rows in each row's presorted order, or is
-    None when no split is admissible. ``features`` lists the columns kept,
-    ascending, and ``columns`` the row of each. ``counts`` and ``bad`` are
+    ``gather`` holds the node's rows in each kept column's presorted order,
+    or is None when no split is admissible. ``features`` lists the kept
+    columns, ascending, and ``columns`` the row of each. ``counts`` and ``bad`` are
     indexed by (side, routing): routing 0 sends the missing rows left,
     routing 1 right. Without missing rows both routings score alike, so the
     plan holds routing 0 only.
