@@ -10,10 +10,11 @@ index, then lowest threshold, then routing missing left.
 Split search follows the presorted column blocks of XGBoost's exact greedy
 algorithm (Chen & Guestrin 2016, arXiv:1603.02754, sections 3.1 and 4.1).
 After the rows are put in canonical order, each column is sorted once per
-fit: present values ascending, ties in row order, missing rows last. A
+batch: present values ascending, ties in row order, missing rows last. A
 node filters that (features, rows) order matrix by membership, which keeps
-every column's order equal to a stable per-node sort, and then scores all
-columns and both missing-value routings in one 2-D cumulative-sum pass.
+every column's order equal to a stable per-node sort, and then scores
+every column that can split it, and both missing-value routings where it
+has missing rows, in one cumulative-sum pass.
 Every SSE is bit-identical to scoring one column at a time: cumsum adds
 sequentially in any shape, but np.sum sums 8 or more terms in blocks, so
 the sums over a node's missing rows are taken per missing count on
@@ -296,32 +297,32 @@ class _Presorted:
         if plan is None:
             plan = _NodePlan(self, idx, min_leaf)
             self._keep(self.plans, key, plan, plan.nbytes())
-        fits = len(R)
+        batch = len(R)
         if plan.gather is None:
-            return [None] * fits
+            return [None] * batch
         p, k = plan.gather.shape
-        stack = np.empty((2, fits, p, k))  # residuals, their squares
+        stack = np.empty((2, batch, p, k))  # residuals, their squares
         R.take(plan.gather, axis=1, out=stack[0])
         np.multiply(stack[0], stack[0], out=stack[1])
         # sums over the missing rows must equal 1-D np.sum bit for bit, whose
         # summation order depends on the term count: each missing count's
         # block is summed on its own, never zero-padded (0.0 where none)
-        missing = np.zeros((2, fits, p))
+        missing = np.zeros((2, batch, p))
         for a, b, start in plan.tails:
             np.add.reduce(stack[..., a:b, start:], axis=3, out=missing[..., a:b])
         cum = stack.cumsum(axis=3)
         left = cum[..., :-1]
-        total = cum.reshape(2, fits, p * k).take(plan.totals, axis=2)[..., None]
+        total = cum.reshape(2, batch, p * k).take(plan.totals, axis=2)[..., None]
         # (statistic, side * routings + routing, fit, row, threshold), filled
         # in place because large temporaries cost page faults
         routings = plan.bad.shape[0]
-        sides = np.empty((2, 2 * routings, fits, p, k - 1))
+        sides = np.empty((2, 2 * routings, batch, p, k - 1))
         np.add(left, missing[..., None], out=sides[:, 0])
         np.subtract(total, left, out=sides[:, routings])
         if routings == 2:
             sides[:, 1] = left
             np.add(sides[:, 2], missing[..., None], out=sides[:, 3])
-        S, Q = sides.reshape(2, 2, routings, fits, p, k - 1)
+        S, Q = sides.reshape(2, 2, routings, batch, p, k - 1)
         S *= S
         S /= plan.counts
         np.subtract(Q, S, out=S)
