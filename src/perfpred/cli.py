@@ -93,20 +93,21 @@ def _feature_names(text, default=None):
     return names
 
 
-def _reject_features(args, applies_to: str) -> None:
-    """``--features`` is a violation where the chosen ``--kind`` reads none."""
-    if args.features is not None:
-        raise RegistryError([f"--features only applies to {applies_to}, not --kind {args.kind}"])
+def _reject(args, flag: str, applies_to: str) -> None:
+    """``--<flag>`` is a violation where the chosen ``--kind`` does not read it."""
+    if getattr(args, flag) is not None:
+        raise RegistryError([f"--{flag} only applies to {applies_to}, not --kind {args.kind}"])
 
 
 def _cv_cached(args, dataset, features, kind, grid, plan):
     """Run (or reuse) one CV evaluation, caching JSON in the out directory.
 
-    A cache file that does not parse as a JSON object is recomputed and
-    overwritten.
+    The key takes ``features`` in the order given: a fit depends on its
+    column order. A cache file that does not parse as a JSON object is
+    recomputed and overwritten.
     """
     key = _cache_key((args.registry, args.scores), __version__, PRNG_ID, dataset.task.task_id,
-                     sorted(features), kind, plan.seed, [vars(g) for g in (grid or [])],
+                     features, kind, plan.seed, [vars(g) for g in (grid or [])],
                      plan.outer_folds, plan.inner_folds)
     cache_path = os.path.join(args.out, "cache", f"cv-{key}.json")
     try:
@@ -194,7 +195,7 @@ def cmd_cv(args) -> int:
         features, grid = _feature_names(args.features), paper_grid()
     else:
         # baseline predictors read no feature matrix; record that honestly
-        _reject_features(args, "--kind gbt")
+        _reject(args, "features", "--kind gbt")
         features, grid = [], None
     result = _cv_cached(args, dataset, features, args.kind, grid, CVPlan(seed=args.seed))
     path = os.path.join(args.out, f"cv-{args.task}-{args.kind}-{args.seed}.json")
@@ -340,10 +341,23 @@ def cmd_report(args) -> int:
     return 0
 
 
+# each kind-specific plot-data flag: the kinds that read it, and its default
+PLOT_DATA_FLAGS = {
+    "features": (("shap_beeswarm", "shap_dependence"), None),
+    "feature": (("shap_dependence",), None),
+    "seed": (("shap_beeswarm", "shap_dependence"), 0),
+    "grid": (("scaling_heatmap",), 50),
+}
+
+
 def cmd_plot_data(args) -> int:
+    for flag, (kinds, default) in PLOT_DATA_FLAGS.items():
+        if args.kind not in kinds:
+            _reject(args, flag, "--kind " + " or ".join(kinds))
+        elif getattr(args, flag) is None:
+            setattr(args, flag, default)
     dataset = _task_dataset(args)
     if args.kind == "scaling_heatmap":
-        _reject_features(args, "--kind shap_beeswarm or shap_dependence")
         points = scale_points(dataset)
         params, _ = baselines.fit_power_law(points, dataset.task.polarity)
         ns = np.logspace(np.log10(min(p.N for p in points)),
@@ -432,13 +446,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--features")
 
+    # no defaults: cmd_plot_data refuses a flag its --kind does not read, and
+    # gives the others their defaults (PLOT_DATA_FLAGS)
     p = command("plot-data", "CSV data for heatmap/beeswarm/dependence plots", cmd_plot_data)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--kind", required=True,
                    choices=["scaling_heatmap", "shap_beeswarm", "shap_dependence"])
     p.add_argument("--feature")
     p.add_argument("--features")
-    p.add_argument("--grid", type=int, default=50)
+    p.add_argument("--grid", type=int)
 
     return parser
 

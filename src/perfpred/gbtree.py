@@ -31,15 +31,16 @@ one plan store, and boost in lockstep. Each round grows every fit's tree
 one level at a time, the depth-wise growth of Mitchell & Frank 2017 (PeerJ
 CS 3:e127). The frontier nodes of all fits are grouped by membership and
 leaf size; a group takes its node means and SSEs in one pass and calls
-``best_split`` once over all of its residual vectors, so a plan, and the
-child partitions of each split, are built once per batch. They are kept
-across rounds, keyed by the node's rows (always ascending, so the key is
-canonical), up to ``PLAN_BUDGET`` array bytes per batch; a node that misses
-the store computes its plan again, and the result is bit-identical either
-way. Node sums run over C-ordered rows, never zero-padded, so each equals
-the 1-D np.sum of one fit alone, and each fit keeps its own depth limit,
-gain floor and tie-breaks: every ensemble of a batch is the one its config
-gives alone, bit for bit. ``fit_gbt`` is a batch of one.
+``best_split`` once over all of its residual vectors, so a plan is built
+once per batch. Plans are kept across rounds, keyed by the node's rows
+(always ascending, so the key is canonical), up to ``PLAN_BUDGET`` array
+bytes per batch; a node that misses the store computes its plan again, and
+the result is bit-identical either way. A split's child rows are routed
+once per group and not stored: routing costs microseconds. Node sums run
+over C-ordered rows, never zero-padded, so each equals the 1-D np.sum of
+one fit alone, and each fit keeps its own depth limit, gain floor and
+tie-breaks: every ensemble of a batch is the one its config gives alone,
+bit for bit. ``fit_gbt`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def _fill_leaves(node: TreeNode, X, gone, rows, out) -> None:
     _fill_leaves(node.right, X, gone, rows[~left], out)
 
 
-PLAN_BUDGET = 256 * 1024  # array bytes of node plans and child partitions kept per batch
+PLAN_BUDGET = 256 * 1024  # array bytes of node plans (and their keys) kept per batch
 
 
 class _NodePlan:
@@ -261,8 +262,8 @@ class _NodePlan:
 class _Presorted:
     """Each column's row order, sorted once per batch: present values
     ascending (ties in row order), then the missing rows in row order. Node
-    plans and child partitions are kept per batch, keyed by node membership,
-    up to ``PLAN_BUDGET`` bytes."""
+    plans are kept per batch, keyed by node membership, up to
+    ``PLAN_BUDGET`` bytes."""
 
     def __init__(self, X: np.ndarray, mask: np.ndarray):
         self.X, self.mask = X, mask
@@ -270,14 +271,7 @@ class _Presorted:
         self.order = np.argsort(key, axis=1, kind="stable")  # (p, n)
         self.values = np.take_along_axis(key, self.order, axis=1)
         self.plans: dict = {}
-        self.parts: dict = {}
         self.cached_bytes = 0
-
-    def _keep(self, store: dict, key, value, nbytes: int) -> None:
-        nbytes += len(key[0])
-        if self.cached_bytes + nbytes <= PLAN_BUDGET:
-            store[key] = value
-            self.cached_bytes += nbytes
 
     def best_split(self, R, idx, min_leaf):
         """Exact greedy search over all midpoints of present values, for
@@ -296,7 +290,10 @@ class _Presorted:
         plan = self.plans.get(key)
         if plan is None:
             plan = _NodePlan(self, idx, min_leaf)
-            self._keep(self.plans, key, plan, plan.nbytes())
+            nbytes = plan.nbytes() + len(key[0])
+            if self.cached_bytes + nbytes <= PLAN_BUDGET:
+                self.plans[key] = plan
+                self.cached_bytes += nbytes
         batch = len(R)
         if plan.gather is None:
             return [None] * batch
@@ -347,17 +344,6 @@ class _Presorted:
                           not bool(right[f, row])))
         return found
 
-    def partition(self, node: TreeNode, idx: np.ndarray):
-        """``idx`` split into the rows that take ``node``'s left child and
-        those that take its right child."""
-        key = (idx.tobytes(), node.split_feature, node.threshold, node.default_left)
-        parts = self.parts.get(key)
-        if parts is None:
-            left = node.goes_left(self.X, self.mask, idx)
-            parts = idx[left], idx[~left]
-            self._keep(self.parts, key, parts, idx.nbytes)
-        return parts
-
 
 def _grow(presorted, R, configs, root) -> tuple[list[TreeNode], np.ndarray]:
     """One tree per residual vector (row) of ``R``, each limited by its own
@@ -404,7 +390,8 @@ def _grow(presorted, R, configs, root) -> tuple[list[TreeNode], np.ndarray]:
                     continue
                 _, node.split_feature, node.threshold, node.default_left = split
                 if split[1:] not in children:
-                    children[split[1:]] = presorted.partition(node, idx)
+                    left = node.goes_left(presorted.X, presorted.mask, idx)
+                    children[split[1:]] = idx[left], idx[~left]
                 left, right = children[split[1:]]
                 node.left, node.right = TreeNode(cover=len(left)), TreeNode(cover=len(right))
                 frontier += [(f, node.left, left), (f, node.right, right)]

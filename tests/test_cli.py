@@ -131,6 +131,25 @@ def test_cv_output_byte_identical_across_runs(synth_files, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_cv_cache_keeps_feature_orders_apart(tmp_path):
+    # a fit depends on its column order, so one order's cached result must not
+    # answer a request in another order
+    registry, scores, task, _ = gen_registry(GenSpec(n_models=15, missing_rate=0.2), seed=0)
+    write_registry(registry, tmp_path / "registry.json")
+    write_scores(scores, task, tmp_path / "scores.csv")
+    names = ["entropy_mean", "pct_code", "total_tokens_billions", "total_params"]
+
+    def cv(out, order):
+        assert main(["cv", "--registry", str(tmp_path / "registry.json"),
+                     "--scores", str(tmp_path / "scores.csv"), "--task", task.task_id,
+                     "--features", ",".join(order), "--out", str(tmp_path / out)]) == 0
+        return (tmp_path / out / f"cv-{task.task_id}-gbt-0.json").read_bytes()
+
+    cv("shared", names[::-1])
+    assert cv("shared", names) == cv("alone", names)
+    assert len(os.listdir(tmp_path / "shared" / "cache")) == 2
+
+
 def test_cv_reuses_cache(synth_files, tmp_path):
     reg, scores = synth_files
     for _ in range(2):
@@ -227,20 +246,33 @@ def test_repeated_feature_names_are_all_reported(synth_files, tmp_path, capsys, 
     assert not (tmp_path / "cache").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["cv", "--kind", "median"],
-    ["cv", "--kind", "log_linear"],
-    ["cv", "--kind", "power_law"],
-    ["plot-data", "--kind", "scaling_heatmap"],
-], ids=argv_id)
+def unread(argv, flag="--features", value="total_params"):
+    name = argv_id(argv) if flag == "--features" else f"{argv_id(argv)}{flag}"
+    return pytest.param(argv, [flag, value], id=name)
+
+
+@pytest.mark.parametrize("argv, given", [
+    unread(["cv", "--kind", "median"]),
+    unread(["cv", "--kind", "log_linear"]),
+    unread(["cv", "--kind", "power_law"]),
+    unread(["plot-data", "--kind", "scaling_heatmap"]),
+    unread(["plot-data", "--kind", "scaling_heatmap"], "--feature", "pct_code"),
+    unread(["plot-data", "--kind", "shap_beeswarm"], "--feature", "pct_code"),
+    unread(["plot-data", "--kind", "scaling_heatmap"], "--seed", "0"),
+    unread(["plot-data", "--kind", "shap_beeswarm"], "--grid", "50"),
+    unread(["plot-data", "--kind", "shap_dependence", "--feature", "pct_code"], "--grid", "7"),
+])
 def test_features_is_refused_where_the_kind_reads_no_features(synth_files, tmp_path, capsys,
-                                                              argv):
+                                                              argv, given):
+    # named for --features; every kind-specific flag the --kind does not read
+    # is refused the same way, even when it is given its default value
     reg, scores = synth_files
     code = main([argv[0], "--registry", reg, "--scores", scores, "--task", "taskA",
-                 "--out", str(tmp_path), *argv[1:], "--features", "total_params"])
+                 "--out", str(tmp_path), *argv[1:], *given])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"VIOLATION: --features only applies to " in err and argv[-1] in err
+    assert f"VIOLATION: {given[0]} only applies to " in err
+    assert f"not --kind {argv[2]}" in err
     assert "Traceback" not in err
     assert not tmp_path.exists() or not any(tmp_path.iterdir())
 

@@ -377,8 +377,8 @@ def kept_presorted(X, y, config):
             kept.append(self)
 
     with mock.patch.object(gbtree, "_Presorted", Kept):
-        ens = fit_gbt(X, y, config)
-    return ens, kept[0]
+        fit_gbt(X, y, config)
+    return kept[0]
 
 
 def test_node_plans_stay_within_the_budget():
@@ -386,12 +386,10 @@ def test_node_plans_stay_within_the_budget():
     X = rng.normal(size=(92, 74))
     X[rng.random(X.shape) < 0.5] = np.nan
     y = rng.normal(size=92)
-    _, presorted = kept_presorted(X, y, GBTConfig(max_depth=5, learning_rate=0.1, n_trees=10))
+    presorted = kept_presorted(X, y, GBTConfig(max_depth=5, learning_rate=0.1, n_trees=10))
     held = sum(plan.nbytes() + len(key[0]) for key, plan in presorted.plans.items())
-    held += sum(left.nbytes + right.nbytes + len(key[0])
-                for key, (left, right) in presorted.parts.items())
     assert held == presorted.cached_bytes <= gbtree.PLAN_BUDGET
-    assert presorted.plans and presorted.parts
+    assert presorted.plans
 
 
 def test_node_without_admissible_split_is_the_same_leaf_when_cached():
@@ -414,17 +412,15 @@ def test_node_without_admissible_split_is_the_same_leaf_when_cached():
 
 def test_a_node_that_splits_differently_in_a_later_round_gets_its_own_children():
     # the root splits at 0.5 in round 1 and at 1.5 in round 2: the same
-    # membership, so the cached children must be keyed by the split too
+    # membership, so its children must follow each round's split
     X = np.array([[0.0], [1.0], [2.0], [2.0], [2.0], [3.0]])
     y = np.array([2.0, 1.0, 1.0, 0.0, 1.0, 0.0])
     config = GBTConfig(max_depth=2, learning_rate=0.5, n_trees=2, min_samples_leaf=1)
-    ens, presorted = kept_presorted(X, y, config)
+    ens = fit_gbt(X, y, config)
     assert [(t.split_feature, t.threshold) for t in ens.trees] == [(0, 0.5), (0, 1.5)]
     for tree in ens.trees:
         assert tree.left.cover == int((X[:, 0] < tree.threshold).sum())
         assert tree.right.cover == 6 - tree.left.cover
-    root = np.arange(6).tobytes()
-    assert [len(left) for key, (left, _) in presorted.parts.items() if key[0] == root] == [1, 2]
     assert fit_json(X, y, config) == fit_json(X, y, config, budget=0)
 
 
