@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import leastsq
 
 from .metrics import r_squared
 
@@ -68,16 +68,39 @@ def target_to_score(target: float, polarity: str) -> float:
 def _residuals(logp: np.ndarray, logN: np.ndarray, logD: np.ndarray, t: np.ndarray) -> np.ndarray:
     # log-parameterization keeps Nc, Dc, alphas positive; distant starts can
     # overflow to inf, which just makes them lose the multi-start comparison
+    # (fit_power_law runs this under one np.errstate for the whole fit)
     lNc, lDc, laN, laD = logp
-    with np.errstate(over="ignore", divide="ignore"):
-        aN, aD = np.exp(laN), np.exp(laD)
-        inner = np.exp((lNc - logN) * (aN / aD)) + np.exp(lDc - logD)
-        return inner ** aD - t
+    aN, aD = np.exp(laN), np.exp(laD)
+    inner = np.exp((lNc - logN) * (aN / aD)) + np.exp(lDc - logD)
+    return inner ** aD - t
+
+
+_REL_STEP = np.finfo(float).eps ** 0.5
+
+
+def _jacobian(logp: np.ndarray, logN: np.ndarray, logD: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian with scipy's 2-point step rule.
+
+    Each column is one ``_residuals`` call, as in
+    ``scipy.optimize.approx_derivative``, so every entry is bit-equal to
+    the Jacobian ``least_squares(method="lm")`` estimates.
+    """
+    f0 = _residuals(logp, logN, logD, t)
+    h = _REL_STEP * ((logp >= 0) * 2.0 - 1.0) * np.maximum(1.0, np.abs(logp))
+    J = np.empty((len(f0), len(logp)))
+    for i in range(len(logp)):
+        x = logp.copy()
+        x[i] = logp[i] + h[i]
+        J[:, i] = (_residuals(x, logN, logD, t) - f0) / (x[i] - logp[i])
+    return J
 
 
 def fit_power_law(points: list[ScalePoint], polarity: str = "higher_better"):
     """Multi-start nonlinear least squares for the Kaplan-form law.
 
+    The 16 best of 256 grid starts with finite residuals are refined by
+    MINPACK's Levenberg-Marquardt (``lmder`` through ``scipy.optimize.leastsq``)
+    with a forward-difference Jacobian that uses scipy's 2-point step rule.
     Returns (PowerLawParams, R^2), with R^2 computed on the original score
     scale after inverting the loss-target transform.
     """
@@ -100,16 +123,22 @@ def fit_power_law(points: list[ScalePoint], polarity: str = "higher_better"):
         np.array(s)
         for s in itertools.product(scale_starts, scale_starts, alpha_starts, alpha_starts)
     ]
-    seeded = sorted(
-        range(len(starts)),
-        key=lambda i: (float(np.sum(_residuals(starts[i], logN, logD, t) ** 2)), i),
-    )
-    best = None
-    for i in seeded[:16]:
-        sol = least_squares(_residuals, starts[i], args=(logN, logD, t), method="lm", max_nfev=2000)
-        if best is None or sol.cost < best.cost - 1e-15:
-            best = sol
-    lNc, lDc, laN, laD = best.x
+    best_x, best_cost = None, None
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        residuals = [_residuals(x, logN, logD, t) for x in starts]
+        seeded = sorted(range(len(starts)), key=lambda i: (float(np.sum(residuals[i] ** 2)), i))
+        refinable = [i for i in seeded if np.isfinite(residuals[i]).all()][:16]
+        if not refinable:
+            raise ValueError("every power-law start overflows: residuals are not finite")
+        for i in refinable:
+            # the arguments least_squares(method="lm") hands to lmder
+            x, _, info, _, _ = leastsq(_residuals, starts[i], args=(logN, logD, t), Dfun=_jacobian,
+                                       full_output=True, ftol=1e-8, xtol=1e-8, gtol=1e-8,
+                                       maxfev=2000, factor=100, diag=None)
+            cost = 0.5 * np.dot(info["fvec"], info["fvec"])
+            if best_cost is None or cost < best_cost - 1e-15:
+                best_x, best_cost = x, cost
+    lNc, lDc, laN, laD = best_x
     params = PowerLawParams(float(np.exp(lNc)), float(np.exp(lDc)), float(np.exp(laN)), float(np.exp(laD)))
     pred_scores = np.array([target_to_score(v, polarity) for v in eval_power_law(params, N, D)])
     return params, r_squared(pred_scores, scores)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from .registry import ARCH_CATEGORICAL, Dataset, ENUM_VOCAB, feature_value
 from .stats import t_sf_two_sided
@@ -182,7 +182,7 @@ def pet_peese(effects: list[TaskEffect]) -> MetaResult:
     pet_fit = pet(effects)
     use_peese = pet_fit.intercept_p / 2.0 < PET_SWITCH_ALPHA and pet_fit.intercept != 0.0
     chosen = peese(effects) if use_peese else pet_fit
-    tcrit = float(sps.t.ppf(0.975, chosen.df))
+    tcrit = float(special.stdtrit(chosen.df, 0.975))
     halfwidth = tcrit * chosen.intercept_se
     return MetaResult(
         method_chosen="PEESE" if use_peese else "PET",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special, stats as sps
+from scipy import special
 
 
 def t_sf_two_sided(t: float, df: int) -> float:
@@ -77,7 +77,7 @@ def mean_ci95(values) -> tuple[float, float]:
     if len(v) < 2:
         raise ValueError("need at least 2 values")
     sd = float(v.std(ddof=1))
-    tcrit = float(sps.t.ppf(0.975, len(v) - 1))
+    tcrit = float(special.stdtrit(len(v) - 1, 0.975))
     return float(v.mean()), tcrit * sd / math.sqrt(len(v))
 
 

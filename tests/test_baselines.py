@@ -1,8 +1,12 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+from perfpred import baselines
 from perfpred.baselines import (
     PowerLawParams,
     ScalePoint,
@@ -14,6 +18,7 @@ from perfpred.baselines import (
     predict_power_law_score,
     target_to_score,
 )
+from perfpred.metrics import r_squared
 from perfpred.prng import CounterRng
 
 
@@ -105,6 +110,76 @@ def test_fit_power_law_prediction_invariant_to_point_order():
     f2, _ = fit_power_law(shuffled)
     for n, d in [(1e8, 1e10), (5e10, 5e12)]:
         assert eval_power_law(f1, n, d) == pytest.approx(eval_power_law(f2, n, d), rel=1e-8)
+
+
+def _least_squares_fit(points, polarity):
+    """The multi-start loop as it ran on scipy's least_squares(method="lm").
+
+    Returns (params, R^2, alphaD of the winning start).
+    """
+    N = np.array([p.N for p in points])
+    D = np.array([p.D for p in points])
+    scores = np.array([p.target for p in points])
+    t = np.array([loss_target(s, polarity) for s in scores])
+    logN, logD = np.log(N), np.log(D)
+    scale_starts = np.log(np.logspace(6, 15, 4))
+    alpha_starts = np.log(np.array([0.05, 0.1, 0.3, 0.5]))
+    starts = [np.array(s) for s in
+              itertools.product(scale_starts, scale_starts, alpha_starts, alpha_starts)]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        seeded = sorted(range(len(starts)), key=lambda i: (
+            float(np.sum(baselines._residuals(starts[i], logN, logD, t) ** 2)), i))
+        best = None
+        for i in seeded[:16]:
+            sol = least_squares(baselines._residuals, starts[i], args=(logN, logD, t),
+                                method="lm", max_nfev=2000)
+            if best is None or sol.cost < best.cost - 1e-15:
+                best, winner = sol, starts[i]
+    params = PowerLawParams(*(float(np.exp(v)) for v in best.x))
+    pred = np.array([target_to_score(v, polarity) for v in eval_power_law(params, N, D)])
+    return params, r_squared(pred, scores), float(np.exp(winner[3]))
+
+
+def _oracle_points(seed):
+    # truths near the start grid keep each fit short; the jitter and the noise
+    # still leave every LM run several iterations from its start
+    rng = CounterRng(seed)
+    polarity = "higher_better" if seed % 2 else "lower_better"
+    jitter = lambda: 1.1 ** rng.uniform(-1, 1)
+    pick = lambda values: values[rng.randint(len(values))]
+    truth = PowerLawParams(pick([1e9, 1e12]) * jitter(), pick([1e9, 1e12]) * jitter(),
+                           pick([0.1, 0.3, 0.5]) * jitter(), pick([0.3, 0.5]) * jitter())
+    points = []
+    for _ in range(8 + seed * 84 // 59):
+        n, d = 10 ** rng.uniform(7, 11), 10 ** rng.uniform(9, 13)
+        loss = eval_power_law(truth, n, d) * (1 + 0.01 * rng.normal())
+        points.append(ScalePoint(n, d, target_to_score(loss, polarity)))
+    return points, polarity
+
+
+def test_fit_power_law_is_byte_equal_to_least_squares_oracle():
+    winners = set()
+    for seed in range(60):
+        points, polarity = _oracle_points(seed)
+        params, r2, winner_alpha = _least_squares_fit(points, polarity)
+        got_params, got_r2 = fit_power_law(points, polarity)
+        assert (got_params, got_r2) == (params, r2), seed
+        winners.add(winner_alpha)
+    # exp(log(a)) == a for these two, so their first residuals raise to a
+    # start's exact alpha
+    assert {0.3, 0.5} <= winners
+    assert {len(_oracle_points(s)[0]) for s in (0, 59)} == {8, 92}
+
+
+def test_fit_power_law_rejects_points_where_every_start_overflows():
+    N = np.geomspace(1e7, 1e11, 20)
+    D = np.geomspace(1e-318, 1e-300, 20)
+    points = [ScalePoint(float(n), float(d), 0.3 + 0.01 * i)
+              for i, (n, d) in enumerate(zip(N, D))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="every power-law start overflows"):
+            fit_power_law(points)
 
 
 def test_fit_log_linear_exact_recovery():

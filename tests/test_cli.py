@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -379,3 +381,14 @@ def test_report_single_task(synth_files, tmp_path):
     text = (tmp_path / "report.md").read_text()
     assert "taskA" in text
     assert "Scaling Laws MAE" in text
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.2 s and 20 MB at start-up; perfpred takes its
+    # t quantiles from scipy.special
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, perfpred.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

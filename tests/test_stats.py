@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats as sps
 
+from perfpred.metabias import TaskEffect, peese, pet, pet_peese
 from perfpred.prng import CounterRng
 from perfpred.stats import bh_fdr, cohen_kappa, mean_ci95, paired_t_test, pearson, t_sf_two_sided
 
@@ -106,6 +107,22 @@ def test_mean_ci95_coverage():
         mean, hw = mean_ci95(sample)
         hits += (mean - hw) <= 0.0 <= (mean + hw)
     assert 0.93 <= hits / reps <= 0.97
+
+
+def test_t_quantile_halfwidths_match_scipy_stats_bit_for_bit():
+    rng = CounterRng(41)
+    for df in range(1, 201):
+        sample = [rng.normal() for _ in range(df + 1)]
+        _, hw = mean_ci95(sample)
+        sd = float(np.std(sample, ddof=1))
+        assert hw == float(sps.t.ppf(0.975, df)) * sd / math.sqrt(df + 1)
+
+        effects = [TaskEffect(f"t{k}", rng.normal(), 0.05 + rng.uniform()) for k in range(df + 2)]
+        res = pet_peese(effects)
+        chosen = peese(effects) if res.method_chosen == "PEESE" else pet(effects)
+        assert chosen.df == df
+        half = float(sps.t.ppf(0.975, df)) * chosen.intercept_se
+        assert res.ci95 == (chosen.intercept - half, chosen.intercept + half)
 
 
 def test_pearson_hand_cases():
