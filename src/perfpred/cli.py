@@ -162,9 +162,9 @@ def cmd_encode(args) -> int:
     X = encode_features(dataset, _feature_names(args.features))
     lines = ["model_id," + ",".join(
         f"{c.name}[{c.source_group}]" for c in X.columns)]
+    missing = X.missing_mask
     for i, mid in enumerate(X.model_ids):
-        cells = ["" if X.missing_mask[i, j] else repr(float(X.values[i, j]))
-                 for j in range(len(X.columns))]
+        cells = ["" if m else repr(float(v)) for v, m in zip(X.values[i], missing[i])]
         lines.append(mid + "," + ",".join(cells))
     _atomic_write(os.path.join(args.out, f"features-{args.task}.csv"), "\n".join(lines) + "\n")
     print(f"wrote {len(X.model_ids)} rows x {len(X.columns)} columns")
@@ -244,9 +244,10 @@ def cmd_shap(args) -> int:
     X, ensemble = _encode_and_fit(args, _task_dataset(args))
     sm = shapley.shap_matrix(ensemble, X)
     lines = ["model_id,feature,feature_value,phi"]
+    missing = X.missing_mask
     for i, mid in enumerate(sm.model_ids):
         for j, name in enumerate(sm.feature_names):
-            value = "" if X.missing_mask[i, j] else repr(float(X.values[i, j]))
+            value = "" if missing[i, j] else repr(float(X.values[i, j]))
             lines.append(f"{mid},{name},{value},{float(sm.values[i, j])!r}")
     _atomic_write(os.path.join(args.out, f"shap-{args.task}.csv"), "\n".join(lines) + "\n")
     ranking = shapley._summary(sm, X, aggregate_categoricals=True)

@@ -94,13 +94,13 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.leaf_value is not None
 
-    def goes_left(self, X: np.ndarray, gone: np.ndarray, rows) -> np.ndarray:
+    def goes_left(self, X: np.ndarray, rows) -> np.ndarray:
         """Which of ``rows`` take the left child: a row whose split value is
-        ``gone`` (missing or NaN) follows the default direction, any other
-        goes left when its value is below the threshold."""
-        j = self.split_feature
-        left = X[:, j][rows] < self.threshold
-        left[gone[:, j][rows]] = self.default_left
+        missing (NaN) follows the default direction, any other goes left
+        when its value is below the threshold."""
+        x = X[:, self.split_feature][rows]
+        left = x < self.threshold
+        left[np.isnan(x)] = self.default_left
         return left
 
     def to_dict(self) -> dict:
@@ -136,28 +136,26 @@ class TreeEnsemble:
     trees: list[TreeNode] = field(default_factory=list)
     column_names: tuple[str, ...] = ()
 
-    def predict_row(self, x: np.ndarray, miss: np.ndarray) -> float:
-        return float(self.predict(np.reshape(x, (1, -1)), np.reshape(miss, (1, -1)))[0])
+    def predict_row(self, x: np.ndarray, mask: np.ndarray | None = None) -> float:
+        return float(self.predict(np.reshape(x, (1, -1)), mask)[0])
 
-    def predict(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        return self._staged(X, mask)[:, -1]
+    def predict(self, X: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        return self._staged(fold_mask(X, mask))[:, -1]
 
-    def staged_predict(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    def staged_predict(self, X: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """Predictions after 0..n_trees rounds: shape (rows, n_trees + 1)."""
-        return self._staged(X, mask)
+        return self._staged(fold_mask(X, mask))
 
-    def _staged(self, X, mask) -> np.ndarray:
+    def _staged(self, X) -> np.ndarray:
         # cumsum adds along each row in order, so every column is bit-identical
         # to accumulating base + lr * leaf one tree at a time
-        X = np.asarray(X, dtype=float)
         if X.shape[1] != len(self.column_names):
             raise ValueError("column mismatch")
-        gone = np.asarray(mask, dtype=bool) | np.isnan(X)
         steps = np.empty((X.shape[0], len(self.trees) + 1))
         steps[:, 0] = self.base_score
         rows = np.arange(X.shape[0])
         for t, tree in enumerate(self.trees, 1):
-            _fill_leaves(tree, X, gone, rows, steps[:, t])
+            _fill_leaves(tree, X, rows, steps[:, t])
         steps[:, 1:] *= self.learning_rate
         return np.cumsum(steps, axis=1)
 
@@ -179,14 +177,22 @@ class TreeEnsemble:
         )
 
 
-def _fill_leaves(node: TreeNode, X, gone, rows, out) -> None:
+def fold_mask(X, mask: np.ndarray | None) -> np.ndarray:
+    """``X`` as floats, NaN wherever ``mask`` is set: NaN is the one
+    missing-value marker below the public entries, and ``mask`` an optional
+    override folded in once."""
+    X = np.asarray(X, dtype=float)
+    return X if mask is None else np.where(mask, np.nan, X)
+
+
+def _fill_leaves(node: TreeNode, X, rows, out) -> None:
     """Write into ``out[rows]`` the leaf value each of ``rows`` reaches."""
     if node.is_leaf:
         out[rows] = node.leaf_value
         return
-    left = node.goes_left(X, gone, rows)
-    _fill_leaves(node.left, X, gone, rows[left], out)
-    _fill_leaves(node.right, X, gone, rows[~left], out)
+    left = node.goes_left(X, rows)
+    _fill_leaves(node.left, X, rows[left], out)
+    _fill_leaves(node.right, X, rows[~left], out)
 
 
 PLAN_BUDGET = 256 * 1024  # array bytes of node plans (and their keys) kept per batch
@@ -265,11 +271,10 @@ class _Presorted:
     plans are kept per batch, keyed by node membership, up to
     ``PLAN_BUDGET`` bytes."""
 
-    def __init__(self, X: np.ndarray, mask: np.ndarray):
-        self.X, self.mask = X, mask
-        key = np.where(mask, np.nan, X).T  # NaN sorts last
-        self.order = np.argsort(key, axis=1, kind="stable")  # (p, n)
-        self.values = np.take_along_axis(key, self.order, axis=1)
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        self.order = np.argsort(X.T, axis=1, kind="stable")  # (p, n), NaN last
+        self.values = np.take_along_axis(X.T, self.order, axis=1)
         self.plans: dict = {}
         self.cached_bytes = 0
 
@@ -390,7 +395,7 @@ def _grow(presorted, R, configs, root) -> tuple[list[TreeNode], np.ndarray]:
                     continue
                 _, node.split_feature, node.threshold, node.default_left = split
                 if split[1:] not in children:
-                    left = node.goes_left(presorted.X, presorted.mask, idx)
+                    left = node.goes_left(presorted.X, idx)
                     children[split[1:]] = idx[left], idx[~left]
                 left, right = children[split[1:]]
                 node.left, node.right = TreeNode(cover=len(left)), TreeNode(cover=len(right))
@@ -408,7 +413,7 @@ def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
     lockstep, round by round; a fit retires after its own ``n_trees``.
     Each ensemble is bit-identical to fitting its config alone.
     """
-    X = np.asarray(X, dtype=float)
+    X = fold_mask(X, mask)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("empty feature matrix")
@@ -418,23 +423,17 @@ def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
         raise ValueError("targets contain NaN")
     if any(X.shape[0] < 2 * c.min_samples_leaf for c in configs):
         raise ValueError("too few rows for min_samples_leaf")
-    if mask is None:
-        mask = np.isnan(X)
-    mask = np.asarray(mask, dtype=bool) | np.isnan(X)
-    if mask.all():
+    if np.isnan(X).all():
         raise ValueError("all feature values missing")
     if column_names is None:
         column_names = tuple(f"f{j}" for j in range(X.shape[1]))
 
     # canonicalize row order so fitting is exactly invariant to joint row
     # permutations (floating-point sums depend on summation order; sorting
-    # rows lexicographically makes that order a function of the data alone)
-    keys = [np.asarray(y)]
-    for j in range(X.shape[1] - 1, -1, -1):
-        keys.append(mask[:, j])
-        keys.append(np.where(mask[:, j], np.inf, X[:, j]))
-    order = np.lexsort(keys)
-    X, y, mask = X[order], y[order], mask[order]
+    # rows lexicographically makes that order a function of the data alone;
+    # lexsort puts NaN last, as the presort does)
+    order = np.lexsort([y, *X.T[::-1]])
+    X, y = X[order], y[order]
 
     base_score = float(y.mean())
     ensembles = [TreeEnsemble(base_score=base_score, learning_rate=c.learning_rate,
@@ -442,7 +441,7 @@ def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
     rates = np.array([[c.learning_rate] for c in configs])
     pred = np.full((len(configs), len(y)), base_score)
     root = np.arange(len(y))
-    presorted = _Presorted(X, mask)
+    presorted = _Presorted(X)
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(max((c.n_trees for c in configs), default=0)):
             live = [f for f, c in enumerate(configs) if c.n_trees > t]
@@ -458,7 +457,7 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GBTConfig,
             column_names: tuple[str, ...] | None = None) -> TreeEnsemble:
     """Boost depth-limited regression trees against squared error.
 
-    ``mask`` marks missing entries (NaN values are treated as missing too);
-    targets must be fully observed.
+    NaN marks a missing entry; ``mask``, if given, marks more (a present
+    value under it is ignored). Targets must be fully observed.
     """
     return fit_gbt_batch(X, y, [config], mask, column_names)[0]

@@ -103,10 +103,9 @@ def grid_search(train_X: FeatureMatrix, train_y: np.ndarray, grid: list[GBTConfi
     for f in range(inner_folds):
         test = folds == f
         fits = fit_gbt_batch(train_X.values[~test], train_y[~test], protos,
-                             mask=train_X.missing_mask[~test],
                              column_names=train_X.column_names)
         for members, ens in zip(groups.values(), fits):
-            staged = ens.staged_predict(train_X.values[test], train_X.missing_mask[test])
+            staged = ens.staged_predict(train_X.values[test])
             for nt, gi in members:
                 preds_by_config[gi][test] = staged[:, nt]
     scored = [
@@ -121,7 +120,7 @@ def fit_tuned(X: FeatureMatrix, y: np.ndarray, grid: list[GBTConfig], inner_fold
               seed: int) -> tuple[GBTConfig, TreeEnsemble]:
     """Grid-search on ``X``, then refit the winning config on all of ``X``."""
     best = grid_search(X, y, grid, inner_folds, seed)
-    return best, fit_gbt(X.values, y, best, mask=X.missing_mask, column_names=X.column_names)
+    return best, fit_gbt(X.values, y, best, column_names=X.column_names)
 
 
 def run_cv(dataset: Dataset, feature_names, predictor_kind: str, plan: CVPlan,
@@ -166,7 +165,7 @@ def run_cv(dataset: Dataset, feature_names, predictor_kind: str, plan: CVPlan,
         else:
             best, ens = fit_tuned(X.subset_rows(train_idx), y_train, grid, plan.inner_folds,
                                   plan.seed)
-            preds[test_idx] = ens.predict(X.values[test_idx], X.missing_mask[test_idx])
+            preds[test_idx] = ens.predict(X.values[test_idx])
             fold_configs.append(asdict(best))
 
     return CVResult(
@@ -231,6 +230,8 @@ def greedy_select(dataset: Dataset, candidate_features, plan: CVPlan,
     (full outer-CV protocol per seed) and keeps the best candidate while the
     improvement is at least ``tol``. Candidate ties break lexicographically.
     """
+    if len(selection_seeds) == 0:
+        raise ValueError("greedy selection needs at least one seed")
     candidates = list(candidate_features)
     for f in SCALING_FEATURES:
         if f in candidates:

@@ -3,8 +3,8 @@
 The registry holds one record per pretrained model with three feature
 groups: architecture (A), pretraining-data composition (D), and features
 derived from the model's free generations (F). Records are immutable after
-load; encoding to a numeric matrix preserves missing values as a mask
-rather than imputing them.
+load; encoding to a numeric matrix marks missing values with NaN, the one
+missing-value marker (``missing_mask`` is derived from it), never imputing.
 """
 
 from __future__ import annotations
@@ -237,7 +237,11 @@ class FeatureMatrix:
     model_ids: tuple[str, ...]
     columns: tuple[Column, ...]
     values: np.ndarray  # (n, p), NaN where missing
-    missing_mask: np.ndarray  # (n, p) bool
+
+    @property
+    def missing_mask(self) -> np.ndarray:
+        """(n, p) bool, computed on each read: read it once per matrix."""
+        return np.isnan(self.values)
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -245,12 +249,7 @@ class FeatureMatrix:
 
     def subset_rows(self, idx) -> "FeatureMatrix":
         idx = np.asarray(idx)
-        return FeatureMatrix(
-            tuple(self.model_ids[i] for i in idx),
-            self.columns,
-            self.values[idx],
-            self.missing_mask[idx],
-        )
+        return FeatureMatrix(tuple(self.model_ids[i] for i in idx), self.columns, self.values[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +271,21 @@ def _check_number(violations, where, name, value, positive=False, pct=False):
 
 def validate_record_dict(obj: dict, where: str, violations: list[str]) -> ModelRecord | None:
     """Parse one raw registry object, appending problems to ``violations``."""
+    if not isinstance(obj, dict):
+        violations.append(f"{where}: must be a JSON object, got {obj!r}")
+        return None
     model_id = obj.get("model_id")
     if not model_id or not isinstance(model_id, str):
         violations.append(f"{where}: missing or invalid model_id")
         return None
     where = model_id
-    arch_raw = obj.get("arch") or {}
-    data_raw = obj.get("data") or {}
-    gen_raw = obj.get("gen") or {}
     n_before = len(violations)
+    sections = {name: obj.get(name) or {} for name in ("arch", "data", "gen")}
+    violations += [f"{where}: {name} must be a JSON object, got {raw!r}"
+                   for name, raw in sections.items() if not isinstance(raw, dict)]
+    if len(violations) > n_before:
+        return None
+    arch_raw, data_raw, gen_raw = sections.values()
 
     arch_kwargs = {}
     for name in ARCH_NUMERIC:
@@ -444,6 +449,9 @@ def load_scores(path) -> tuple[list[ScoreRecord], dict[str, TaskSpec]]:
             raise RegistryError([f"scores file must have header {sorted(required)}"])
         for i, row in enumerate(reader):
             where = f"scores row {i}"
+            if None in row.values():  # DictReader fills a short row with None
+                violations.append(f"{where}: fewer cells than the header")
+                continue
             kind = row["metric_kind"]
             if kind not in METRIC_KINDS:
                 violations.append(f"{where}: unknown metric kind {kind!r}")
@@ -523,11 +531,11 @@ def feature_value(rec: ModelRecord, name: str) -> float | str | None:
 
 
 def encode_features(dataset: Dataset, feature_names: list[str]) -> FeatureMatrix:
-    """Encode records into a numeric matrix with a missing mask.
+    """Encode records into a numeric matrix, NaN where a value is missing.
 
     total_params and total_tokens_billions are log10-scaled; categorical
     features expand to one-hot columns in vocabulary order; missing values
-    stay masked (NaN), never imputed.
+    stay NaN, never imputed.
     """
     columns: list[Column] = []
     cells: list[list] = []  # one list of n values per column
@@ -544,7 +552,7 @@ def encode_features(dataset: Dataset, feature_names: list[str]) -> FeatureMatrix
             cells.append([np.nan if v is None else math.log10(v) if log else v for v in raw])
     values = np.array(cells, dtype=float).reshape(len(columns), len(dataset)).T.copy()
     # validation rejects non-finite numbers, so NaN marks exactly the missing entries
-    return FeatureMatrix(dataset.model_ids, tuple(columns), values, np.isnan(values))
+    return FeatureMatrix(dataset.model_ids, tuple(columns), values)
 
 
 def all_feature_names() -> list[str]:

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gbtree import TreeEnsemble, TreeNode
+from .gbtree import TreeEnsemble, TreeNode, fold_mask
 from .registry import FeatureMatrix
 
 
@@ -86,8 +86,8 @@ def _count_leaves(node: TreeNode, counts: dict) -> int:
 
 def _visit(node, walk, d, z, o, w, pz, po, pi, rank) -> None:
     """Extend the path by (pz, po, pi) into ``node``; at a leaf, record its
-    contributions in ``walk = (X, gone, leaf counts, leaves)``."""
-    X, gone, counts, leaves = walk
+    contributions in ``walk = (X, leaf counts, leaves)``."""
+    X, counts, leaves = walk
     z, o, w = _extend_path(z, o, w, pz, po)
     d = d + [pi]
     if node.is_leaf:
@@ -96,7 +96,7 @@ def _visit(node, walk, d, z, o, w, pz, po, pi, rank) -> None:
         leaves.append((rank, d[1:], total * (o[1:] - zs) * node.leaf_value))
         return
     j = node.split_feature
-    hot_left = node.goes_left(X, gone, slice(None))
+    hot_left = node.goes_left(X, slice(None))
     iz, io = 1.0, 1.0
     if j in d:
         k = d.index(j)
@@ -111,10 +111,10 @@ def _visit(node, walk, d, z, o, w, pz, po, pi, rank) -> None:
                j, np.where(hot, rank, rank + counts[id(other)]))
 
 
-def _add_tree_phi(root: TreeNode, X: np.ndarray, gone: np.ndarray, phi: np.ndarray) -> None:
+def _add_tree_phi(root: TreeNode, X: np.ndarray, phi: np.ndarray) -> None:
     """Add one tree's attributions for every row of ``X`` into ``phi`` (rows, p).
 
-    ``gone`` marks the entries routed by default direction (missing or NaN).
+    NaN entries are routed by default direction.
     """
     if root.is_leaf:
         return
@@ -122,7 +122,7 @@ def _add_tree_phi(root: TreeNode, X: np.ndarray, gone: np.ndarray, phi: np.ndarr
     counts: dict[int, int] = {}
     _count_leaves(root, counts)
     leaves = []  # (visit rank per row, path features, contributions (len, rows))
-    _visit(root, (X, gone, counts, leaves), [], [], np.empty((0, rows)), np.empty((0, rows)),
+    _visit(root, (X, counts, leaves), [], [], np.empty((0, rows)), np.empty((0, rows)),
            1.0, 1.0, -1, np.zeros(rows, dtype=np.int64))
 
     # every row visits the same leaves, but in its own order; add their
@@ -146,29 +146,28 @@ def tree_expectation(node: TreeNode) -> float:
             + node.right.cover * tree_expectation(node.right)) / node.cover
 
 
-def _shap_rows(ensemble: TreeEnsemble, X: np.ndarray, miss: np.ndarray) -> np.ndarray:
-    """Attributions (rows, p) of every row of ``X``, one traversal per tree."""
+def _shap_rows(ensemble: TreeEnsemble, X: np.ndarray) -> tuple[np.ndarray, float]:
+    """Attributions (rows, p) of every row of ``X``, one traversal per tree,
+    and the base value: base_score plus lr * each tree's expectation, added
+    tree by tree as ``TreeEnsemble.staged_predict`` accumulates leaves."""
     phi = np.zeros(X.shape)
-    gone = miss | np.isnan(X)
+    base = ensemble.base_score
     with np.errstate(divide="ignore", invalid="ignore"):
         for tree in ensemble.trees:
-            _add_tree_phi(tree, X, gone, phi)
-    return ensemble.learning_rate * phi
+            _add_tree_phi(tree, X, phi)
+            base += ensemble.learning_rate * tree_expectation(tree)
+    return ensemble.learning_rate * phi, float(base)
 
 
 def tree_shap(ensemble: TreeEnsemble, x: np.ndarray,
               miss: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Attribution vector and base value for one feature row."""
-    x = np.asarray(x, dtype=float)
+    """Attribution vector and base value for one feature row; NaN marks a
+    missing value, and so does ``miss`` where given."""
+    x = fold_mask(x, miss)
     if len(x) != len(ensemble.column_names):
         raise ValueError("column mismatch")
-    if miss is None:
-        miss = np.isnan(x)
-    base = ensemble.base_score
-    for tree in ensemble.trees:
-        base += ensemble.learning_rate * tree_expectation(tree)
-    phi = _shap_rows(ensemble, x[None, :], np.asarray(miss, dtype=bool)[None, :])
-    return phi[0], float(base)
+    phi, base = _shap_rows(ensemble, x[None, :])
+    return phi[0], base
 
 
 @dataclass(frozen=True)
@@ -182,10 +181,7 @@ class ShapMatrix:
 def shap_matrix(ensemble: TreeEnsemble, X: FeatureMatrix) -> ShapMatrix:
     if X.column_names != ensemble.column_names:
         raise ValueError("column mismatch")
-    base = ensemble.base_score + ensemble.learning_rate * sum(
-        tree_expectation(t) for t in ensemble.trees)
-    phi = _shap_rows(ensemble, X.values, X.missing_mask)
-    return ShapMatrix(X.model_ids, X.column_names, phi, float(base))
+    return ShapMatrix(X.model_ids, X.column_names, *_shap_rows(ensemble, X.values))
 
 
 @dataclass(frozen=True)
@@ -244,12 +240,7 @@ def shap_dependence(ensemble: TreeEnsemble, X: FeatureMatrix,
     if feature_name not in X.column_names:
         raise ValueError(f"unknown feature: {feature_name}")
     j = X.column_names.index(feature_name)
-    sm = shap_matrix(ensemble, X)
-    points = []
-    n_missing = 0
-    for i in range(len(X.model_ids)):
-        if X.missing_mask[i, j]:
-            n_missing += 1
-        else:
-            points.append((float(X.values[i, j]), float(sm.values[i, j])))
-    return points, n_missing
+    phi = shap_matrix(ensemble, X).values[:, j]
+    present = ~np.isnan(X.values[:, j])
+    points = [(float(v), float(p)) for v, p in zip(X.values[present, j], phi[present])]
+    return points, len(present) - len(points)

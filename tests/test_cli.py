@@ -67,6 +67,27 @@ def test_validate_lists_parse_failure_and_score_violations(tmp_path, capsys):
     assert "outside" in report["violations"][1]
 
 
+GOOD_RECORD = {"model_id": "m", "arch": {"total_params": 1e9},
+               "data": {"total_tokens_billions": 10.0}}
+
+
+@pytest.mark.parametrize("records, row", [
+    ([[1, 2]], "m,t,0,accuracy,0.5"),
+    ([{**GOOD_RECORD, "arch": [1]}], "m,t,0,accuracy,0.5"),
+    ([{**GOOD_RECORD, "gen": "x"}], "m,t,0,accuracy,0.5"),
+    ([GOOD_RECORD], "m,t,0,accuracy"),
+], ids=["record-not-object", "arch-not-object", "gen-not-object", "short-scores-row"])
+def test_validate_lists_a_malformed_shape_as_one_violation(tmp_path, capsys, records, row):
+    registry, scores = tmp_path / "registry.json", tmp_path / "scores.csv"
+    registry.write_text(json.dumps(records))
+    scores.write_text(f"model_id,task_id,shots,metric_kind,value\n{row}\n")
+    code = main(["validate", "--registry", str(registry), "--scores", str(scores),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().out.count("VIOLATION") == 1
+    assert len(json.loads((tmp_path / "validate.json").read_text())["violations"]) == 1
+
+
 def test_missing_file_is_io_error(tmp_path):
     code = main(["validate", "--registry", str(tmp_path / "absent.json"),
                  "--scores", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
@@ -277,6 +298,17 @@ def test_features_is_refused_where_the_kind_reads_no_features(synth_files, tmp_p
     assert f"not --kind {argv[2]}" in err
     assert "Traceback" not in err
     assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_select_without_seeds_fails_and_writes_nothing(synth_files, tmp_path, capsys, seeds):
+    reg, scores = synth_files
+    code = main(["select", "--registry", reg, "--scores", scores, "--task", "taskA",
+                 "--seeds", seeds, "--candidates", "pct_code", "--out", str(tmp_path)])
+    assert code == 1
+    assert "at least one seed" in capsys.readouterr().err
+    assert not (tmp_path / "select-taskA.json").exists()
+
 
 def test_compare_small_run(synth_files, tmp_path):
     reg, scores = synth_files

@@ -10,6 +10,8 @@ from conftest import _cond_expectation, random_fitted_ensemble
 from perfpred import gbtree
 from perfpred.gbtree import GBTConfig, TreeEnsemble, _Presorted, fit_gbt, fit_gbt_batch, paper_grid
 from perfpred.prng import CounterRng
+from perfpred.registry import Column, FeatureMatrix
+from perfpred.shapley import shap_matrix, tree_shap
 
 
 def hand_case():
@@ -154,6 +156,18 @@ def test_nan_treated_as_missing_equivalently():
     e1 = fit_gbt(X, y, GBTConfig(n_trees=10), mask=mask)
     e2 = fit_gbt(X_nan, y, GBTConfig(n_trees=10))
     assert json.dumps(e1.to_dict()) == json.dumps(e2.to_dict())
+    # the mask covers present values, which it must hide from routing and
+    # attribution alike
+    assert e1.predict(X).tobytes() != e1.predict(X, mask).tobytes()
+    assert e1.predict(X, mask).tobytes() == e1.predict(X_nan).tobytes()
+    assert e1.staged_predict(X, mask).tobytes() == e1.staged_predict(X_nan).tobytes()
+    sm = shap_matrix(e1, FeatureMatrix(tuple(f"m{i}" for i in range(25)),
+                                       tuple(Column(f"f{j}", "F", "identity") for j in range(3)),
+                                       X_nan))
+    for i in range(25):
+        phi, base = tree_shap(e1, X[i], mask[i])
+        assert phi.tobytes() == tree_shap(e1, X_nan[i])[0].tobytes() == sm.values[i].tobytes()
+        assert base == sm.base_value
 
 
 def test_serialization_roundtrip():
@@ -297,7 +311,8 @@ def test_split_sse_is_bit_equal_to_one_column_scoring():
         mask = rng.random((n, 3)) < 0.5
         r = rng.normal(size=n) * 10.0 ** rng.integers(-4, 5, size=n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            (sse, j, thr, default_left), = _Presorted(X, mask).best_split(r[None], np.arange(n), 1)
+            (sse, j, thr, default_left), = _Presorted(np.where(mask, np.nan, X)).best_split(
+                r[None], np.arange(n), 1)
         m = mask[:, j]
         sr = r[~m][np.argsort(X[~m, j], kind="stable")]
         cs, css = np.cumsum(sr), np.cumsum(sr * sr)
@@ -367,7 +382,7 @@ def test_node_plans_do_not_change_a_wide_fit():
     assert fit_json(X, y, config) == fit_json(X, y, config, budget=10**9)
 
 
-def kept_presorted(X, y, config):
+def kept_presorted(X, y, config, mask=None):
     """Fit and return the fit's _Presorted, with the plans it kept."""
     kept = []
 
@@ -377,8 +392,39 @@ def kept_presorted(X, y, config):
             kept.append(self)
 
     with mock.patch.object(gbtree, "_Presorted", Kept):
-        fit_gbt(X, y, config)
+        fit_gbt(X, y, config, mask)
     return kept[0]
+
+
+@st.composite
+def row_order_problems(draw):
+    """Rows with value ties, -0.0 beside 0.0, +-inf, NaN or masked cells and
+    all-missing rows."""
+    n = draw(st.integers(2, 12))
+    p = draw(st.integers(1, 4))
+    cell = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan])
+    X = np.array(draw(st.lists(cell, min_size=n * p, max_size=n * p))).reshape(n, p)
+    flags = st.lists(st.booleans(), min_size=n * p, max_size=n * p)
+    mask = np.array(draw(flags)).reshape(n, p) & draw(st.booleans())
+    X[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = np.nan
+    y = np.array(draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0]), min_size=n, max_size=n)))
+    return X, mask, y
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(row_order_problems())
+def test_canonical_row_order_equals_the_missing_flag_and_value_key_pairs(problem):
+    # rows were once ordered on two keys per column, a missing flag and the
+    # value with missing as inf; one NaN-last key per column gives that order
+    X, mask, y = problem
+    gone = mask | np.isnan(X)
+    assume(not gone.all())
+    keys = [y]
+    for j in range(X.shape[1] - 1, -1, -1):
+        keys += [gone[:, j], np.where(gone[:, j], np.inf, X[:, j])]
+    order = np.lexsort(keys)
+    presorted = kept_presorted(X, y, GBTConfig(n_trees=0, min_samples_leaf=1), mask)
+    assert presorted.X.tobytes() == np.where(gone, np.nan, X)[order].tobytes()
 
 
 def test_node_plans_stay_within_the_budget():
@@ -398,7 +444,7 @@ def test_node_without_admissible_split_is_the_same_leaf_when_cached():
     X = np.array([[1.0, 0.0, np.nan], [1.0, 0.0, np.nan], [1.0, 0.0, 5.0],
                   [1.0, 0.0, np.nan], [1.0, 1.0, np.nan]])
     y = np.array([0.0, 1.0, 3.0, 0.5, 2.0])
-    presorted = _Presorted(X, np.isnan(X))
+    presorted = _Presorted(X)
     idx = np.arange(5)
     with np.errstate(divide="ignore", invalid="ignore"):
         assert presorted.best_split((y - y.mean())[None], idx, 2) == [None]

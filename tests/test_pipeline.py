@@ -95,7 +95,6 @@ def _feature_matrix(values, names=None):
         tuple(f"m{i:02d}" for i in range(n)),
         tuple(Column(nm, "F", "identity") for nm in names),
         values,
-        np.zeros((n, p), dtype=bool),
     )
 
 
@@ -170,6 +169,12 @@ def test_greedy_select_rejects_scale_candidates():
     ds = small_dataset(9)
     with pytest.raises(ValueError, match="exclude"):
         greedy_select(ds, ["total_params"], CVPlan(), [GBTConfig(2, 0.3, 10)], [0])
+
+
+def test_greedy_select_needs_a_seed():
+    ds = small_dataset(9)
+    with pytest.raises(ValueError, match="at least one seed"):
+        greedy_select(ds, ["pct_code"], CVPlan(), [GBTConfig(2, 0.3, 10)], [])
 
 
 def test_greedy_select_finds_planted_feature():

@@ -112,6 +112,16 @@ def test_nonfinite_numbers_rejected():
     assert any("finite" in v for v in violations)
 
 
+@pytest.mark.parametrize("raw, violation", [
+    ([1, 2], "record 0: must be a JSON object, got [1, 2]"),
+    (raw_record("a", arch=[1]), "a: arch must be a JSON object, got [1]"),
+    (raw_record("a", data=5.0), "a: data must be a JSON object, got 5.0"),
+    (raw_record("a", gen="x"), "a: gen must be a JSON object, got 'x'"),
+])
+def test_a_record_or_section_that_is_not_an_object_is_one_violation(raw, violation):
+    assert validate_raw_records([raw]) == ([], [violation])
+
+
 def test_csv_with_mapping(tmp_path):
     csv_path = tmp_path / "models.csv"
     csv_path.write_text(
@@ -145,6 +155,16 @@ def test_scores_load_and_range_check(tmp_path):
                    "m1,taskA,0,accuracy,1.2\n")
     with pytest.raises(RegistryError, match="outside"):
         load_scores(bad)
+
+
+def test_scores_row_with_fewer_cells_than_the_header(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("model_id,task_id,shots,metric_kind,value\n"
+                    "m1,taskA,0,accuracy\n"
+                    "m2,taskA,0,accuracy,0.5\n")
+    with pytest.raises(RegistryError) as err:
+        load_scores(path)
+    assert err.value.violations == ["scores row 0: fewer cells than the header"]
 
 
 def test_scores_inconsistent_task_metadata(tmp_path):

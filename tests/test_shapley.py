@@ -119,7 +119,6 @@ def _planted_matrix(n=40, seed=3):
         tuple(f"m{i}" for i in range(n)),
         (Column("big", "F", "identity"), Column("small", "F", "identity")),
         values,
-        np.zeros((n, 2), dtype=bool),
     )
     return X, y
 
@@ -168,7 +167,7 @@ def test_dependence_counts_missing_rows():
     mask = X.missing_mask.copy()
     values[:5, 0] = np.nan
     mask[:5, 0] = True
-    X2 = FeatureMatrix(X.model_ids, X.columns, values, mask)
+    X2 = FeatureMatrix(X.model_ids, X.columns, values)
     ens = fit_gbt(values, y, GBTConfig(n_trees=10), mask=mask,
                   column_names=X.column_names)
     points, n_missing = shap_dependence(ens, X2, "big")
@@ -178,21 +177,22 @@ def test_dependence_counts_missing_rows():
         shap_dependence(ens, X2, "nope")
 
 
-def _feature_matrix(values, mask):
+def _feature_matrix(values):
     n, p = values.shape
     return FeatureMatrix(tuple(f"m{i}" for i in range(n)),
                          tuple(Column(f"f{j}", "F", "identity") for j in range(p)),
-                         values, mask)
+                         values)
 
 
 def test_shap_matrix_rows_are_byte_equal_to_tree_shap():
     ens, values = random_fitted_ensemble(CounterRng(55), p=4, n_rows=40, n_trees=20, depth=5,
                                          missing_rate=0.3)
     mask = np.isnan(values)
-    sm = shap_matrix(ens, _feature_matrix(values, mask))
+    sm = shap_matrix(ens, _feature_matrix(values))
     for i in range(values.shape[0]):
-        phi, _ = tree_shap(ens, values[i], mask[i])
+        phi, base = tree_shap(ens, values[i], mask[i])
         assert sm.values[i].tobytes() == phi.tobytes()
+        assert sm.base_value == base
 
 
 def test_shap_matrix_unwinds_repeated_feature_with_missing_values():
@@ -212,7 +212,7 @@ def test_shap_matrix_unwinds_repeated_feature_with_missing_values():
                        [1.0, -1.0, 0.5], [-2.0, 0.5, np.nan], [3.0, 1.5, -2.0]])
     mask = np.isnan(values)
     mask[3, 1] = True  # missing by mask although a value is present
-    sm = shap_matrix(ens, _feature_matrix(values, mask))
+    sm = shap_matrix(ens, _feature_matrix(np.where(mask, np.nan, values)))
     for i in range(values.shape[0]):
         ref, ref_base = brute_shapley(ens, values[i], mask[i])
         assert np.abs(sm.values[i] - ref).max() < 1e-12
