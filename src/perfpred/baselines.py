@@ -78,21 +78,33 @@ def _residuals(logp: np.ndarray, logN: np.ndarray, logD: np.ndarray, t: np.ndarr
 _REL_STEP = np.finfo(float).eps ** 0.5
 
 
-def _jacobian(logp: np.ndarray, logN: np.ndarray, logD: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian with scipy's 2-point step rule.
+class _LastResiduals:
+    """``_residuals`` that keeps its last value, and the Jacobian from it.
+    ``lmder`` asks for the Jacobian at the point it has just evaluated, so
+    the forward differences start from that value when the point is
+    byte-equal to it."""
 
-    Each column is one ``_residuals`` call, as in
-    ``scipy.optimize.approx_derivative``, so every entry is bit-equal to
-    the Jacobian ``least_squares(method="lm")`` estimates.
-    """
-    f0 = _residuals(logp, logN, logD, t)
-    h = _REL_STEP * ((logp >= 0) * 2.0 - 1.0) * np.maximum(1.0, np.abs(logp))
-    J = np.empty((len(f0), len(logp)))
-    for i in range(len(logp)):
-        x = logp.copy()
-        x[i] = logp[i] + h[i]
-        J[:, i] = (_residuals(x, logN, logD, t) - f0) / (x[i] - logp[i])
-    return J
+    point = value = None
+
+    def __call__(self, logp, logN, logD, t):
+        self.point, self.value = logp.tobytes(), _residuals(logp, logN, logD, t)
+        return self.value
+
+    def jacobian(self, logp, logN, logD, t):
+        """Forward-difference Jacobian with scipy's 2-point step rule.
+
+        Each column is one ``_residuals`` call, as in
+        ``scipy.optimize.approx_derivative``, so every entry is bit-equal to
+        the Jacobian ``least_squares(method="lm")`` estimates.
+        """
+        f0 = self.value if logp.tobytes() == self.point else _residuals(logp, logN, logD, t)
+        h = _REL_STEP * ((logp >= 0) * 2.0 - 1.0) * np.maximum(1.0, np.abs(logp))
+        J = np.empty((len(f0), len(logp)))
+        for i in range(len(logp)):
+            x = logp.copy()
+            x[i] = logp[i] + h[i]
+            J[:, i] = (_residuals(x, logN, logD, t) - f0) / (x[i] - logp[i])
+        return J
 
 
 def fit_power_law(points: list[ScalePoint], polarity: str = "higher_better"):
@@ -132,8 +144,10 @@ def fit_power_law(points: list[ScalePoint], polarity: str = "higher_better"):
             raise ValueError("every power-law start overflows: residuals are not finite")
         for i in refinable:
             # the arguments least_squares(method="lm") hands to lmder
-            x, _, info, _, _ = leastsq(_residuals, starts[i], args=(logN, logD, t), Dfun=_jacobian,
-                                       full_output=True, ftol=1e-8, xtol=1e-8, gtol=1e-8,
+            residuals_at = _LastResiduals()
+            x, _, info, _, _ = leastsq(residuals_at, starts[i], args=(logN, logD, t),
+                                       Dfun=residuals_at.jacobian, full_output=True,
+                                       ftol=1e-8, xtol=1e-8, gtol=1e-8,
                                        maxfev=2000, factor=100, diag=None)
             cost = 0.5 * np.dot(info["fvec"], info["fvec"])
             if best_cost is None or cost < best_cost - 1e-15:

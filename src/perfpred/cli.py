@@ -122,6 +122,14 @@ def _cv_cached(args, dataset, features, kind, grid, plan):
     return result
 
 
+def _comparison_seeds(args) -> list[int]:
+    """The seeds ``0 .. --seeds - 1``; a paired comparison needs two."""
+    if args.seeds < 2:
+        raise RegistryError([f"--seeds must be at least 2 for a paired comparison, "
+                             f"not {args.seeds}"])
+    return list(range(args.seeds))
+
+
 def _compare_cached(args, dataset, features, seeds):
     """Scale-only against ``features`` GBT MAE over ``seeds``, each CV cached.
 
@@ -218,8 +226,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    seeds = _comparison_seeds(args)
     dataset = _task_dataset(args)
-    seeds = list(range(args.seeds))
     ((m1, hw1, scaling), (m2, hw2, allfeat)), (t, df, p) = _compare_cached(
         args, dataset, _feature_names(args.features), seeds)
     out = {
@@ -306,8 +314,8 @@ def cmd_bias_audit(args) -> int:
 
 
 def cmd_report(args) -> int:
+    seeds = _comparison_seeds(args)
     registry, scores, tasks = _load_inputs(args)
-    seeds = list(range(args.seeds))
     features_all = _feature_names(args.features)
     header = ("| Benchmark | Baseline MAE | Log-Linear MAE | Scaling Laws MAE | "
               "All Features MAE | p-val (corrected) |")

@@ -5,7 +5,10 @@ binning: training sets here are <= 92 rows, so exactness is cheap and keeps
 oracle tests bit-stable). Each node records its cover (training samples
 reaching it), which the Shapley module uses as the background distribution.
 Fitting is fully deterministic: equal-gain ties break by lowest feature
-index, then lowest threshold, then routing missing left.
+index, then lowest threshold, then routing missing left. An ensemble is one
+node table, laid out as scikit-learn's ``Tree.nodes``, each tree numbered
+breadth first so a child comes after its parent; ``goes_left`` is the one
+split rule, with which fitting, prediction and TreeSHAP route rows.
 
 Split search follows the presorted column blocks of XGBoost's exact greedy
 algorithm (Chen & Guestrin 2016, arXiv:1603.02754, sections 3.1 and 4.1).
@@ -45,7 +48,7 @@ bit for bit. ``fit_gbt`` is a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,61 +83,36 @@ def paper_grid() -> list[GBTConfig]:
     ]
 
 
-@dataclass
-class TreeNode:
-    cover: int
-    leaf_value: float | None = None
-    split_feature: int | None = None
-    threshold: float | None = None
-    default_left: bool = True
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf_value is not None
-
-    def goes_left(self, X: np.ndarray, rows) -> np.ndarray:
-        """Which of ``rows`` take the left child: a row whose split value is
-        missing (NaN) follows the default direction, any other goes left
-        when its value is below the threshold."""
-        x = X[:, self.split_feature][rows]
-        left = x < self.threshold
-        left[np.isnan(x)] = self.default_left
-        return left
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"cover": self.cover, "leaf_value": self.leaf_value}
-        return {
-            "cover": self.cover,
-            "split_feature": self.split_feature,
-            "threshold": self.threshold,
-            "default_direction": "left" if self.default_left else "right",
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        if "leaf_value" in d:
-            return cls(cover=d["cover"], leaf_value=d["leaf_value"])
-        return cls(
-            cover=d["cover"],
-            split_feature=d["split_feature"],
-            threshold=d["threshold"],
-            default_left=d["default_direction"] == "left",
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
-        )
+def goes_left(x, threshold, default_left):
+    """Which values ``x`` of a split's feature go left: NaN by ``default_left``,
+    any other when below ``threshold``. The arguments broadcast."""
+    return np.where(np.isnan(x), default_left, x < threshold)
 
 
-@dataclass
+# split feature (-1 at a leaf), threshold, default_left, child indices (-1 at
+# a leaf), leaf value (NaN at a split) and cover
+NODE = np.dtype([("feature", np.intp), ("threshold", float), ("default_left", bool),
+                 ("left", np.intp), ("right", np.intp), ("value", float), ("cover", np.intp)])
+
+
+def _node(cover: int) -> list:
+    """A node row in ``NODE`` field order, a leaf until its value or split is set."""
+    return [-1, np.nan, False, -1, -1, np.nan, cover]
+
+
+@dataclass(eq=False)
 class TreeEnsemble:
     base_score: float
     learning_rate: float
-    trees: list[TreeNode] = field(default_factory=list)
-    column_names: tuple[str, ...] = ()
+    column_names: tuple[str, ...]
+    nodes: np.ndarray  # NODE records, tree after tree
+    roots: np.ndarray  # each tree's root index (intp, so it indexes even when empty)
+
+    @classmethod
+    def from_nodes(cls, base_score, learning_rate, column_names, nodes, roots) -> "TreeEnsemble":
+        """The ensemble of the node rows ``nodes`` (``_node`` form) and ``roots``."""
+        return cls(base_score, learning_rate, tuple(column_names),
+                   np.array([tuple(n) for n in nodes], dtype=NODE), np.array(roots, dtype=np.intp))
 
     def predict_row(self, x: np.ndarray, mask: np.ndarray | None = None) -> float:
         return float(self.predict(np.reshape(x, (1, -1)), mask)[0])
@@ -151,30 +129,51 @@ class TreeEnsemble:
         # to accumulating base + lr * leaf one tree at a time
         if X.shape[1] != len(self.column_names):
             raise ValueError("column mismatch")
-        steps = np.empty((X.shape[0], len(self.trees) + 1))
-        steps[:, 0] = self.base_score
-        rows = np.arange(X.shape[0])
-        for t, tree in enumerate(self.trees, 1):
-            _fill_leaves(tree, X, rows, steps[:, t])
-        steps[:, 1:] *= self.learning_rate
-        return np.cumsum(steps, axis=1)
+        # every tree at once, one level per step: (rows, trees) node indices
+        node = np.repeat(self.roots[None], X.shape[0], axis=0)
+        rows = np.arange(X.shape[0])[:, None]
+        at = self.nodes[node]
+        while (split := at["feature"] >= 0).any():
+            left = goes_left(X[rows, at["feature"]], at["threshold"], at["default_left"])
+            node = np.where(split, np.where(left, at["left"], at["right"]), node)
+            at = self.nodes[node]
+        base = np.full((X.shape[0], 1), self.base_score)
+        return np.cumsum(np.hstack([base, at["value"] * self.learning_rate]), axis=1)
 
     def to_dict(self) -> dict:
+        rows = self.nodes.tolist()
+        nested: list = [None] * len(rows)
+        for i in reversed(range(len(rows))):  # children before their parent
+            feature, threshold, default_left, left, right, value, cover = rows[i]
+            nested[i] = {"cover": cover, "leaf_value": value} if feature < 0 else {
+                "cover": cover, "split_feature": feature, "threshold": threshold,
+                "default_direction": "left" if default_left else "right",
+                "left": nested[left], "right": nested[right]}
         return {
             "base_score": self.base_score,
             "learning_rate": self.learning_rate,
             "columns": list(self.column_names),
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": [nested[r] for r in self.roots.tolist()],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeEnsemble":
-        return cls(
-            base_score=d["base_score"],
-            learning_rate=d["learning_rate"],
-            trees=[TreeNode.from_dict(t) for t in d["trees"]],
-            column_names=tuple(d["columns"]),
-        )
+        nodes: list[list] = []
+        roots = []
+        for tree in d["trees"]:
+            roots.append(len(nodes))
+            queue = [tree]
+            for node in queue:  # breadth first, as _grow numbers them
+                row = _node(node["cover"])
+                if "leaf_value" in node:
+                    row[5] = node["leaf_value"]
+                else:
+                    child = roots[-1] + len(queue)
+                    row[:5] = (node["split_feature"], node["threshold"],
+                               node["default_direction"] == "left", child, child + 1)
+                    queue += (node["left"], node["right"])
+                nodes.append(row)
+        return cls.from_nodes(d["base_score"], d["learning_rate"], d["columns"], nodes, roots)
 
 
 def fold_mask(X, mask: np.ndarray | None) -> np.ndarray:
@@ -183,16 +182,6 @@ def fold_mask(X, mask: np.ndarray | None) -> np.ndarray:
     override folded in once."""
     X = np.asarray(X, dtype=float)
     return X if mask is None else np.where(mask, np.nan, X)
-
-
-def _fill_leaves(node: TreeNode, X, rows, out) -> None:
-    """Write into ``out[rows]`` the leaf value each of ``rows`` reaches."""
-    if node.is_leaf:
-        out[rows] = node.leaf_value
-        return
-    left = node.goes_left(X, rows)
-    _fill_leaves(node.left, X, rows[left], out)
-    _fill_leaves(node.right, X, rows[~left], out)
 
 
 PLAN_BUDGET = 256 * 1024  # array bytes of node plans (and their keys) kept per batch
@@ -350,58 +339,63 @@ class _Presorted:
         return found
 
 
-def _grow(presorted, R, configs, root) -> tuple[list[TreeNode], np.ndarray]:
+def _grow(presorted, R, configs, root, nodes) -> np.ndarray:
     """One tree per residual vector (row) of ``R``, each limited by its own
-    config, grown together one level at a time from the rows ``root``.
-    Returns the trees and each row's training-set predictions.
+    config, grown together one level at a time from the rows ``root``. Fit
+    ``f``'s tree grows, breadth first, from the last of its node rows
+    ``nodes[f]``. Returns each row's training-set predictions.
 
     The nodes of a level are grouped by (membership, leaf size). A group
     gathers its fits' node residuals in C order, so each node sum equals the
     1-D np.sum of that fit alone, and searches all its fits in one call.
     """
     train_pred = np.empty(R.shape)
-    trees = [TreeNode(cover=len(root)) for _ in configs]
-    frontier = [(f, tree, root) for f, tree in enumerate(trees)]
+    # (fit, node index, rows), each fit's nodes in breadth-first order
+    frontier = [(f, len(table) - 1, root) for f, table in enumerate(nodes)]
     depth = 0
     while frontier:
         groups: dict = {}
-        for f, node, idx in frontier:
-            key = (idx.tobytes(), configs[f].min_samples_leaf)
-            _, fits, nodes = groups.setdefault(key, (idx, [], []))
-            fits.append(f)
-            nodes.append(node)
-        frontier = []
-        for (_, min_leaf), (idx, fits, nodes) in groups.items():
+        for e, (f, _, idx) in enumerate(frontier):
+            groups.setdefault((idx.tobytes(), configs[f].min_samples_leaf), (idx, []))[1].append(e)
+        children: list = [None] * len(frontier)  # (left rows, right rows) of each split
+        for (_, min_leaf), (idx, entries) in groups.items():
+            fits = [frontier[e][0] for e in entries]
             rows = R.take(fits, axis=0)
             node_r = rows.take(idx, axis=1)  # C order, unlike rows[:, idx]
             node_mean = np.add.reduce(node_r, 1) / len(idx)  # np.mean, bit for bit
-            splits = [None] * len(nodes)
+            splits = [None] * len(entries)
             grow = [m for m, f in enumerate(fits) if depth < configs[f].max_depth] \
                 if len(idx) >= 2 * min_leaf else []
             if grow:
                 mean = node_mean[:, None]
-                if len(grow) < len(nodes):
+                if len(grow) < len(entries):
                     rows, node_r, mean = rows[grow], node_r[grow], mean[grow]
                 node_sse = np.add.reduce((node_r - mean) ** 2, 1).tolist()
                 for m, sse, split in zip(grow, node_sse,
                                          presorted.best_split(rows, idx, min_leaf)):
                     if split is not None and not (sse - split[0] <= MIN_GAIN):
-                        splits[m] = split
-            children: dict = {}
-            for f, node, mean, split in zip(fits, nodes, node_mean.tolist(), splits):
+                        splits[m] = split[1:]
+            routed: dict = {}
+            for e, f, mean, split in zip(entries, fits, node_mean.tolist(), splits):
+                _, i, _ = frontier[e]
                 if split is None:
-                    node.leaf_value = mean
+                    nodes[f][i][5] = mean
                     train_pred[f][idx] = mean
                     continue
-                _, node.split_feature, node.threshold, node.default_left = split
-                if split[1:] not in children:
-                    left = node.goes_left(presorted.X, idx)
-                    children[split[1:]] = idx[left], idx[~left]
-                left, right = children[split[1:]]
-                node.left, node.right = TreeNode(cover=len(left)), TreeNode(cover=len(right))
-                frontier += [(f, node.left, left), (f, node.right, right)]
+                if split not in routed:
+                    left = goes_left(presorted.X[idx, split[0]], split[1], split[2])
+                    routed[split] = idx[left], idx[~left]
+                nodes[f][i][:3] = split
+                children[e] = routed[split]
+        level, frontier = frontier, []
+        for (f, i, _), sides in zip(level, children):
+            if sides is not None:
+                table = nodes[f]
+                table[i][3:5] = len(table), len(table) + 1
+                frontier += [(f, len(table) + s, side) for s, side in enumerate(sides)]
+                table += [_node(len(side)) for side in sides]
         depth += 1
-    return trees, train_pred
+    return train_pred
 
 
 def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
@@ -436,8 +430,8 @@ def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
     X, y = X[order], y[order]
 
     base_score = float(y.mean())
-    ensembles = [TreeEnsemble(base_score=base_score, learning_rate=c.learning_rate,
-                              column_names=column_names) for c in configs]
+    nodes: list[list] = [[] for _ in configs]  # each fit's node rows, tree after tree
+    roots: list[list] = [[] for _ in configs]
     rates = np.array([[c.learning_rate] for c in configs])
     pred = np.full((len(configs), len(y)), base_score)
     root = np.arange(len(y))
@@ -445,11 +439,14 @@ def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(max((c.n_trees for c in configs), default=0)):
             live = [f for f, c in enumerate(configs) if c.n_trees > t]
-            trees, train_pred = _grow(presorted, y - pred[live], [configs[f] for f in live], root)
-            for f, tree in zip(live, trees):
-                ensembles[f].trees.append(tree)
+            for f in live:
+                roots[f].append(len(nodes[f]))
+                nodes[f].append(_node(len(y)))
+            train_pred = _grow(presorted, y - pred[live], [configs[f] for f in live], root,
+                               [nodes[f] for f in live])
             pred[live] += rates[live] * train_pred
-    return ensembles
+    return [TreeEnsemble.from_nodes(base_score, c.learning_rate, column_names, n, r)
+            for c, n, r in zip(configs, nodes, roots)]
 
 
 def fit_gbt(X: np.ndarray, y: np.ndarray, config: GBTConfig,

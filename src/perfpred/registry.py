@@ -452,6 +452,9 @@ def load_scores(path) -> tuple[list[ScoreRecord], dict[str, TaskSpec]]:
             if None in row.values():  # DictReader fills a short row with None
                 violations.append(f"{where}: fewer cells than the header")
                 continue
+            if None in row:  # and files a long row's extra cells under None
+                violations.append(f"{where}: more cells than the header")
+                continue
             kind = row["metric_kind"]
             if kind not in METRIC_KINDS:
                 violations.append(f"{where}: unknown metric kind {kind!r}")

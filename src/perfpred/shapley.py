@@ -1,8 +1,10 @@
 """Exact Shapley attributions for tree ensembles.
 
-Uses the polynomial-time path algorithm with the training cover counts
-stored in each node as the background distribution (path-dependent
-expectations). Local accuracy holds exactly: base value plus the attribution
+Uses the polynomial-time path algorithm with the training cover counts of
+the ensemble's node table as the background distribution (path-dependent
+expectations); one pass over the table in reverse gives every subtree's
+leaf count and expectation, and ``gbtree.goes_left`` picks each row's hot
+child. Local accuracy holds exactly: base value plus the attribution
 vector reproduces the ensemble prediction for every explained row.
 
 All rows are explained in one traversal per tree. The path algorithm visits
@@ -26,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gbtree import TreeEnsemble, TreeNode, fold_mask
+from .gbtree import TreeEnsemble, fold_mask, goes_left
 from .registry import FeatureMatrix
 
 
@@ -77,26 +79,33 @@ def _unwound_weights(z, o, w, index):
     return np.where(oi != 0.0, inverted, zero_o)
 
 
-def _count_leaves(node: TreeNode, counts: dict) -> int:
-    """Leaves under ``node``; also records the count of every subtree by id."""
-    n = 1 if node.is_leaf else _count_leaves(node.left, counts) + _count_leaves(node.right, counts)
-    counts[id(node)] = n
-    return n
+def _bottom_up(ensemble: TreeEnsemble) -> tuple[list[int], list[float]]:
+    """Each node's subtree leaf count and expectation (cover-weighted leaf
+    mean, the empty coalition's value), children first: in reverse order."""
+    left, right, E, cover = (ensemble.nodes[k].tolist() for k in ("left", "right", "value", "cover"))
+    counts = [1] * len(E)
+    for i in reversed(range(len(E))):
+        l, r = left[i], right[i]
+        if l >= 0:
+            counts[i] = counts[l] + counts[r]
+            E[i] = (cover[l] * E[l] + cover[r] * E[r]) / cover[i]
+    return counts, E
 
 
-def _visit(node, walk, d, z, o, w, pz, po, pi, rank) -> None:
-    """Extend the path by (pz, po, pi) into ``node``; at a leaf, record its
-    contributions in ``walk = (X, leaf counts, leaves)``."""
-    X, counts, leaves = walk
+def _visit(i, walk, d, z, o, w, pz, po, pi, rank) -> None:
+    """Extend the path by (pz, po, pi) into node ``i``; at a leaf, record its
+    contributions in ``walk = (X, table, leaf counts, leaves)``. The rows of
+    ``table`` are the ensemble's ``gbtree.NODE`` records as tuples."""
+    X, table, counts, leaves = walk
+    j, threshold, default_left, left, right, value, cover = table[i]
     z, o, w = _extend_path(z, o, w, pz, po)
     d = d + [pi]
-    if node.is_leaf:
+    if j < 0:
         total = sum(_unwound_weights(z, o, w, range(1, len(d))))
         zs = np.array(z[1:])[:, None]
-        leaves.append((rank, d[1:], total * (o[1:] - zs) * node.leaf_value))
+        leaves.append((rank, d[1:], total * (o[1:] - zs) * value))
         return
-    j = node.split_feature
-    hot_left = node.goes_left(X, slice(None))
+    hot_left = goes_left(X[:, j], threshold, default_left)
     iz, io = 1.0, 1.0
     if j in d:
         k = d.index(j)
@@ -105,24 +114,22 @@ def _visit(node, walk, d, z, o, w, pz, po, pi, rank) -> None:
         z, o, d = z[:k] + z[k + 1:], np.delete(o, k, axis=0), d[:k] + d[k + 1:]
     # a row visits its hot child first, so the cold child's leaves come
     # after all the leaves of the hot one
-    for child, hot, other in ((node.left, hot_left, node.right),
-                              (node.right, ~hot_left, node.left)):
-        _visit(child, walk, d, z, o, w, iz * child.cover / node.cover, np.where(hot, io, 0.0),
-               j, np.where(hot, rank, rank + counts[id(other)]))
+    for child, hot, other in ((left, hot_left, right), (right, ~hot_left, left)):
+        _visit(child, walk, d, z, o, w, iz * table[child][6] / cover, np.where(hot, io, 0.0),
+               j, np.where(hot, rank, rank + counts[other]))
 
 
-def _add_tree_phi(root: TreeNode, X: np.ndarray, phi: np.ndarray) -> None:
-    """Add one tree's attributions for every row of ``X`` into ``phi`` (rows, p).
+def _add_tree_phi(X: np.ndarray, table: list, counts: list, root: int, phi: np.ndarray) -> None:
+    """Add the attributions of the tree at node ``root`` of ``table`` for
+    every row of ``X`` into ``phi`` (rows, p).
 
     NaN entries are routed by default direction.
     """
-    if root.is_leaf:
+    if table[root][0] < 0:  # a one-leaf tree attributes nothing
         return
     rows = X.shape[0]
-    counts: dict[int, int] = {}
-    _count_leaves(root, counts)
     leaves = []  # (visit rank per row, path features, contributions (len, rows))
-    _visit(root, (X, counts, leaves), [], [], np.empty((0, rows)), np.empty((0, rows)),
+    _visit(root, (X, table, counts, leaves), [], [], np.empty((0, rows)), np.empty((0, rows)),
            1.0, 1.0, -1, np.zeros(rows, dtype=np.int64))
 
     # every row visits the same leaves, but in its own order; add their
@@ -138,24 +145,18 @@ def _add_tree_phi(root: TreeNode, X: np.ndarray, phi: np.ndarray) -> None:
         phi[:, cols] += contrib[step, every_row]
 
 
-def tree_expectation(node: TreeNode) -> float:
-    """Cover-weighted mean of the leaves (empty-coalition expectation)."""
-    if node.is_leaf:
-        return node.leaf_value
-    return (node.left.cover * tree_expectation(node.left)
-            + node.right.cover * tree_expectation(node.right)) / node.cover
-
-
 def _shap_rows(ensemble: TreeEnsemble, X: np.ndarray) -> tuple[np.ndarray, float]:
     """Attributions (rows, p) of every row of ``X``, one traversal per tree,
     and the base value: base_score plus lr * each tree's expectation, added
     tree by tree as ``TreeEnsemble.staged_predict`` accumulates leaves."""
     phi = np.zeros(X.shape)
+    table = ensemble.nodes.tolist()
+    counts, expectation = _bottom_up(ensemble)
     base = ensemble.base_score
     with np.errstate(divide="ignore", invalid="ignore"):
-        for tree in ensemble.trees:
-            _add_tree_phi(tree, X, phi)
-            base += ensemble.learning_rate * tree_expectation(tree)
+        for root in ensemble.roots.tolist():
+            _add_tree_phi(X, table, counts, root, phi)
+            base += ensemble.learning_rate * expectation[root]
     return ensemble.learning_rate * phi, float(base)
 
 

@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from perfpred.gbtree import GBTConfig, TreeEnsemble, TreeNode, fit_gbt
+from perfpred.gbtree import GBTConfig, TreeEnsemble, fit_gbt
 from perfpred.registry import Registry, TaskSpec, join_scores, validate_raw_records
 from perfpred.registry import ScoreRecord
 
@@ -69,21 +69,23 @@ def small_dataset(n=6, metric_kind="accuracy", score_fn=None):
 # reference Shapley by coalition enumeration
 
 
-def _cond_expectation(node: TreeNode, x, miss, coalition: set) -> float:
-    if node.is_leaf:
-        return node.leaf_value
-    j = node.split_feature
+def _cond_expectation(node: dict, x, miss, coalition: set) -> float:
+    """The value of one tree in ``TreeEnsemble.to_dict`` form when only the
+    features in ``coalition`` are known."""
+    if "leaf_value" in node:
+        return node["leaf_value"]
+    j = node["split_feature"]
     if j in coalition:
         if miss[j] or np.isnan(x[j]):
-            child = node.left if node.default_left else node.right
-        elif x[j] < node.threshold:
-            child = node.left
+            child = node[node["default_direction"]]
+        elif x[j] < node["threshold"]:
+            child = node["left"]
         else:
-            child = node.right
+            child = node["right"]
         return _cond_expectation(child, x, miss, coalition)
-    return (node.left.cover * _cond_expectation(node.left, x, miss, coalition)
-            + node.right.cover * _cond_expectation(node.right, x, miss, coalition)
-            ) / node.cover
+    return (node["left"]["cover"] * _cond_expectation(node["left"], x, miss, coalition)
+            + node["right"]["cover"] * _cond_expectation(node["right"], x, miss, coalition)
+            ) / node["cover"]
 
 
 def brute_shapley(ensemble: TreeEnsemble, x, miss=None):
@@ -94,11 +96,12 @@ def brute_shapley(ensemble: TreeEnsemble, x, miss=None):
     p = len(ensemble.column_names)
 
     cache = {}
+    trees = ensemble.to_dict()["trees"]
 
     def v(coalition: frozenset) -> float:
         if coalition not in cache:
             total = ensemble.base_score
-            for tree in ensemble.trees:
+            for tree in trees:
                 total += ensemble.learning_rate * _cond_expectation(tree, x, miss, coalition)
             cache[coalition] = total
         return cache[coalition]

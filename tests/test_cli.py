@@ -310,6 +310,20 @@ def test_select_without_seeds_fails_and_writes_nothing(synth_files, tmp_path, ca
     assert not (tmp_path / "select-taskA.json").exists()
 
 
+@pytest.mark.parametrize("command", ["compare", "report"])
+@pytest.mark.parametrize("seeds", ["1", "0"])
+def test_a_comparison_with_fewer_than_two_seeds_fails_and_writes_nothing(
+        synth_files, tmp_path, capsys, command, seeds):
+    reg, scores = synth_files
+    task = ["--task", "taskA"] if command == "compare" else []
+    code = main([command, "--registry", reg, "--scores", scores, *task, "--seeds", seeds,
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("VIOLATION: ") == 1 and "--seeds must be at least 2" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_small_run(synth_files, tmp_path):
     reg, scores = synth_files
     code = main(["compare", "--registry", reg, "--scores", scores,

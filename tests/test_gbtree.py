@@ -32,13 +32,13 @@ def test_hand_derived_two_stump_oracle():
     ens = fit_gbt(X, y, config)
     assert ens.base_score == 1.0
 
-    t1, t2 = ens.trees
-    assert t1.threshold == 0.5
-    assert t1.left.leaf_value == pytest.approx(-1.0)
-    assert t1.right.leaf_value == pytest.approx(1.0 / 3.0)
-    assert t2.threshold == 2.5
-    assert t2.left.leaf_value == pytest.approx(-2.0 / 9.0)
-    assert t2.right.leaf_value == pytest.approx(2.0 / 3.0)
+    t1, t2 = ens.to_dict()["trees"]
+    assert t1["threshold"] == 0.5
+    assert t1["left"]["leaf_value"] == pytest.approx(-1.0)
+    assert t1["right"]["leaf_value"] == pytest.approx(1.0 / 3.0)
+    assert t2["threshold"] == 2.5
+    assert t2["left"]["leaf_value"] == pytest.approx(-2.0 / 9.0)
+    assert t2["right"]["leaf_value"] == pytest.approx(2.0 / 3.0)
 
     preds = ens.predict(X, np.zeros_like(X, dtype=bool))
     assert preds == pytest.approx([-2.0 / 9.0, 10.0 / 9.0, 10.0 / 9.0, 2.0])
@@ -52,7 +52,7 @@ def test_constant_targets_yield_constant_model():
     preds = ens.predict(X, np.zeros_like(X, dtype=bool))
     assert preds == pytest.approx(np.full(6, 0.42))
     # no split clears the gain floor, so every tree is a single leaf
-    assert all(t.is_leaf for t in ens.trees)
+    assert all("leaf_value" in t for t in ens.to_dict()["trees"])
 
 
 def test_step_function_convergence():
@@ -99,22 +99,22 @@ def test_joint_row_permutation_invariance():
 
 
 def _leaf_cover_sum(node):
-    if node.is_leaf:
-        return node.cover
-    return _leaf_cover_sum(node.left) + _leaf_cover_sum(node.right)
+    if "leaf_value" in node:
+        return node["cover"]
+    return _leaf_cover_sum(node["left"]) + _leaf_cover_sum(node["right"])
 
 
 def _check_covers(node):
-    if node.is_leaf:
+    if "leaf_value" in node:
         return
-    assert node.cover == node.left.cover + node.right.cover
-    _check_covers(node.left)
-    _check_covers(node.right)
+    assert node["cover"] == node["left"]["cover"] + node["right"]["cover"]
+    _check_covers(node["left"])
+    _check_covers(node["right"])
 
 
 def test_cover_bookkeeping():
     ens, X = random_fitted_ensemble(CounterRng(30), p=6, n_rows=40)
-    for tree in ens.trees:
+    for tree in ens.to_dict()["trees"]:
         assert _leaf_cover_sum(tree) == 40
         _check_covers(tree)
 
@@ -123,11 +123,11 @@ def test_min_samples_leaf_respected():
     ens, _ = random_fitted_ensemble(CounterRng(31), p=4, n_rows=30)
 
     def smallest_leaf(node):
-        if node.is_leaf:
-            return node.cover
-        return min(smallest_leaf(node.left), smallest_leaf(node.right))
+        if "leaf_value" in node:
+            return node["cover"]
+        return min(smallest_leaf(node["left"]), smallest_leaf(node["right"]))
 
-    assert min(smallest_leaf(t) for t in ens.trees) >= 2
+    assert min(smallest_leaf(t) for t in ens.to_dict()["trees"]) >= 2
 
 
 def test_missing_values_route_consistently():
@@ -177,26 +177,75 @@ def test_serialization_roundtrip():
     assert clone.predict(X, mask) == pytest.approx(ens.predict(X, mask), abs=0)
 
 
-def test_staged_predict_is_the_sequential_sum_of_routed_leaves():
+def assert_same_table(a, b):
+    for name in ("nodes", "roots"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def edge_ensembles():
+    """Fits with no trees, with one-leaf trees only, and deep ones, with the
+    rows they were fitted on."""
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(16, 3))
+    X[rng.random(X.shape) < 0.3] = np.nan
+    y = rng.normal(size=16)
+    deep = fit_gbt_batch(X, y, [GBTConfig(max_depth=5, learning_rate=0.3, n_trees=n)
+                                for n in (0, 7)])
+    flat = fit_gbt(X, np.full(16, 0.25), GBTConfig(max_depth=3, n_trees=4))
+    return [(e, X) for e in (*deep, flat)]
+
+
+def test_node_table_roundtrips_through_to_dict():
+    rng = CounterRng(41)
+    fits = edge_ensembles() + [random_fitted_ensemble(rng, n_trees=5, depth=rng.randint(5) + 1)
+                               for _ in range(6)]
+    for ens, _ in fits:
+        assert_same_table(TreeEnsemble.from_dict(json.loads(json.dumps(ens.to_dict()))), ens)
+        # nodes are numbered so that every child comes after its parent
+        nodes = ens.nodes
+        split = np.flatnonzero(nodes["feature"] >= 0)
+        assert (nodes["left"][split] > split).all()
+        assert (nodes["right"][split] == nodes["left"][split] + 1).all()
+        assert (nodes["left"][nodes["feature"] < 0] == -1).all()
+        assert np.isnan(nodes["value"][split]).all()
+    assert edge_ensembles()[0][0].roots.dtype == np.intp
+
+
+def assert_staged_is_the_dict_walk(ens, X, mask):
     # routing every feature through the Shapley oracle reaches the leaf each
     # row takes; accumulating base + lr * leaf tree by tree must give every
     # staged column bit for bit, and predict the last one
+    staged = ens.staged_predict(X, mask)
+    everything = set(range(X.shape[1]))
+    for i in range(X.shape[0]):
+        acc = ens.base_score
+        want = [acc]
+        for tree in ens.to_dict()["trees"]:
+            acc += ens.learning_rate * _cond_expectation(tree, X[i], mask[i], everything)
+            want.append(acc)
+        assert staged[i].tobytes() == np.array(want).tobytes()
+        assert ens.predict_row(X[i], mask[i]) == staged[i, -1]
+    assert ens.predict(X, mask).tobytes() == staged[:, -1].tobytes()
+
+
+def test_staged_predict_is_the_sequential_sum_of_routed_leaves():
     rng = CounterRng(17)
     for trial in range(12):
         ens, X = random_fitted_ensemble(rng, n_rows=20, n_trees=6,
                                         depth=rng.randint(4) + 1, missing_rate=0.3)
         mask = np.array([[rng.uniform() < 0.2 for _ in range(X.shape[1])]
                          for _ in range(X.shape[0])])
-        staged = ens.staged_predict(X, mask)
-        everything = set(range(X.shape[1]))
-        for i in range(X.shape[0]):
-            acc = ens.base_score
-            want = [acc]
-            for tree in ens.trees:
-                acc += ens.learning_rate * _cond_expectation(tree, X[i], mask[i], everything)
-                want.append(acc)
-            assert staged[i].tobytes() == np.array(want).tobytes()
-        assert ens.predict(X, mask).tobytes() == staged[:, -1].tobytes()
+        assert_staged_is_the_dict_walk(ens, X, mask)
+
+
+def test_staged_predict_walks_empty_and_one_leaf_ensembles_and_all_missing_rows():
+    for ens, X in edge_ensembles():
+        X = np.vstack([X, np.full(X.shape[1], np.nan)])
+        mask = np.zeros(X.shape, dtype=bool)
+        mask[::3] = True  # every third row missing by mask
+        assert_staged_is_the_dict_walk(ens, X, mask)
+        assert ens.staged_predict(X[:0]).shape == (0, len(ens.roots) + 1)
 
 
 def test_input_validation():
@@ -294,11 +343,12 @@ def test_root_split_matches_brute_force_search(problem):
         ens = fit_gbt(np.where(missing, np.nan, X), y, config)
     else:
         ens = fit_gbt(X, y, config, mask=missing)
-    root = ens.trees[0]
+    root = ens.to_dict()["trees"][0]
     if expected is None:
-        assert root.is_leaf
+        assert "leaf_value" in root
     else:
-        assert (root.split_feature, root.threshold, root.default_left) == expected
+        assert (root["split_feature"], root["threshold"],
+                root["default_direction"] == "left") == expected
 
 
 def test_split_sse_is_bit_equal_to_one_column_scoring():
@@ -452,7 +502,7 @@ def test_node_without_admissible_split_is_the_same_leaf_when_cached():
     assert list(presorted.plans.values())[0].gather is None
     config = GBTConfig(max_depth=3, learning_rate=0.5, n_trees=4, min_samples_leaf=2)
     ens = fit_gbt(X, y, config)
-    assert all(t.is_leaf and t.cover == 5 for t in ens.trees)
+    assert all("leaf_value" in t and t["cover"] == 5 for t in ens.to_dict()["trees"])
     assert fit_json(X, y, config) == fit_json(X, y, config, budget=0)
 
 
@@ -463,10 +513,11 @@ def test_a_node_that_splits_differently_in_a_later_round_gets_its_own_children()
     y = np.array([2.0, 1.0, 1.0, 0.0, 1.0, 0.0])
     config = GBTConfig(max_depth=2, learning_rate=0.5, n_trees=2, min_samples_leaf=1)
     ens = fit_gbt(X, y, config)
-    assert [(t.split_feature, t.threshold) for t in ens.trees] == [(0, 0.5), (0, 1.5)]
-    for tree in ens.trees:
-        assert tree.left.cover == int((X[:, 0] < tree.threshold).sum())
-        assert tree.right.cover == 6 - tree.left.cover
+    trees = ens.to_dict()["trees"]
+    assert [(t["split_feature"], t["threshold"]) for t in trees] == [(0, 0.5), (0, 1.5)]
+    for tree in trees:
+        assert tree["left"]["cover"] == int((X[:, 0] < tree["threshold"]).sum())
+        assert tree["right"]["cover"] == 6 - tree["left"]["cover"]
     assert fit_json(X, y, config) == fit_json(X, y, config, budget=0)
 
 
@@ -506,10 +557,11 @@ def test_each_fit_of_a_batch_equals_its_config_fitted_alone(problem):
     X, mask, y, configs = problem
     assume(mask is None or not mask.all())
     batch = fit_gbt_batch(X, y, configs, mask=mask)
-    assert [len(e.trees) for e in batch] == [c.n_trees for c in configs]
+    assert [len(e.to_dict()["trees"]) for e in batch] == [c.n_trees for c in configs]
     for ensemble, config in zip(batch, configs):
         alone = fit_gbt(X, y, config, mask=mask)
         assert json.dumps(ensemble.to_dict()) == json.dumps(alone.to_dict())
+        assert_same_table(ensemble, alone)
 
 
 def plans_built(X, y, configs, budget=gbtree.PLAN_BUDGET):

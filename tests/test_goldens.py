@@ -124,8 +124,8 @@ def test_shap_fit_root_sees_a_column_with_eight_missing_rows():
     # terms; the SHAP golden must cover a root split search past that point
     X, ens = shap_fit()
     assert X.missing_mask.sum(axis=0).max() >= 8
-    assert any(X.missing_mask[:, t.split_feature].sum() >= 8
-               for t in ens.trees if not t.is_leaf)
+    assert any(X.missing_mask[:, t["split_feature"]].sum() >= 8
+               for t in ens.to_dict()["trees"] if "leaf_value" not in t)
 
 
 @pytest.mark.parametrize("key", sorted(GOLDENS))

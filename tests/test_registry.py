@@ -167,6 +167,16 @@ def test_scores_row_with_fewer_cells_than_the_header(tmp_path):
     assert err.value.violations == ["scores row 0: fewer cells than the header"]
 
 
+def test_scores_row_with_more_cells_than_the_header(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("model_id,task_id,shots,metric_kind,value\n"
+                    "m1,taskA,0,accuracy,0.5,0.9\n"
+                    "m2,taskA,0,accuracy,0.5\n")
+    with pytest.raises(RegistryError) as err:
+        load_scores(path)
+    assert err.value.violations == ["scores row 0: more cells than the header"]
+
+
 def test_scores_inconsistent_task_metadata(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("model_id,task_id,shots,metric_kind,value\n"

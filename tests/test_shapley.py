@@ -3,36 +3,45 @@ import pytest
 from scipy import stats as sps
 
 from conftest import brute_shapley, random_fitted_ensemble, small_dataset
-from perfpred.gbtree import GBTConfig, TreeEnsemble, TreeNode, fit_gbt
+from perfpred.gbtree import GBTConfig, TreeEnsemble, fit_gbt
 from perfpred.prng import CounterRng
 from perfpred.registry import Column, FeatureMatrix, encode_features
 from perfpred.shapley import (
+    _bottom_up,
     shap_dependence,
     shap_matrix,
     shap_summary,
-    tree_expectation,
     tree_shap,
 )
 
 
+def leaf(cover, value):
+    return {"cover": cover, "leaf_value": value}
+
+
+def split(feature, threshold, left, right, default_left=True):
+    return {"cover": left["cover"] + right["cover"], "split_feature": feature,
+            "threshold": threshold, "default_direction": "left" if default_left else "right",
+            "left": left, "right": right}
+
+
 def stump(feature, threshold, left_value, right_value, left_cover, right_cover,
           default_left=True):
-    return TreeNode(
-        cover=left_cover + right_cover,
-        split_feature=feature,
-        threshold=threshold,
-        default_left=default_left,
-        left=TreeNode(cover=left_cover, leaf_value=left_value),
-        right=TreeNode(cover=right_cover, leaf_value=right_value),
-    )
+    return split(feature, threshold, leaf(left_cover, left_value),
+                 leaf(right_cover, right_value), default_left)
+
+
+def ensemble(base_score, learning_rate, trees, column_names):
+    """The ensemble of the hand-built ``trees`` in ``TreeEnsemble.to_dict`` form."""
+    return TreeEnsemble.from_dict({"base_score": base_score, "learning_rate": learning_rate,
+                                   "columns": list(column_names), "trees": trees})
 
 
 def test_single_stump_hand_case():
     # one binary split with covers 3 / 1: E = (3*a + b) / 4; explaining a row
     # routed right gives phi = prediction - E on the split feature, 0 elsewhere
     tree = stump(0, 0.5, -1.0, 3.0, 3, 1)
-    ens = TreeEnsemble(base_score=0.0, learning_rate=1.0, trees=[tree],
-                       column_names=("f0", "f1"))
+    ens = ensemble(0.0, 1.0, [tree], ("f0", "f1"))
     phi, base = tree_shap(ens, np.array([1.0, 9.0]))
     expectation = (3 * -1.0 + 1 * 3.0) / 4.0
     assert base == pytest.approx(expectation)
@@ -42,8 +51,7 @@ def test_single_stump_hand_case():
 
 def test_unused_feature_gets_zero_attribution():
     tree = stump(0, 0.0, 1.0, 2.0, 5, 5)
-    ens = TreeEnsemble(base_score=0.5, learning_rate=0.7, trees=[tree, stump(0, 1.0, 0.0, 1.0, 4, 6)],
-                       column_names=("f0", "f1", "f2"))
+    ens = ensemble(0.5, 0.7, [tree, stump(0, 1.0, 0.0, 1.0, 4, 6)], ("f0", "f1", "f2"))
     for x in ([-1.0, 5.0, 5.0], [2.0, -5.0, 0.0]):
         phi, _ = tree_shap(ens, np.array(x))
         assert phi[1] == 0.0 and phi[2] == 0.0
@@ -52,10 +60,8 @@ def test_unused_feature_gets_zero_attribution():
 def test_symmetry_for_duplicated_features():
     # two trees splitting identically on two different columns; for a row
     # where both columns carry the same value, attributions must be equal
-    ens = TreeEnsemble(base_score=0.0, learning_rate=1.0,
-                       trees=[stump(0, 0.0, -1.0, 1.0, 5, 5),
-                              stump(1, 0.0, -1.0, 1.0, 5, 5)],
-                       column_names=("f0", "f1"))
+    ens = ensemble(0.0, 1.0, [stump(0, 0.0, -1.0, 1.0, 5, 5), stump(1, 0.0, -1.0, 1.0, 5, 5)],
+                   ("f0", "f1"))
     for v in (-2.0, 0.5, 3.0):
         phi, _ = tree_shap(ens, np.array([v, v]))
         assert phi[0] == pytest.approx(phi[1], abs=1e-12)
@@ -80,14 +86,15 @@ def test_tree_expectation_is_cover_weighted_leaf_mean():
     ens, X = random_fitted_ensemble(CounterRng(7), p=3, n_rows=30, n_trees=1)
     # path-dependent background: expectation over the training distribution
     # equals the mean over training rows only when routing is pure cover
-    tree = ens.trees[0]
+    tree = ens.to_dict()["trees"][0]
 
     def weighted(node):
-        if node.is_leaf:
-            return node.cover * node.leaf_value
-        return weighted(node.left) + weighted(node.right)
+        if "leaf_value" in node:
+            return node["cover"] * node["leaf_value"]
+        return weighted(node["left"]) + weighted(node["right"])
 
-    assert tree_expectation(tree) == pytest.approx(weighted(tree) / tree.cover)
+    expectation = _bottom_up(ens)[1][ens.roots[0]]
+    assert expectation == pytest.approx(weighted(tree) / tree["cover"])
 
 
 def test_shap_matrix_local_accuracy_on_encoded_data():
@@ -199,15 +206,10 @@ def test_shap_matrix_unwinds_repeated_feature_with_missing_values():
     # f0 splits twice along the root-left path, so the second split unwinds
     # the first one's path element; both f0 splits and the f1 split route
     # missing values by default direction
-    inner = TreeNode(cover=6, split_feature=0, threshold=-0.5, default_left=False,
-                     left=TreeNode(cover=2, leaf_value=-2.0),
-                     right=TreeNode(cover=4, leaf_value=0.5))
-    root = TreeNode(cover=10, split_feature=0, threshold=0.5, default_left=True, left=inner,
-                    right=stump(1, 0.0, 1.0, 3.0, 3, 1, default_left=False))
-    ens = TreeEnsemble(base_score=0.2, learning_rate=0.5,
-                       trees=[root, stump(1, 1.0, -1.0, 1.0, 7, 3),
-                              stump(2, 0.0, 0.3, -0.4, 5, 5)],
-                       column_names=("f0", "f1", "f2"))
+    inner = stump(0, -0.5, -2.0, 0.5, 2, 4, default_left=False)
+    root = split(0, 0.5, inner, stump(1, 0.0, 1.0, 3.0, 3, 1, default_left=False))
+    ens = ensemble(0.2, 0.5, [root, stump(1, 1.0, -1.0, 1.0, 7, 3), stump(2, 0.0, 0.3, -0.4, 5, 5)],
+                   ("f0", "f1", "f2"))
     values = np.array([[-1.0, 2.0, 1.0], [0.0, np.nan, -1.0], [np.nan, np.nan, np.nan],
                        [1.0, -1.0, 0.5], [-2.0, 0.5, np.nan], [3.0, 1.5, -2.0]])
     mask = np.isnan(values)
