@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 validation/analysis failure, 2 I/O or config error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -52,6 +54,18 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_text(rows) -> str:
+    """``rows`` as CSV, quoting only a cell that holds a comma, quote or line break."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
+
+
+def _print_violations(violations, file=None) -> None:
+    for v in violations:  # one line each, whatever line breaks an id holds
+        print("VIOLATION: " + "\\n".join(v.splitlines()), file=file)
 
 
 def _cache_key(paths, *parts) -> str:
@@ -158,8 +172,7 @@ def cmd_validate(args) -> int:
     if args.out:
         _atomic_write(os.path.join(args.out, "validate.json"), _json_text(report))
     if violations:
-        for v in violations:
-            print(f"VIOLATION: {v}")
+        _print_violations(violations)
         return 1
     print("ok: no violations")
     return 0
@@ -168,13 +181,11 @@ def cmd_validate(args) -> int:
 def cmd_encode(args) -> int:
     dataset = _task_dataset(args)
     X = encode_features(dataset, _feature_names(args.features))
-    lines = ["model_id," + ",".join(
-        f"{c.name}[{c.source_group}]" for c in X.columns)]
+    rows = [["model_id", *(f"{c.name}[{c.source_group}]" for c in X.columns)]]
     missing = X.missing_mask
     for i, mid in enumerate(X.model_ids):
-        cells = ["" if m else repr(float(v)) for v, m in zip(X.values[i], missing[i])]
-        lines.append(mid + "," + ",".join(cells))
-    _atomic_write(os.path.join(args.out, f"features-{args.task}.csv"), "\n".join(lines) + "\n")
+        rows.append([mid, *("" if m else repr(float(v)) for v, m in zip(X.values[i], missing[i]))])
+    _atomic_write(os.path.join(args.out, f"features-{args.task}.csv"), _csv_text(rows))
     print(f"wrote {len(X.model_ids)} rows x {len(X.columns)} columns")
     return 0
 
@@ -251,13 +262,13 @@ def _encode_and_fit(args, dataset):
 def cmd_shap(args) -> int:
     X, ensemble = _encode_and_fit(args, _task_dataset(args))
     sm = shapley.shap_matrix(ensemble, X)
-    lines = ["model_id,feature,feature_value,phi"]
+    rows = [["model_id", "feature", "feature_value", "phi"]]
     missing = X.missing_mask
     for i, mid in enumerate(sm.model_ids):
         for j, name in enumerate(sm.feature_names):
             value = "" if missing[i, j] else repr(float(X.values[i, j]))
-            lines.append(f"{mid},{name},{value},{float(sm.values[i, j])!r}")
-    _atomic_write(os.path.join(args.out, f"shap-{args.task}.csv"), "\n".join(lines) + "\n")
+            rows.append([mid, name, value, repr(float(sm.values[i, j]))])
+    _atomic_write(os.path.join(args.out, f"shap-{args.task}.csv"), _csv_text(rows))
     ranking = shapley._summary(sm, X, aggregate_categoricals=True)
     rlines = ["feature,mean_abs_phi"] + [f"{e.feature},{e.mean_abs_phi!r}" for e in ranking]
     _atomic_write(os.path.join(args.out, f"shap-ranking-{args.task}.csv"),
@@ -476,8 +487,7 @@ def main(argv=None) -> int:
         print(f"I/O error: {e}", file=sys.stderr)
         return 2
     except RegistryError as e:
-        for v in e.violations:
-            print(f"VIOLATION: {v}", file=sys.stderr)
+        _print_violations(e.violations, sys.stderr)
         return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -5,6 +5,13 @@ groups: architecture (A), pretraining-data composition (D), and features
 derived from the model's free generations (F). Records are immutable after
 load; encoding to a numeric matrix marks missing values with NaN, the one
 missing-value marker (``missing_mask`` is derived from it), never imputing.
+
+The schema is stated once: in the fields of ``ArchFeatures`` and
+``DataFeatures`` (a value kind each; a required one has no default) and in
+``GEN_FEATURES``, which ``SCHEMA`` gathers. A value kind is "positive" (> 0),
+"level" (in ``ENUM_VOCAB``), "percent" (in [0, 100]), "per100k" (>= 0) or
+"real"; every number is finite. A record's violations come in file order
+within each section, then the missing required fields, then the domain sum.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -25,30 +33,7 @@ ENUM_VOCAB: dict[str, tuple[str, ...]] = {
     "activation": ("relu", "gelu", "silu", "swiglu"),
 }
 
-ARCH_NUMERIC = (
-    "total_params",
-    "dimension",
-    "num_heads",
-    "mlp_ratio",
-    "sequence_length",
-    "batch_instances",
-)
-ARCH_CATEGORICAL = tuple(ENUM_VOCAB)
-
-DATA_NUMERIC = (
-    "total_tokens_billions",
-    "pct_web",
-    "pct_code",
-    "pct_books",
-    "pct_reference",
-    "pct_academic",
-    "pct_english",
-)
-DATA_PCT_FIELDS = DATA_NUMERIC[1:]
-
-# Documented generation-derived feature names and their value constraint:
-# "percent" entries lie in [0, 100], "per100k" entries are nonnegative,
-# "real" entries are unconstrained.
+# Documented generation-derived feature names and their value kinds
 GEN_FEATURES: dict[str, str] = {
     "char_len_mean": "real",
     "char_len_std": "real",
@@ -92,16 +77,61 @@ GEN_FEATURES: dict[str, str] = {
     "numbers_ratio": "per100k",
 }
 
-# Every documented feature name -> the record section that holds it, in
-# canonical order: architecture, pretraining data, then generations.
-FEATURE_SECTIONS: dict[str, str] = {
-    **dict.fromkeys(ARCH_NUMERIC + ARCH_CATEGORICAL, "arch"),
-    **dict.fromkeys(DATA_NUMERIC, "data"),
-    **dict.fromkeys(GEN_FEATURES, "gen"),
+
+def _optional(kind: str):
+    """A record field holding a value of ``kind``, missing (None) by default."""
+    return field(default=None, metadata={"kind": kind})
+
+
+@dataclass(frozen=True)
+class ArchFeatures:
+    total_params: float = field(metadata={"kind": "positive"})
+    dimension: float | None = _optional("positive")
+    num_heads: float | None = _optional("positive")
+    mlp_ratio: float | None = _optional("positive")
+    sequence_length: float | None = _optional("positive")
+    batch_instances: float | None = _optional("positive")
+    positional_embeddings: str | None = _optional("level")
+    layer_norm: str | None = _optional("level")
+    attention_variant: str | None = _optional("level")
+    biases: str | None = _optional("level")
+    block_type: str | None = _optional("level")
+    activation: str | None = _optional("level")
+
+
+@dataclass(frozen=True)
+class DataFeatures:
+    total_tokens_billions: float = field(metadata={"kind": "positive"})
+    pct_web: float | None = _optional("percent")
+    pct_code: float | None = _optional("percent")
+    pct_books: float | None = _optional("percent")
+    pct_reference: float | None = _optional("percent")
+    pct_academic: float | None = _optional("percent")
+    pct_english: float | None = _optional("percent")
+
+
+_SECTION_CLASSES = {"arch": ArchFeatures, "data": DataFeatures}
+# section -> {documented feature name -> value kind}, in canonical feature order
+SCHEMA: dict[str, dict[str, str]] = {
+    **{s: {f.name: f.metadata["kind"] for f in fields(c)} for s, c in _SECTION_CLASSES.items()},
+    "gen": GEN_FEATURES,
 }
+FEATURE_SECTIONS: dict[str, str] = {name: s for s, kinds in SCHEMA.items() for name in kinds}
+_REQUIRED = tuple((s, f.name) for s, c in _SECTION_CLASSES.items()
+                  for f in fields(c) if f.default is MISSING)
+
+ARCH_NUMERIC = tuple(name for name, kind in SCHEMA["arch"].items() if kind != "level")
+ARCH_CATEGORICAL = tuple(name for name, kind in SCHEMA["arch"].items() if kind == "level")
+DATA_NUMERIC = tuple(SCHEMA["data"])
+DATA_PCT_FIELDS = tuple(name for name, kind in SCHEMA["data"].items() if kind == "percent")
+# the domain shares of the pretraining text; pct_english is a language share
+_DOMAIN_PCT_FIELDS = tuple(name for name in DATA_PCT_FIELDS if name != "pct_english")
+
 _SECTION_GROUPS = {"arch": "A", "data": "D", "gen": "F"}
+_UNKNOWN = {"arch": "arch field", "data": "data field", "gen": "gen feature"}
 
 PCT_SUM_TOLERANCE = 0.5
+_FLOAT_MAX = sys.float_info.max
 LOG10_FEATURES = ("total_params", "total_tokens_billions")
 
 METRIC_KINDS = ("accuracy", "brier", "pass_at_1")
@@ -117,33 +147,6 @@ class RegistryError(Exception):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-
-@dataclass(frozen=True)
-class ArchFeatures:
-    total_params: float
-    dimension: float | None = None
-    num_heads: float | None = None
-    mlp_ratio: float | None = None
-    sequence_length: float | None = None
-    batch_instances: float | None = None
-    positional_embeddings: str | None = None
-    layer_norm: str | None = None
-    attention_variant: str | None = None
-    biases: str | None = None
-    block_type: str | None = None
-    activation: str | None = None
-
-
-@dataclass(frozen=True)
-class DataFeatures:
-    total_tokens_billions: float
-    pct_web: float | None = None
-    pct_code: float | None = None
-    pct_books: float | None = None
-    pct_reference: float | None = None
-    pct_academic: float | None = None
-    pct_english: float | None = None
 
 
 @dataclass(frozen=True)
@@ -256,21 +259,30 @@ class FeatureMatrix:
 # validation helpers
 
 
-def _check_number(violations, where, name, value, positive=False, pct=False):
-    if value is None:
+def _checked(kind: str, name: str, value, where: str, violations: list[str]):
+    """``value`` as a record holds it, or None; each way it breaks ``kind`` is a violation."""
+    if kind == "level":
+        if value in ENUM_VOCAB[name]:
+            return value
+        violations.append(f"{where}: unknown level {value!r} for {name}")
         return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+    # most values are plain floats; NaN fails both bounds, an int beyond the float range one
+    is_number = type(value) is float or isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (is_number and -_FLOAT_MAX <= value <= _FLOAT_MAX):
         violations.append(f"{where}: {name} must be a finite number, got {value!r}")
         return None
-    if positive and value <= 0:
+    number = float(value)
+    if kind == "positive" and number <= 0:
         violations.append(f"{where}: {name} must be > 0, got {value}")
-    if pct and not (0.0 <= value <= 100.0):
+    elif kind == "percent" and not 0.0 <= number <= 100.0:
         violations.append(f"{where}: {name} must be in [0, 100], got {value}")
-    return float(value)
+    elif kind == "per100k" and number < 0:
+        violations.append(f"{where}: {name} must be >= 0, got {number}")
+    return number
 
 
 def validate_record_dict(obj: dict, where: str, violations: list[str]) -> ModelRecord | None:
-    """Parse one raw registry object, appending problems to ``violations``."""
+    """Parse one raw registry object, appending its violations in the documented order."""
     if not isinstance(obj, dict):
         violations.append(f"{where}: must be a JSON object, got {obj!r}")
         return None
@@ -280,84 +292,45 @@ def validate_record_dict(obj: dict, where: str, violations: list[str]) -> ModelR
         return None
     where = model_id
     n_before = len(violations)
-    sections = {name: obj.get(name) or {} for name in ("arch", "data", "gen")}
+    sections = {name: obj.get(name) or {} for name in SCHEMA}
     violations += [f"{where}: {name} must be a JSON object, got {raw!r}"
                    for name, raw in sections.items() if not isinstance(raw, dict)]
     if len(violations) > n_before:
         return None
-    arch_raw, data_raw, gen_raw = sections.values()
 
-    arch_kwargs = {}
-    for name in ARCH_NUMERIC:
-        arch_kwargs[name] = _check_number(violations, where, name, arch_raw.get(name), positive=True)
-    for name in ARCH_CATEGORICAL:
-        value = arch_raw.get(name)
-        if value is not None:
-            if value not in ENUM_VOCAB[name]:
-                violations.append(f"{where}: unknown level {value!r} for {name}")
-                value = None
-        arch_kwargs[name] = value
-    for name in arch_raw:
-        if name not in ARCH_NUMERIC and name not in ARCH_CATEGORICAL:
-            violations.append(f"{where}: unknown arch field {name!r}")
-    if arch_kwargs["total_params"] is None:
-        violations.append(f"{where}: total_params is required")
-
-    data_kwargs = {}
-    data_kwargs["total_tokens_billions"] = _check_number(
-        violations, where, "total_tokens_billions", data_raw.get("total_tokens_billions"), positive=True
-    )
-    if data_kwargs["total_tokens_billions"] is None:
-        violations.append(f"{where}: total_tokens_billions is required")
-    for name in DATA_PCT_FIELDS:
-        data_kwargs[name] = _check_number(violations, where, name, data_raw.get(name), pct=True)
-    for name in data_raw:
-        if name not in DATA_NUMERIC:
-            violations.append(f"{where}: unknown data field {name!r}")
-    domain = [data_kwargs[n] for n in DATA_PCT_FIELDS[:-1] if data_kwargs.get(n) is not None]
+    held: dict[str, dict] = {}
+    for section, kinds in SCHEMA.items():
+        values = held[section] = {}
+        for name, value in sections[section].items():
+            kind = kinds.get(name)
+            if kind is None:
+                violations.append(f"{where}: unknown {_UNKNOWN[section]} {name!r}")
+            elif value is not None:
+                value = _checked(kind, name, value, where, violations)
+                if value is not None:
+                    values[name] = value
+    violations += [f"{where}: {name} is required"
+                   for section, name in _REQUIRED if name not in held[section]]
+    domain = [held["data"][n] for n in _DOMAIN_PCT_FIELDS if n in held["data"]]
     if domain and sum(domain) > 100.0 + PCT_SUM_TOLERANCE:
         violations.append(f"{where}: domain percentages sum to {sum(domain):.2f} > 100")
 
-    gen = {}
-    for name, value in gen_raw.items():
-        if name not in GEN_FEATURES:
-            violations.append(f"{where}: unknown gen feature {name!r}")
-            continue
-        kind = GEN_FEATURES[name]
-        v = _check_number(violations, where, name, value, pct=(kind == "percent"))
-        if v is not None and kind == "per100k" and v < 0:
-            violations.append(f"{where}: {name} must be >= 0, got {v}")
-        if v is not None:
-            gen[name] = v
-
     if len(violations) > n_before:
         return None
-    return ModelRecord(
-        model_id=model_id,
-        organization=str(obj.get("organization", "")),
-        arch=ArchFeatures(**arch_kwargs),
-        data=DataFeatures(**data_kwargs),
-        gen=gen,
-        provenance=str(obj.get("provenance", "")),
-    )
+    return ModelRecord(model_id, str(obj.get("organization", "")), ArchFeatures(**held["arch"]),
+                       DataFeatures(**held["data"]), held["gen"], str(obj.get("provenance", "")))
 
 
 def validate_raw_records(raw: list[dict]) -> tuple[list[ModelRecord], list[str]]:
-    violations: list[str] = []
-    records: list[ModelRecord] = []
-    seen: set[str] = set()
-    if not raw:
-        violations.append("no records")
+    violations = [] if raw else ["no records"]
+    records: dict[str, ModelRecord] = {}
     for i, obj in enumerate(raw):
         rec = validate_record_dict(obj, f"record {i}", violations)
-        if rec is None:
-            continue
-        if rec.model_id in seen:
+        if rec is not None and rec.model_id in records:
             violations.append(f"duplicate model_id: {rec.model_id}")
-            continue
-        seen.add(rec.model_id)
-        records.append(rec)
-    return records, violations
+        elif rec is not None:
+            records[rec.model_id] = rec
+    return list(records.values()), violations
 
 
 def load_registry(path, format: str = "canonical_json", mapping_path=None) -> Registry:
@@ -365,64 +338,77 @@ def load_registry(path, format: str = "canonical_json", mapping_path=None) -> Re
 
     Canonical format is a JSON list of model objects. ``csv_with_mapping``
     reads a CSV whose columns are renamed to canonical feature names via a
-    JSON mapping file (external column -> canonical name).
+    JSON mapping file (an object of external column -> canonical name).
     """
+    violations: list[str] = []
     if format == "canonical_json":
-        with open(path) as f:
-            try:
-                raw = json.load(f)
-            except json.JSONDecodeError as e:
-                raise RegistryError([f"parse failure: {e}"]) from e
+        raw = _json_file(path, "")
         if not isinstance(raw, list):
             raise RegistryError(["registry file must be a JSON list of records"])
     elif format == "csv_with_mapping":
         if mapping_path is None:
             raise RegistryError(["csv format requires a column-mapping file"])
-        with open(mapping_path) as f:
-            mapping = json.load(f)
-        raw = _rows_from_csv(path, mapping)
+        mapping = _json_file(mapping_path, "column-mapping ")
+        if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
+            raise RegistryError(["column-mapping file must be a JSON object of strings"])
+        raw = list(_rows_from_csv(path, mapping, violations))
     else:
         raise ValueError(f"unknown registry format: {format}")
 
-    records, violations = validate_raw_records(raw)
-    if violations:
-        raise RegistryError(violations)
+    records, more = validate_raw_records(raw)
+    if violations or more:
+        raise RegistryError(violations + more)
     return Registry(records)
 
 
-def _rows_from_csv(path, mapping: dict[str, str]) -> list[dict]:
-    rows = []
+def _json_file(path, what: str):
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise RegistryError([f"{what}parse failure: {e}"]) from e
+
+
+def _csv_rows(reader: csv.DictReader, what: str, violations: list[str]):
+    """Yield ``(where, row)`` for each row with as many cells as the header."""
+    for i, row in enumerate(reader):
+        where = f"{what} row {i}"
+        if None in row.values():  # DictReader fills a short row with None
+            violations.append(f"{where}: fewer cells than the header")
+        elif None in row:  # and files a long row's extra cells under None
+            violations.append(f"{where}: more cells than the header")
+        else:
+            yield where, row
+
+
+def _rows_from_csv(path, mapping: dict[str, str], violations: list[str]):
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            obj: dict = {"arch": {}, "data": {}, "gen": {}}
+        for _, row in _csv_rows(csv.DictReader(f), "registry", violations):
+            obj: dict = {section: {} for section in SCHEMA}
             for external, canonical in mapping.items():
                 cell = row.get(external, "")
-                if cell is None or cell == "":
+                if cell == "":
                     continue
                 if canonical in ("model_id", "organization", "provenance"):
                     obj[canonical] = cell
                     continue
-                if canonical in ARCH_CATEGORICAL:
-                    obj["arch"][canonical] = cell
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = cell  # validation reports the type problem
                 # an undocumented name lands in gen, where validation reports it
-                obj[FEATURE_SECTIONS.get(canonical, "gen")][canonical] = value
-            rows.append(obj)
-    return rows
+                section = FEATURE_SECTIONS.get(canonical, "gen")
+                if SCHEMA[section].get(canonical) != "level":
+                    try:
+                        cell = float(cell)
+                    except ValueError:
+                        pass  # validation reports the type problem
+                obj[section][canonical] = cell
+            yield obj
 
 
 def record_to_dict(rec: ModelRecord) -> dict:
-    arch = {k: v for k, v in vars(rec.arch).items() if v is not None}
-    data = {k: v for k, v in vars(rec.data).items() if v is not None}
     return {
         "model_id": rec.model_id,
         "organization": rec.organization,
-        "arch": arch,
-        "data": data,
+        **{s: {k: v for k, v in vars(getattr(rec, s)).items() if v is not None}
+           for s in _SECTION_CLASSES},
         "gen": dict(sorted(rec.gen.items())),
         "provenance": rec.provenance,
     }
@@ -447,14 +433,7 @@ def load_scores(path) -> tuple[list[ScoreRecord], dict[str, TaskSpec]]:
         required = {"model_id", "task_id", "shots", "metric_kind", "value"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise RegistryError([f"scores file must have header {sorted(required)}"])
-        for i, row in enumerate(reader):
-            where = f"scores row {i}"
-            if None in row.values():  # DictReader fills a short row with None
-                violations.append(f"{where}: fewer cells than the header")
-                continue
-            if None in row:  # and files a long row's extra cells under None
-                violations.append(f"{where}: more cells than the header")
-                continue
+        for where, row in _csv_rows(reader, "scores", violations):
             kind = row["metric_kind"]
             if kind not in METRIC_KINDS:
                 violations.append(f"{where}: unknown metric kind {kind!r}")
@@ -543,9 +522,10 @@ def encode_features(dataset: Dataset, feature_names: list[str]) -> FeatureMatrix
     columns: list[Column] = []
     cells: list[list] = []  # one list of n values per column
     for name in feature_names:
-        group = feature_group(name)
+        section = _section(name)
+        group = _SECTION_GROUPS[section]
         raw = [feature_value(rec, name) for rec in dataset.records]
-        if name in ENUM_VOCAB:
+        if SCHEMA[section][name] == "level":
             for level in ENUM_VOCAB[name]:
                 columns.append(Column(f"{name}={level}", group, f"onehot({level})"))
                 cells.append([np.nan if v is None else float(v == level) for v in raw])

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -405,6 +406,27 @@ def test_csv_exports_hold_plain_numbers(synth_files, tmp_path):
     for row in heatmap_rows:  # kind, N, D, value
         for cell in row.split(",")[1:]:
             float(cell)
+
+def test_csv_exports_keep_an_id_with_a_comma_and_quotes_whole(synth_files, tmp_path):
+    reg, scores = synth_files
+    records = json.loads(open(reg).read())
+    old_id, new_id = records[0]["model_id"], 'synth, "000"'
+    records[0]["model_id"] = new_id
+    (tmp_path / "registry.json").write_text(json.dumps(records))
+    with open(scores, newline="") as f:
+        rows = [[new_id if cell == old_id else cell for cell in row] for row in csv.reader(f)]
+    with open(tmp_path / "scores.csv", "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    common = ["--registry", str(tmp_path / "registry.json"), "--scores", str(tmp_path / "scores.csv"),
+              "--task", "taskA", "--out", str(tmp_path)]
+    assert main(["encode", *common, "--features", "total_params,activation"]) == 0
+    assert main(["shap", *common, "--features", "total_params,total_tokens_billions"]) == 0
+    for name, width in (("features-taskA.csv", 6), ("shap-taskA.csv", 4)):
+        with open(tmp_path / name, newline="") as f:
+            rows = list(csv.reader(f))
+        assert {len(row) for row in rows} == {width}, name
+        assert new_id in {row[0] for row in rows[1:]}, name
+
 
 def test_bias_audit_runs(synth_files, tmp_path):
     reg, scores = synth_files

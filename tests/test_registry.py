@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from perfpred.registry import (
     DATA_NUMERIC,
     ENUM_VOCAB,
     GEN_FEATURES,
+    ArchFeatures,
+    DataFeatures,
     Registry,
     RegistryError,
     ScoreRecord,
@@ -112,6 +115,33 @@ def test_nonfinite_numbers_rejected():
     assert any("finite" in v for v in violations)
 
 
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), 10 ** 400, -(10 ** 400)],
+                         ids=["inf", "-inf", "10**400", "-10**400"])
+def test_a_number_beyond_the_float_range_is_not_finite(value):
+    assert validate_raw_records([raw_record("a", gen={"entropy_mean": value})]) == (
+        [], [f"a: entropy_mean must be a finite number, got {value!r}"])
+
+
+def test_a_records_violations_come_in_file_order_then_required_then_domain_sum():
+    raw = {"model_id": "a",
+           "arch": {"num_heads": -1, "bogus": 1, "activation": "tanh", "pct_web": 5.0},
+           "data": {"pct_web": 90.0, "pct_code": "x", "pct_books": 20.0},
+           "gen": {"numbers_ratio": -2, "made_up": 1.0, "domain_web_pct_mean": 101}}
+    assert validate_raw_records([raw])[1] == [
+        "a: num_heads must be > 0, got -1",
+        "a: unknown arch field 'bogus'",
+        "a: unknown level 'tanh' for activation",
+        "a: unknown arch field 'pct_web'",
+        "a: pct_code must be a finite number, got 'x'",
+        "a: numbers_ratio must be >= 0, got -2.0",
+        "a: unknown gen feature 'made_up'",
+        "a: domain_web_pct_mean must be in [0, 100], got 101",
+        "a: total_params is required",
+        "a: total_tokens_billions is required",
+        "a: domain percentages sum to 110.00 > 100",
+    ]
+
+
 @pytest.mark.parametrize("raw, violation", [
     ([1, 2], "record 0: must be a JSON object, got [1, 2]"),
     (raw_record("a", arch=[1]), "a: arch must be a JSON object, got [1]"),
@@ -136,6 +166,37 @@ def test_csv_with_mapping(tmp_path):
     assert len(registry) == 2
     assert registry.get("m2").arch.activation == "swiglu"
     assert registry.get("m1").data.total_tokens_billions == 300.0
+
+
+def _write_mapped_csv(tmp_path, rows, mapping_text=None):
+    csv_path = tmp_path / "models.csv"
+    csv_path.write_text("id,params,tokens_b,act\n" + "".join(row + "\n" for row in rows))
+    map_path = tmp_path / "mapping.json"
+    map_path.write_text(mapping_text or json.dumps({
+        "id": "model_id", "params": "total_params",
+        "tokens_b": "total_tokens_billions", "act": "activation"}))
+    return csv_path, map_path
+
+
+@pytest.mark.parametrize("row, violation", [
+    ("m1,1000000000,300,gelu,EXTRA", "registry row 0: more cells than the header"),
+    ("m1,1000000000", "registry row 0: fewer cells than the header"),
+])
+def test_a_registry_csv_row_with_the_wrong_cell_count_is_a_violation(tmp_path, row, violation):
+    paths = _write_mapped_csv(tmp_path, [row, "m2,-5,700,swiglu", "m3,5000000000,700,gelu"])
+    with pytest.raises(RegistryError) as err:
+        load_registry(paths[0], format="csv_with_mapping", mapping_path=paths[1])
+    assert err.value.violations == [violation, "m2: total_params must be > 0, got -5.0"]
+
+
+@pytest.mark.parametrize("mapping_text", [
+    '["id", "model_id"]', '{"id": "model_id", "params": 5}', '"id"', "{not json"])
+def test_a_column_mapping_that_is_not_an_object_of_strings_is_one_violation(tmp_path,
+                                                                           mapping_text):
+    paths = _write_mapped_csv(tmp_path, ["m1,1000000000,300,gelu"], mapping_text)
+    with pytest.raises(RegistryError) as err:
+        load_registry(paths[0], format="csv_with_mapping", mapping_path=paths[1])
+    assert len(err.value.violations) == 1
 
 
 def test_scores_load_and_range_check(tmp_path):
@@ -274,6 +335,54 @@ def test_encode_all_features_column_count():
     assert groups["activation=gelu"] == "A"
     assert groups["pct_web"] == "D"
     assert groups["entropy_mean"] == "F"
+
+
+# the canonical feature order, written out: it fixes the encoded column order
+# and with it every golden digest
+CANONICAL_NAMES = """
+    total_params dimension num_heads mlp_ratio sequence_length batch_instances
+    positional_embeddings layer_norm attention_variant biases block_type activation
+    total_tokens_billions pct_web pct_code pct_books pct_reference pct_academic pct_english
+    char_len_mean char_len_std tokens_generated_mean tokens_generated_std
+    sentences_mean sentences_std words_mean words_std
+    words_per_sentence_mean words_per_sentence_std
+    const_parse_deepest_depth_mean const_parse_depth_mean
+    const_parse_word_depth_mean const_parse_word_depth_std_mean
+    dep_parse_dep_head_dist_p90_mean dep_parse_dep_head_dist_max_mean
+    dep_parse_dep_head_dist_median_mean dep_parse_dep_root_dist_max_mean
+    dep_parse_dep_root_dist_mean_mean dep_parse_dep_root_dist_mean_std
+    dep_parse_dep_root_dist_median_mean dep_parse_dep_root_dist_median_std
+    domain_academic_pct_mean domain_books_pct_mean domain_code_pct_mean
+    domain_reference_pct_mean domain_specialized_pct_mean domain_web_pct_mean
+    edu_classifier_mean edu_classifier_std pct_english_mean entropy_mean ttr_mean
+    unique_tokens_mean content_function_ratio question_words_ratio
+    imperative_verbs_ratio conjunctions_ratio instruction_words_ratio numbers_ratio
+""".split()
+ONE_HOT_COLUMNS = """
+    positional_embeddings=nonparametric positional_embeddings=learned
+    positional_embeddings=rope positional_embeddings=alibi
+    layer_norm=nonparametric layer_norm=parametric layer_norm=rmsnorm
+    attention_variant=full attention_variant=local attention_variant=local_full
+    attention_variant=mqa attention_variant=gqa
+    biases=none biases=attn_only biases=ln_only
+    block_type=sequential block_type=parallel
+    activation=relu activation=gelu activation=silu activation=swiglu
+""".split()
+
+
+def test_the_canonical_feature_and_column_order_is_pinned():
+    assert len(CANONICAL_NAMES) == 59 and all_feature_names() == CANONICAL_NAMES
+    columns = CANONICAL_NAMES[:6] + ONE_HOT_COLUMNS + CANONICAL_NAMES[12:]
+    assert len(columns) == 74
+    assert list(encode_features(small_dataset(3), all_feature_names()).column_names) == columns
+
+
+def test_every_record_field_and_gen_feature_has_a_value_kind():
+    kinds = {"positive", "level", "percent", "per100k", "real"}
+    for cls in (ArchFeatures, DataFeatures):
+        assert all(f.metadata.get("kind") in kinds for f in fields(cls)), cls
+    assert set(GEN_FEATURES.values()) <= kinds
+    assert [f.name for f in fields(ArchFeatures) if f.metadata["kind"] == "level"] == list(ENUM_VOCAB)
 
 
 def test_every_feature_name_lands_in_its_declared_section(tmp_path):
