@@ -57,9 +57,13 @@ def _json_text(obj) -> str:
 
 
 def _csv_text(rows) -> str:
-    """``rows`` as CSV, quoting only a cell that holds a comma, quote or line break."""
+    """``rows`` as CSV: text as it is, a number as its float repr and a missing
+    value (None or NaN) as an empty cell, quoting only a cell that holds a
+    comma, quote or line break."""
     text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(rows)
+    csv.writer(text, lineterminator="\n").writerows(
+        ["" if v is None or v != v else v if isinstance(v, str) else repr(float(v)) for v in row]
+        for row in rows)
     return text.getvalue()
 
 
@@ -107,10 +111,28 @@ def _feature_names(text, default=None):
     return names
 
 
-def _reject(args, flag: str, applies_to: str) -> None:
-    """``--<flag>`` is a violation where the chosen ``--kind`` does not read it."""
-    if getattr(args, flag) is not None:
-        raise RegistryError([f"--{flag} only applies to {applies_to}, not --kind {args.kind}"])
+# each command's kind-specific flags: the kinds that read it, and its default
+KIND_FLAGS = {
+    "cv": {"features": (("gbt",), None)},
+    "plot-data": {
+        "features": (("shap_beeswarm", "shap_dependence"), None),
+        "feature": (("shap_dependence",), None),
+        "seed": (("shap_beeswarm", "shap_dependence"), 0),
+        "grid": (("scaling_heatmap",), 50),
+    },
+}
+
+
+def _kind_flags(args) -> None:
+    """Refuse each kind-specific flag ``--kind`` does not read; default the others."""
+    flags = KIND_FLAGS[args.command].items()
+    if refused := [f"--{flag} only applies to --kind {' or '.join(kinds)}, not --kind {args.kind}"
+                   for flag, (kinds, _) in flags if args.kind not in kinds
+                   and getattr(args, flag) is not None]:
+        raise RegistryError(refused)
+    for flag, (kinds, default) in flags:
+        if args.kind in kinds and getattr(args, flag) is None:
+            setattr(args, flag, default)
 
 
 def _cv_cached(args, dataset, features, kind, grid, plan):
@@ -182,9 +204,7 @@ def cmd_encode(args) -> int:
     dataset = _task_dataset(args)
     X = encode_features(dataset, _feature_names(args.features))
     rows = [["model_id", *(f"{c.name}[{c.source_group}]" for c in X.columns)]]
-    missing = X.missing_mask
-    for i, mid in enumerate(X.model_ids):
-        rows.append([mid, *("" if m else repr(float(v)) for v, m in zip(X.values[i], missing[i]))])
+    rows += [[mid, *X.values[i]] for i, mid in enumerate(X.model_ids)]
     _atomic_write(os.path.join(args.out, f"features-{args.task}.csv"), _csv_text(rows))
     print(f"wrote {len(X.model_ids)} rows x {len(X.columns)} columns")
     return 0
@@ -209,13 +229,11 @@ def cmd_fit_scaling(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    _kind_flags(args)
     dataset = _task_dataset(args)
+    features, grid = [], None  # baseline predictors read no feature matrix
     if args.kind == "gbt":
         features, grid = _feature_names(args.features), paper_grid()
-    else:
-        # baseline predictors read no feature matrix; record that honestly
-        _reject(args, "features", "--kind gbt")
-        features, grid = [], None
     result = _cv_cached(args, dataset, features, args.kind, grid, CVPlan(seed=args.seed))
     path = os.path.join(args.out, f"cv-{args.task}-{args.kind}-{args.seed}.json")
     _atomic_write(path, _json_text(result))
@@ -263,16 +281,12 @@ def cmd_shap(args) -> int:
     X, ensemble = _encode_and_fit(args, _task_dataset(args))
     sm = shapley.shap_matrix(ensemble, X)
     rows = [["model_id", "feature", "feature_value", "phi"]]
-    missing = X.missing_mask
-    for i, mid in enumerate(sm.model_ids):
-        for j, name in enumerate(sm.feature_names):
-            value = "" if missing[i, j] else repr(float(X.values[i, j]))
-            rows.append([mid, name, value, repr(float(sm.values[i, j]))])
+    rows += [[mid, name, X.values[i, j], sm.values[i, j]]
+             for i, mid in enumerate(sm.model_ids) for j, name in enumerate(sm.feature_names)]
     _atomic_write(os.path.join(args.out, f"shap-{args.task}.csv"), _csv_text(rows))
     ranking = shapley._summary(sm, X, aggregate_categoricals=True)
-    rlines = ["feature,mean_abs_phi"] + [f"{e.feature},{e.mean_abs_phi!r}" for e in ranking]
-    _atomic_write(os.path.join(args.out, f"shap-ranking-{args.task}.csv"),
-                  "\n".join(rlines) + "\n")
+    rows = [["feature", "mean_abs_phi"], *([e.feature, e.mean_abs_phi] for e in ranking)]
+    _atomic_write(os.path.join(args.out, f"shap-ranking-{args.task}.csv"), _csv_text(rows))
     print(f"{args.task}: top features " + ", ".join(e.feature for e in ranking[:3]))
     return 0
 
@@ -361,56 +375,36 @@ def cmd_report(args) -> int:
     return 0
 
 
-# each kind-specific plot-data flag: the kinds that read it, and its default
-PLOT_DATA_FLAGS = {
-    "features": (("shap_beeswarm", "shap_dependence"), None),
-    "feature": (("shap_dependence",), None),
-    "seed": (("shap_beeswarm", "shap_dependence"), 0),
-    "grid": (("scaling_heatmap",), 50),
-}
-
-
 def cmd_plot_data(args) -> int:
-    for flag, (kinds, default) in PLOT_DATA_FLAGS.items():
-        if args.kind not in kinds:
-            _reject(args, flag, "--kind " + " or ".join(kinds))
-        elif getattr(args, flag) is None:
-            setattr(args, flag, default)
+    _kind_flags(args)
     dataset = _task_dataset(args)
     if args.kind == "scaling_heatmap":
         points = scale_points(dataset)
-        params, _ = baselines.fit_power_law(points, dataset.task.polarity)
+        polarity = dataset.task.polarity
+        params, _ = baselines.fit_power_law(points, polarity)
         ns = np.logspace(np.log10(min(p.N for p in points)),
                          np.log10(max(p.N for p in points)), args.grid)
         ds = np.logspace(np.log10(min(p.D for p in points)),
                          np.log10(max(p.D for p in points)), args.grid)
-        lines = ["kind,N,D,value"]
-        for n in ns:
-            for d in ds:
-                s = baselines.predict_power_law_score(params, n, d, dataset.task.polarity)
-                lines.append(f"grid,{float(n)!r},{float(d)!r},{s!r}")
-        for p in points:
-            lines.append(f"model,{p.N!r},{p.D!r},{p.target!r}")
-        _atomic_write(os.path.join(args.out, f"heatmap-{args.task}.csv"),
-                      "\n".join(lines) + "\n")
+        rows = [["kind", "N", "D", "value"]]
+        rows += [["grid", n, d, baselines.predict_power_law_score(params, n, d, polarity)]
+                 for n in ns for d in ds]
+        rows += [["model", p.N, p.D, p.target] for p in points]
+        _atomic_write(os.path.join(args.out, f"heatmap-{args.task}.csv"), _csv_text(rows))
     elif args.kind == "shap_beeswarm":
         X, ensemble = _encode_and_fit(args, dataset)
         entries = shapley.shap_summary(ensemble, X, aggregate_categoricals=True)
-        lines = ["feature,mean_abs_phi,feature_value,phi"]
-        for e in entries:
-            for value, phi in e.points:
-                lines.append(f"{e.feature},{e.mean_abs_phi!r},{value},{phi!r}")
-        _atomic_write(os.path.join(args.out, f"beeswarm-{args.task}.csv"),
-                      "\n".join(lines) + "\n")
+        rows = [["feature", "mean_abs_phi", "feature_value", "phi"]]
+        rows += [[e.feature, e.mean_abs_phi, v, phi] for e in entries for v, phi in e.points]
+        _atomic_write(os.path.join(args.out, f"beeswarm-{args.task}.csv"), _csv_text(rows))
     elif args.kind == "shap_dependence":
         if not args.feature:
             raise RegistryError(["shap_dependence requires --feature"])
         X, ensemble = _encode_and_fit(args, dataset)
         points, n_missing = shapley.shap_dependence(ensemble, X, args.feature)
-        lines = [f"# missing_rows={n_missing}", "feature_value,phi"]
-        lines += [f"{v!r},{phi!r}" for v, phi in points]
+        rows = [[f"# missing_rows={n_missing}"], ["feature_value", "phi"], *points]
         _atomic_write(os.path.join(args.out, f"dependence-{args.task}-{args.feature}.csv"),
-                      "\n".join(lines) + "\n")
+                      _csv_text(rows))
     print(f"wrote {args.kind} data for {args.task}")
     return 0
 
@@ -466,8 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--features")
 
-    # no defaults: cmd_plot_data refuses a flag its --kind does not read, and
-    # gives the others their defaults (PLOT_DATA_FLAGS)
+    # no defaults here: _kind_flags gives each flag the --kind reads its default
     p = command("plot-data", "CSV data for heatmap/beeswarm/dependence plots", cmd_plot_data)
     p.add_argument("--seed", type=int)
     p.add_argument("--kind", required=True,

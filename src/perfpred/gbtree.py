@@ -10,40 +10,35 @@ node table, laid out as scikit-learn's ``Tree.nodes``, each tree numbered
 breadth first so a child comes after its parent; ``goes_left`` is the one
 split rule, with which fitting, prediction and TreeSHAP route rows.
 
-Split search follows the presorted column blocks of XGBoost's exact greedy
-algorithm (Chen & Guestrin 2016, arXiv:1603.02754, sections 3.1 and 4.1).
-After the rows are put in canonical order, each column is sorted once per
-batch: present values ascending, ties in row order, missing rows last. A
-node filters that (features, rows) order matrix by membership, which keeps
-every column's order equal to a stable per-node sort, and then scores
-every column that can split it, and both missing-value routings where it
-has missing rows, in one cumulative-sum pass.
+Split search is XGBoost's exact greedy algorithm (Chen & Guestrin 2016,
+arXiv:1603.02754, section 3.1). After the rows are put in canonical order,
+a node sorts its own rows once per column: present values ascending, ties
+in row order, missing rows last. It then scores every column that can
+split it, and both missing-value routings where it has missing rows, in
+one cumulative-sum pass.
 Every SSE is bit-identical to scoring one column at a time: cumsum adds
 sequentially in any shape, but np.sum sums 8 or more terms in blocks, so
 the sums over a node's missing rows are taken per missing count on
 unpadded blocks, exactly as a 1-D np.sum would take them.
 
-Most of a node's search does not depend on the residuals: which rows it
-gathers from each column's order, how many of them are missing, the row
-counts on each side of every threshold and which thresholds are
-inadmissible. That part is a node plan. XGBoost builds its sorted column
-blocks once before training and reuses them in every round (section 4.1),
-and ``fit_gbt_batch`` goes one step further: independent fits on the same
-rows (a grid search's configs on one training split) share one presort and
-one plan store, and boost in lockstep. Each round grows every fit's tree
-one level at a time, the depth-wise growth of Mitchell & Frank 2017 (PeerJ
-CS 3:e127). The frontier nodes of all fits are grouped by membership and
-leaf size; a group takes its node means and SSEs in one pass and calls
-``best_split`` once over all of its residual vectors, so a plan is built
-once per batch. Plans are kept across rounds, keyed by the node's rows
-(always ascending, so the key is canonical), up to ``PLAN_BUDGET`` array
-bytes per batch; a node that misses the store computes its plan again, and
-the result is bit-identical either way. A split's child rows are routed
-once per group and not stored: routing costs microseconds. Node sums run
-over C-ordered rows, never zero-padded, so each equals the 1-D np.sum of
-one fit alone, and each fit keeps its own depth limit, gain floor and
-tie-breaks: every ensemble of a batch is the one its config gives alone,
-bit for bit. ``fit_gbt`` is a batch of one.
+Most of a node's search does not depend on the residuals: the sort, how
+many rows of each column are missing, the row counts on each side of every
+threshold and which thresholds are inadmissible. That part is a node plan.
+Independent fits on the same rows (a grid search's configs on one training
+split) share one plan store in ``fit_gbt_batch`` and boost in lockstep.
+Each round grows every fit's tree one level at a time, the depth-wise
+growth of Mitchell & Frank 2017 (PeerJ CS 3:e127). The frontier nodes of
+all fits are grouped by membership and leaf size; a group takes its node
+means and SSEs in one pass and searches all of its residual vectors with
+one plan, so a plan is built once per batch. Plans are kept across rounds,
+keyed by the node's rows (always ascending, so the key is canonical), up
+to ``PLAN_BUDGET`` array bytes per batch; a node that misses the store
+builds its plan again, and the result is bit-identical either way. A
+split's child rows are routed once per group and not stored: routing costs
+microseconds. Node sums run over C-ordered rows, never zero-padded, so
+each equals the 1-D np.sum of one fit alone, and each fit keeps its own
+depth limit, gain floor and tie-breaks: every ensemble of a batch is the
+one its config gives alone, bit for bit. ``fit_gbt`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -188,13 +183,14 @@ PLAN_BUDGET = 256 * 1024  # array bytes of node plans (and their keys) kept per 
 
 
 class _NodePlan:
-    """The part of one node's split search that does not depend on the
-    residuals. Its rows are the node's columns that have an admissible
+    """One node's split search, with what does not depend on the residuals
+    built once. Its rows are the node's columns that have an admissible
     threshold (a column without one can never split the node), ordered by
     missing count, so the missing rows of each count form one slice.
 
-    ``gather`` holds the node's rows in each kept column's presorted order,
-    or is None when no split is admissible. ``features`` lists the kept
+    ``gather`` holds the node's rows in each kept column's sorted order
+    (present values ascending, ties in row order, missing rows last), or is
+    None when no split is admissible. ``features`` lists the kept
     columns, ascending, and ``columns`` the row of each. ``counts`` and ``bad`` are
     indexed by (side, routing): routing 0 sends the missing rows left,
     routing 1 right. Without missing rows both routings score alike, so the
@@ -203,13 +199,12 @@ class _NodePlan:
 
     __slots__ = ("gather", "features", "columns", "tails", "totals", "counts", "bad")
 
-    def __init__(self, presorted: "_Presorted", idx: np.ndarray, min_leaf: int):
+    def __init__(self, X: np.ndarray, idx: np.ndarray, min_leaf: int):
         k = len(idx)
-        inside = np.zeros(presorted.order.shape[1], dtype=bool)
-        inside[idx] = True
-        sel = inside[presorted.order]
-        gather = presorted.order[sel].reshape(-1, k)
-        V = presorted.values[sel].reshape(-1, k)  # each row: present ascending, then NaN
+        block = X.T[:, idx]  # idx ascends, so a stable sort keeps ties in row order
+        order = np.argsort(block, axis=1, kind="stable")  # NaN last
+        gather = idx[order]
+        V = np.take_along_axis(block, order, axis=1)  # each row: present ascending, then NaN
         n_miss = np.isnan(V).sum(axis=1)
         n_present = k - n_miss
 
@@ -253,23 +248,10 @@ class _NodePlan:
             return 0
         return sum(a.nbytes for a in (self.gather, self.columns, self.totals, self.counts, self.bad))
 
-
-class _Presorted:
-    """Each column's row order, sorted once per batch: present values
-    ascending (ties in row order), then the missing rows in row order. Node
-    plans are kept per batch, keyed by node membership, up to
-    ``PLAN_BUDGET`` bytes."""
-
-    def __init__(self, X: np.ndarray):
-        self.X = X
-        self.order = np.argsort(X.T, axis=1, kind="stable")  # (p, n), NaN last
-        self.values = np.take_along_axis(X.T, self.order, axis=1)
-        self.plans: dict = {}
-        self.cached_bytes = 0
-
-    def best_split(self, R, idx, min_leaf):
+    def best_split(self, R, X):
         """Exact greedy search over all midpoints of present values, for
-        each residual vector (row) of ``R``.
+        each residual vector (row) of ``R``; thresholds are read from ``X``,
+        the batch's canonical rows.
 
         Missing rows are tried on both sides and kept on the lower-SSE side.
         Ties break deterministically: lowest feature index, lowest threshold,
@@ -277,36 +259,26 @@ class _Presorted:
         default_left) or None per row of ``R``. Call under
         ``np.errstate(divide="ignore", invalid="ignore")``: positions past a
         column's present rows divide by zero before they are masked out.
-        Everything that does not depend on ``R`` comes from the node's plan,
-        built once for all rows of ``R`` and kept when it fits.
         """
-        key = (idx.tobytes(), min_leaf)
-        plan = self.plans.get(key)
-        if plan is None:
-            plan = _NodePlan(self, idx, min_leaf)
-            nbytes = plan.nbytes() + len(key[0])
-            if self.cached_bytes + nbytes <= PLAN_BUDGET:
-                self.plans[key] = plan
-                self.cached_bytes += nbytes
         batch = len(R)
-        if plan.gather is None:
+        if self.gather is None:
             return [None] * batch
-        p, k = plan.gather.shape
+        p, k = self.gather.shape
         stack = np.empty((2, batch, p, k))  # residuals, their squares
-        R.take(plan.gather, axis=1, out=stack[0])
+        R.take(self.gather, axis=1, out=stack[0])
         np.multiply(stack[0], stack[0], out=stack[1])
         # sums over the missing rows must equal 1-D np.sum bit for bit, whose
         # summation order depends on the term count: each missing count's
         # block is summed on its own, never zero-padded (0.0 where none)
         missing = np.zeros((2, batch, p))
-        for a, b, start in plan.tails:
+        for a, b, start in self.tails:
             np.add.reduce(stack[..., a:b, start:], axis=3, out=missing[..., a:b])
         cum = stack.cumsum(axis=3)
         left = cum[..., :-1]
-        total = cum.reshape(2, batch, p * k).take(plan.totals, axis=2)[..., None]
+        total = cum.reshape(2, batch, p * k).take(self.totals, axis=2)[..., None]
         # (statistic, side * routings + routing, fit, row, threshold), filled
         # in place because large temporaries cost page faults
-        routings = plan.bad.shape[0]
+        routings = self.bad.shape[0]
         sides = np.empty((2, 2 * routings, batch, p, k - 1))
         np.add(left, missing[..., None], out=sides[:, 0])
         np.subtract(total, left, out=sides[:, routings])
@@ -315,31 +287,52 @@ class _Presorted:
             np.add(sides[:, 2], missing[..., None], out=sides[:, 3])
         S, Q = sides.reshape(2, 2, routings, batch, p, k - 1)
         S *= S
-        S /= plan.counts
+        S /= self.counts
         np.subtract(Q, S, out=S)
         sse = np.add(S[0], S[1], out=S[0])  # (routing, fit, row, threshold)
-        np.copyto(sse, np.inf, where=plan.bad)
+        np.copyto(sse, np.inf, where=self.bad)
         t = sse.argmin(axis=3)  # first occurrence: lowest threshold
         v = sse.min(axis=3)
         # ties between routings: lower threshold wins, then left; a column
         # without missing rows scores the same on both, so it stays left
         right = (v[-1] < v[0]) | ((v[-1] == v[0]) & (t[-1] < t[0]))
-        value = np.where(right, v[-1], v[0])[:, plan.columns]  # (fit, kept feature)
+        value = np.where(right, v[-1], v[0])[:, self.columns]  # (fit, kept feature)
         value[~np.isfinite(value)] = np.inf
         found = []
         for f, c in enumerate(value.argmin(axis=1).tolist()):  # lowest feature index
             if value[f, c] == np.inf:
                 found.append(None)
                 continue
-            j, row = plan.features[c], plan.columns[c]
+            j, row = self.features[c], self.columns[c]
             i = int(t[int(right[f, row]), f, row])
-            below, above = self.X[plan.gather[row, i:i + 2], j]  # both present
+            below, above = X[self.gather[row, i:i + 2], j]  # both present
             found.append((float(value[f, c]), j, float(0.5 * (below + above)),
                           not bool(right[f, row])))
         return found
 
 
-def _grow(presorted, R, configs, root, nodes) -> np.ndarray:
+class _PlanStore:
+    """The node plans of one batch over its canonical rows ``X``, keyed by
+    (node rows, leaf size): first come, first kept, up to ``PLAN_BUDGET`` bytes."""
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        self.plans: dict = {}
+        self.cached_bytes = 0
+
+    def plan(self, idx: np.ndarray, min_leaf: int) -> _NodePlan:
+        key = (idx.tobytes(), min_leaf)
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = _NodePlan(self.X, idx, min_leaf)
+            nbytes = plan.nbytes() + len(key[0])
+            if self.cached_bytes + nbytes <= PLAN_BUDGET:
+                self.plans[key] = plan
+                self.cached_bytes += nbytes
+        return plan
+
+
+def _grow(store, R, configs, root, nodes) -> np.ndarray:
     """One tree per residual vector (row) of ``R``, each limited by its own
     config, grown together one level at a time from the rows ``root``. Fit
     ``f``'s tree grows, breadth first, from the last of its node rows
@@ -371,8 +364,8 @@ def _grow(presorted, R, configs, root, nodes) -> np.ndarray:
                 if len(grow) < len(entries):
                     rows, node_r, mean = rows[grow], node_r[grow], mean[grow]
                 node_sse = np.add.reduce((node_r - mean) ** 2, 1).tolist()
-                for m, sse, split in zip(grow, node_sse,
-                                         presorted.best_split(rows, idx, min_leaf)):
+                found = store.plan(idx, min_leaf).best_split(rows, store.X)
+                for m, sse, split in zip(grow, node_sse, found):
                     if split is not None and not (sse - split[0] <= MIN_GAIN):
                         splits[m] = split[1:]
             routed: dict = {}
@@ -383,7 +376,7 @@ def _grow(presorted, R, configs, root, nodes) -> np.ndarray:
                     train_pred[f][idx] = mean
                     continue
                 if split not in routed:
-                    left = goes_left(presorted.X[idx, split[0]], split[1], split[2])
+                    left = goes_left(store.X[idx, split[0]], split[1], split[2])
                     routed[split] = idx[left], idx[~left]
                 nodes[f][i][:3] = split
                 children[e] = routed[split]
@@ -403,8 +396,8 @@ def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
                   column_names: tuple[str, ...] | None = None) -> list[TreeEnsemble]:
     """One boosted ensemble per config, all fitted on the same rows.
 
-    The fits share one presort and one node-plan store and boost in
-    lockstep, round by round; a fit retires after its own ``n_trees``.
+    The fits share one node-plan store and boost in lockstep, round by
+    round; a fit retires after its own ``n_trees``.
     Each ensemble is bit-identical to fitting its config alone.
     """
     X = fold_mask(X, mask)
@@ -425,7 +418,7 @@ def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
     # canonicalize row order so fitting is exactly invariant to joint row
     # permutations (floating-point sums depend on summation order; sorting
     # rows lexicographically makes that order a function of the data alone;
-    # lexsort puts NaN last, as the presort does)
+    # lexsort puts NaN last, as each node plan's sort does)
     order = np.lexsort([y, *X.T[::-1]])
     X, y = X[order], y[order]
 
@@ -435,14 +428,14 @@ def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
     rates = np.array([[c.learning_rate] for c in configs])
     pred = np.full((len(configs), len(y)), base_score)
     root = np.arange(len(y))
-    presorted = _Presorted(X)
+    store = _PlanStore(X)
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(max((c.n_trees for c in configs), default=0)):
             live = [f for f, c in enumerate(configs) if c.n_trees > t]
             for f in live:
                 roots[f].append(len(nodes[f]))
                 nodes[f].append(_node(len(y)))
-            train_pred = _grow(presorted, y - pred[live], [configs[f] for f in live], root,
+            train_pred = _grow(store, y - pred[live], [configs[f] for f in live], root,
                                [nodes[f] for f in live])
             pred[live] += rates[live] * train_pred
     return [TreeEnsemble.from_nodes(base_score, c.learning_rate, column_names, n, r)

@@ -10,13 +10,15 @@ The schema is stated once: in the fields of ``ArchFeatures`` and
 ``DataFeatures`` (a value kind each; a required one has no default) and in
 ``GEN_FEATURES``, which ``SCHEMA`` gathers. A value kind is "positive" (> 0),
 "level" (in ``ENUM_VOCAB``), "percent" (in [0, 100]), "per100k" (>= 0) or
-"real"; every number is finite. A record's violations come in file order
-within each section, then the missing required fields, then the domain sum.
+"real"; every number is finite. A record's violations come in a fixed
+order: a non-string organization or provenance, then file order within
+each section, then the missing required fields, then the domain sum.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
@@ -292,6 +294,9 @@ def validate_record_dict(obj: dict, where: str, violations: list[str]) -> ModelR
         return None
     where = model_id
     n_before = len(violations)
+    text = {n: "" if obj.get(n) is None else obj[n] for n in ("organization", "provenance")}
+    violations += [f"{where}: {name} must be a string, got {value!r}"
+                   for name, value in text.items() if not isinstance(value, str)]
     sections = {name: obj.get(name) or {} for name in SCHEMA}
     violations += [f"{where}: {name} must be a JSON object, got {raw!r}"
                    for name, raw in sections.items() if not isinstance(raw, dict)]
@@ -317,14 +322,15 @@ def validate_record_dict(obj: dict, where: str, violations: list[str]) -> ModelR
 
     if len(violations) > n_before:
         return None
-    return ModelRecord(model_id, str(obj.get("organization", "")), ArchFeatures(**held["arch"]),
-                       DataFeatures(**held["data"]), held["gen"], str(obj.get("provenance", "")))
+    return ModelRecord(model_id, text["organization"], ArchFeatures(**held["arch"]),
+                       DataFeatures(**held["data"]), held["gen"], text["provenance"])
 
 
-def validate_raw_records(raw: list[dict]) -> tuple[list[ModelRecord], list[str]]:
+def validate_raw_records(raw: list[dict] | dict[int, dict]) -> tuple[list[ModelRecord], list[str]]:
+    """The valid records and every violation; a record is labelled by its index or key."""
     violations = [] if raw else ["no records"]
     records: dict[str, ModelRecord] = {}
-    for i, obj in enumerate(raw):
+    for i, obj in raw.items() if isinstance(raw, dict) else enumerate(raw):
         rec = validate_record_dict(obj, f"record {i}", violations)
         if rec is not None and rec.model_id in records:
             violations.append(f"duplicate model_id: {rec.model_id}")
@@ -351,7 +357,7 @@ def load_registry(path, format: str = "canonical_json", mapping_path=None) -> Re
         mapping = _json_file(mapping_path, "column-mapping ")
         if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
             raise RegistryError(["column-mapping file must be a JSON object of strings"])
-        raw = list(_rows_from_csv(path, mapping, violations))
+        raw = dict(_rows_from_csv(path, mapping, violations))
     else:
         raise ValueError(f"unknown registry format: {format}")
 
@@ -361,46 +367,52 @@ def load_registry(path, format: str = "canonical_json", mapping_path=None) -> Re
     return Registry(records)
 
 
-def _json_file(path, what: str):
-    with open(path) as f:
+def _text(path, what: str) -> io.StringIO:
+    """The file at ``path`` as ``open(path, newline="")`` reads UTF-8 text, or one violation."""
+    with open(path, "rb") as f:
         try:
-            return json.load(f)
-        except json.JSONDecodeError as e:
-            raise RegistryError([f"{what}parse failure: {e}"]) from e
+            return io.StringIO(f.read().decode("utf-8"), newline="")
+        except UnicodeDecodeError as e:
+            raise RegistryError([f"{what}file is not UTF-8 text: {e}"]) from e
+
+
+def _json_file(path, what: str):
+    try:
+        return json.load(_text(path, what or "registry "))
+    except json.JSONDecodeError as e:
+        raise RegistryError([f"{what}parse failure: {e}"]) from e
 
 
 def _csv_rows(reader: csv.DictReader, what: str, violations: list[str]):
-    """Yield ``(where, row)`` for each row with as many cells as the header."""
+    """Yield ``(i, row)`` for each data row ``i`` with as many cells as the header."""
     for i, row in enumerate(reader):
-        where = f"{what} row {i}"
         if None in row.values():  # DictReader fills a short row with None
-            violations.append(f"{where}: fewer cells than the header")
+            violations.append(f"{what} row {i}: fewer cells than the header")
         elif None in row:  # and files a long row's extra cells under None
-            violations.append(f"{where}: more cells than the header")
+            violations.append(f"{what} row {i}: more cells than the header")
         else:
-            yield where, row
+            yield i, row
 
 
 def _rows_from_csv(path, mapping: dict[str, str], violations: list[str]):
-    with open(path, newline="") as f:
-        for _, row in _csv_rows(csv.DictReader(f), "registry", violations):
-            obj: dict = {section: {} for section in SCHEMA}
-            for external, canonical in mapping.items():
-                cell = row.get(external, "")
-                if cell == "":
-                    continue
-                if canonical in ("model_id", "organization", "provenance"):
-                    obj[canonical] = cell
-                    continue
-                # an undocumented name lands in gen, where validation reports it
-                section = FEATURE_SECTIONS.get(canonical, "gen")
-                if SCHEMA[section].get(canonical) != "level":
-                    try:
-                        cell = float(cell)
-                    except ValueError:
-                        pass  # validation reports the type problem
-                obj[section][canonical] = cell
-            yield obj
+    for i, row in _csv_rows(csv.DictReader(_text(path, "registry ")), "registry", violations):
+        obj: dict = {section: {} for section in SCHEMA}
+        for external, canonical in mapping.items():
+            cell = row.get(external, "")
+            if cell == "":
+                continue
+            if canonical in ("model_id", "organization", "provenance"):
+                obj[canonical] = cell
+                continue
+            # an undocumented name lands in gen, where validation reports it
+            section = FEATURE_SECTIONS.get(canonical, "gen")
+            if SCHEMA[section].get(canonical) != "level":
+                try:
+                    cell = float(cell)
+                except ValueError:
+                    pass  # validation reports the type problem
+            obj[section][canonical] = cell
+        yield i, obj
 
 
 def record_to_dict(rec: ModelRecord) -> dict:
@@ -428,36 +440,36 @@ def load_scores(path) -> tuple[list[ScoreRecord], dict[str, TaskSpec]]:
     scores: list[ScoreRecord] = []
     tasks: dict[str, TaskSpec] = {}
     violations: list[str] = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        required = {"model_id", "task_id", "shots", "metric_kind", "value"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise RegistryError([f"scores file must have header {sorted(required)}"])
-        for where, row in _csv_rows(reader, "scores", violations):
-            kind = row["metric_kind"]
-            if kind not in METRIC_KINDS:
-                violations.append(f"{where}: unknown metric kind {kind!r}")
+    reader = csv.DictReader(_text(path, "scores "))
+    required = {"model_id", "task_id", "shots", "metric_kind", "value"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise RegistryError([f"scores file must have header {sorted(required)}"])
+    for i, row in _csv_rows(reader, "scores", violations):
+        where = f"scores row {i}"
+        kind = row["metric_kind"]
+        if kind not in METRIC_KINDS:
+            violations.append(f"{where}: unknown metric kind {kind!r}")
+            continue
+        try:
+            value = float(row["value"])
+            shots = int(row["shots"])
+        except ValueError:
+            violations.append(f"{where}: non-numeric shots or value")
+            continue
+        lo, hi = score_range(kind)
+        if not (lo <= value <= hi):
+            violations.append(
+                f"{where}: {row['model_id']}/{row['task_id']} value {value} outside [{lo}, {hi}]"
+            )
+            continue
+        task_id = row["task_id"]
+        if task_id in tasks:
+            if tasks[task_id].metric_kind != kind or tasks[task_id].shots != shots:
+                violations.append(f"{where}: inconsistent metric/shots for task {task_id}")
                 continue
-            try:
-                value = float(row["value"])
-                shots = int(row["shots"])
-            except ValueError:
-                violations.append(f"{where}: non-numeric shots or value")
-                continue
-            lo, hi = score_range(kind)
-            if not (lo <= value <= hi):
-                violations.append(
-                    f"{where}: {row['model_id']}/{row['task_id']} value {value} outside [{lo}, {hi}]"
-                )
-                continue
-            task_id = row["task_id"]
-            if task_id in tasks:
-                if tasks[task_id].metric_kind != kind or tasks[task_id].shots != shots:
-                    violations.append(f"{where}: inconsistent metric/shots for task {task_id}")
-                    continue
-            else:
-                tasks[task_id] = TaskSpec.for_metric(task_id, shots, kind)
-            scores.append(ScoreRecord(row["model_id"], task_id, value))
+        else:
+            tasks[task_id] = TaskSpec.for_metric(task_id, shots, kind)
+        scores.append(ScoreRecord(row["model_id"], task_id, value))
     if violations:
         raise RegistryError(violations)
     return scores, tasks

@@ -301,6 +301,37 @@ def test_features_is_refused_where_the_kind_reads_no_features(synth_files, tmp_p
     assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
+# each command's kind-specific flags, with a value, and the kinds that read them
+KIND_FLAGS = {
+    "cv": (("median", "log_linear", "power_law", "gbt"),
+           {"--features": ("total_params", {"gbt"})}),
+    "plot-data": (("scaling_heatmap", "shap_beeswarm", "shap_dependence"),
+                  {"--features": ("total_params", {"shap_beeswarm", "shap_dependence"}),
+                   "--feature": ("pct_code", {"shap_dependence"}),
+                   "--seed": ("0", {"shap_beeswarm", "shap_dependence"}),
+                   "--grid": ("50", {"scaling_heatmap"})}),
+}
+
+
+@pytest.mark.parametrize("command, kind, flag, value, reads", [
+    pytest.param(command, kind, flag, value, kind in kinds, id=f"{command}-{kind}{flag}")
+    for command, (all_kinds, flags) in KIND_FLAGS.items() for kind in all_kinds
+    for flag, (value, kinds) in flags.items()])
+def test_a_kind_flag_is_checked_before_any_input_is_read(tmp_path, capsys, command, kind, flag,
+                                                         value, reads):
+    code = main([command, "--registry", str(tmp_path / "absent.json"), "--scores",
+                 str(tmp_path / "absent.csv"), "--task", "t", "--out", str(tmp_path / "out"),
+                 "--kind", kind, flag, value])
+    err = capsys.readouterr().err
+    if reads:  # accepted: the missing registry is then an I/O error
+        assert code == 2 and "VIOLATION" not in err
+    else:
+        assert code == 1
+        assert f"VIOLATION: {flag} only applies to --kind " in err
+        assert f", not --kind {kind}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("seeds", ["0", "-1"])
 def test_select_without_seeds_fails_and_writes_nothing(synth_files, tmp_path, capsys, seeds):
     reg, scores = synth_files
@@ -426,6 +457,37 @@ def test_csv_exports_keep_an_id_with_a_comma_and_quotes_whole(synth_files, tmp_p
             rows = list(csv.reader(f))
         assert {len(row) for row in rows} == {width}, name
         assert new_id in {row[0] for row in rows[1:]}, name
+
+
+def test_a_missing_beeswarm_value_is_an_empty_cell(tmp_path):
+    spec = GenSpec(n_models=24, task_id="taskA", missing_rate=0.3, noise_sigma=0.01)
+    registry, scores, task, _ = gen_registry(spec, seed=12)
+    write_registry(registry, tmp_path / "registry.json")
+    write_scores(scores, task, tmp_path / "scores.csv")
+    assert main(["plot-data", "--registry", str(tmp_path / "registry.json"),
+                 "--scores", str(tmp_path / "scores.csv"), "--task", "taskA",
+                 "--out", str(tmp_path), "--kind", "shap_beeswarm",
+                 "--features", "activation,pct_code"]) == 0
+    with open(tmp_path / "beeswarm-taskA.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    missing = {row["feature"] for row in rows if row["feature_value"] == ""}
+    assert missing == {"activation", "pct_code"}  # a level and a number, each missing somewhere
+    assert not {"None", "nan"} & {row["feature_value"] for row in rows}
+
+
+def test_validate_lists_a_file_that_is_not_utf8_beside_the_other_files_violations(tmp_path,
+                                                                                  capsys):
+    registry, scores = tmp_path / "registry.json", tmp_path / "scores.csv"
+    registry.write_bytes(b"\xff" + json.dumps([GOOD_RECORD]).encode())
+    scores.write_text("model_id,task_id,shots,metric_kind,value\nm,t,0,accuracy,2.0\n")
+    code = main(["validate", "--registry", str(registry), "--scores", str(scores),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and all(line.startswith("VIOLATION: ") for line in out)
+    violations = json.loads((tmp_path / "validate.json").read_text())["violations"]
+    assert violations[0].startswith("registry file is not UTF-8 text: ")
+    assert "outside" in violations[1]
 
 
 def test_bias_audit_runs(synth_files, tmp_path):

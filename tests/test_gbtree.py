@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import _cond_expectation, random_fitted_ensemble
 from perfpred import gbtree
-from perfpred.gbtree import GBTConfig, TreeEnsemble, _Presorted, fit_gbt, fit_gbt_batch, paper_grid
+from perfpred.gbtree import GBTConfig, TreeEnsemble, _NodePlan, _PlanStore, fit_gbt, fit_gbt_batch, paper_grid
 from perfpred.prng import CounterRng
 from perfpred.registry import Column, FeatureMatrix
 from perfpred.shapley import shap_matrix, tree_shap
@@ -361,8 +361,8 @@ def test_split_sse_is_bit_equal_to_one_column_scoring():
         mask = rng.random((n, 3)) < 0.5
         r = rng.normal(size=n) * 10.0 ** rng.integers(-4, 5, size=n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            (sse, j, thr, default_left), = _Presorted(np.where(mask, np.nan, X)).best_split(
-                r[None], np.arange(n), 1)
+            Xm = np.where(mask, np.nan, X)
+            (sse, j, thr, default_left), = _NodePlan(Xm, np.arange(n), 1).best_split(r[None], Xm)
         m = mask[:, j]
         sr = r[~m][np.argsort(X[~m, j], kind="stable")]
         cs, css = np.cumsum(sr), np.cumsum(sr * sr)
@@ -432,16 +432,16 @@ def test_node_plans_do_not_change_a_wide_fit():
     assert fit_json(X, y, config) == fit_json(X, y, config, budget=10**9)
 
 
-def kept_presorted(X, y, config, mask=None):
-    """Fit and return the fit's _Presorted, with the plans it kept."""
+def kept_store(X, y, config, mask=None):
+    """Fit and return the fit's _PlanStore, with the plans it kept."""
     kept = []
 
-    class Kept(_Presorted):
+    class Kept(_PlanStore):
         def __init__(self, *args):
             super().__init__(*args)
             kept.append(self)
 
-    with mock.patch.object(gbtree, "_Presorted", Kept):
+    with mock.patch.object(gbtree, "_PlanStore", Kept):
         fit_gbt(X, y, config, mask)
     return kept[0]
 
@@ -473,8 +473,8 @@ def test_canonical_row_order_equals_the_missing_flag_and_value_key_pairs(problem
     for j in range(X.shape[1] - 1, -1, -1):
         keys += [gone[:, j], np.where(gone[:, j], np.inf, X[:, j])]
     order = np.lexsort(keys)
-    presorted = kept_presorted(X, y, GBTConfig(n_trees=0, min_samples_leaf=1), mask)
-    assert presorted.X.tobytes() == np.where(gone, np.nan, X)[order].tobytes()
+    store = kept_store(X, y, GBTConfig(n_trees=0, min_samples_leaf=1), mask)
+    assert store.X.tobytes() == np.where(gone, np.nan, X)[order].tobytes()
 
 
 def test_node_plans_stay_within_the_budget():
@@ -482,10 +482,10 @@ def test_node_plans_stay_within_the_budget():
     X = rng.normal(size=(92, 74))
     X[rng.random(X.shape) < 0.5] = np.nan
     y = rng.normal(size=92)
-    presorted = kept_presorted(X, y, GBTConfig(max_depth=5, learning_rate=0.1, n_trees=10))
-    held = sum(plan.nbytes() + len(key[0]) for key, plan in presorted.plans.items())
-    assert held == presorted.cached_bytes <= gbtree.PLAN_BUDGET
-    assert presorted.plans
+    store = kept_store(X, y, GBTConfig(max_depth=5, learning_rate=0.1, n_trees=10))
+    held = sum(plan.nbytes() + len(key[0]) for key, plan in store.plans.items())
+    assert held == store.cached_bytes <= gbtree.PLAN_BUDGET
+    assert store.plans
 
 
 def test_node_without_admissible_split_is_the_same_leaf_when_cached():
@@ -494,12 +494,12 @@ def test_node_without_admissible_split_is_the_same_leaf_when_cached():
     X = np.array([[1.0, 0.0, np.nan], [1.0, 0.0, np.nan], [1.0, 0.0, 5.0],
                   [1.0, 0.0, np.nan], [1.0, 1.0, np.nan]])
     y = np.array([0.0, 1.0, 3.0, 0.5, 2.0])
-    presorted = _Presorted(X)
+    store = _PlanStore(X)
     idx = np.arange(5)
     with np.errstate(divide="ignore", invalid="ignore"):
-        assert presorted.best_split((y - y.mean())[None], idx, 2) == [None]
-        assert presorted.best_split(y[None, ::-1].copy(), idx, 2) == [None]  # from the cache
-    assert list(presorted.plans.values())[0].gather is None
+        assert store.plan(idx, 2).best_split((y - y.mean())[None], X) == [None]
+        assert store.plan(idx, 2).best_split(y[None, ::-1].copy(), X) == [None]  # from the cache
+    assert list(store.plans.values())[0].gather is None
     config = GBTConfig(max_depth=3, learning_rate=0.5, n_trees=4, min_samples_leaf=2)
     ens = fit_gbt(X, y, config)
     assert all("leaf_value" in t and t["cover"] == 5 for t in ens.to_dict()["trees"])

@@ -189,6 +189,47 @@ def test_a_registry_csv_row_with_the_wrong_cell_count_is_a_violation(tmp_path, r
     assert err.value.violations == [violation, "m2: total_params must be > 0, got -5.0"]
 
 
+def test_a_registry_csv_record_is_labelled_by_its_data_row(tmp_path):
+    # the ragged row 0 is not a record, yet the row after it is still row 1
+    paths = _write_mapped_csv(tmp_path, ["m1,1000000000,300,gelu,EXTRA", ",5000000000,700,gelu"])
+    with pytest.raises(RegistryError) as err:
+        load_registry(paths[0], format="csv_with_mapping", mapping_path=paths[1])
+    assert err.value.violations == ["registry row 0: more cells than the header",
+                                    "record 1: missing or invalid model_id"]
+
+
+def test_organization_and_provenance_are_strings():
+    records, violations = validate_raw_records(
+        [raw_record("a", organization=None, provenance=None), raw_record("b"),
+         raw_record("c", organization=[1, 2], provenance=0)])
+    assert [(r.organization, r.provenance) for r in records] == [("", ""), ("org", "reported")]
+    assert violations == ["c: organization must be a string, got [1, 2]",
+                          "c: provenance must be a string, got 0"]
+    absent = raw_record("d")
+    del absent["organization"], absent["provenance"]
+    (rec,), _ = validate_raw_records([absent])
+    assert (rec.organization, rec.provenance) == ("", "")
+
+
+@pytest.mark.parametrize("name, label", [("registry.json", "registry"), ("models.csv", "registry"),
+                                         ("mapping.json", "column-mapping"), ("scores.csv", "scores")])
+def test_a_file_that_is_not_utf8_is_one_violation(tmp_path, name, label):
+    csv_path, map_path = _write_mapped_csv(tmp_path, ["m1,1000000000,300,gelu"])
+    json_path = write_registry_json(tmp_path, [raw_record("a")])
+    scores_path = tmp_path / "scores.csv"
+    scores_path.write_text("model_id,task_id,shots,metric_kind,value\nm1,t,0,accuracy,0.5\n")
+    (tmp_path / name).write_bytes(b"\xff" + (tmp_path / name).read_bytes())
+    with pytest.raises(RegistryError) as err:
+        if name == "registry.json":
+            load_registry(json_path)
+        elif name == "scores.csv":
+            load_scores(scores_path)
+        else:
+            load_registry(csv_path, format="csv_with_mapping", mapping_path=map_path)
+    (violation,) = err.value.violations
+    assert violation.startswith(f"{label} file is not UTF-8 text: ")
+
+
 @pytest.mark.parametrize("mapping_text", [
     '["id", "model_id"]', '{"id": "model_id", "params": 5}', '"id"', "{not json"])
 def test_a_column_mapping_that_is_not_an_object_of_strings_is_one_violation(tmp_path,
