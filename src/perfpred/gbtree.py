@@ -201,8 +201,11 @@ class _NodePlan:
 
     def __init__(self, X: np.ndarray, idx: np.ndarray, min_leaf: int):
         k = len(idx)
-        block = X.T[:, idx]  # idx ascends, so a stable sort keeps ties in row order
-        order = np.argsort(block, axis=1, kind="stable")  # NaN last
+        block = X.T[:, idx]
+        # only a column with two distinct present values can split: sort no other
+        sortable = np.flatnonzero(np.fmin.reduce(block, axis=1) < np.fmax.reduce(block, axis=1))
+        block = block[sortable]
+        order = np.argsort(block, axis=1, kind="stable")  # idx ascends: ties in row order, NaN last
         gather = idx[order]
         V = np.take_along_axis(block, order, axis=1)  # each row: present ascending, then NaN
         n_miss = np.isnan(V).sum(axis=1)
@@ -218,12 +221,13 @@ class _NodePlan:
         counts[1, 1] = counts[1, 0] + n_miss[:, None]
         short = counts < min_leaf
         bad = short[0] | short[1] | ~(V[:, :-1] < V[:, 1:])
-        self.features = np.flatnonzero(~bad.all(axis=(0, 2))).tolist()
-        if not self.features:
+        kept = np.flatnonzero(~bad.all(axis=(0, 2))).tolist()  # rows of V that can split
+        self.features = sortable[kept].tolist()
+        if not kept:
             self.gather = None
             return
         n_miss = n_miss.tolist()
-        rows = sorted(self.features, key=n_miss.__getitem__)  # stable
+        rows = sorted(kept, key=n_miss.__getitem__)  # stable
         if rows != list(range(len(V))):
             gather, n_present, counts, bad = gather[rows], n_present[rows], \
                 counts[:, :, rows], bad[:, rows]
@@ -238,8 +242,8 @@ class _NodePlan:
         # counts and bad broadcast over a leading fit axis
         self.gather = gather
         self.counts, self.bad = counts[:, :routings, None], bad[:routings, None]
-        row_of = {j: r for r, j in enumerate(rows)}
-        self.columns = np.array([row_of[j] for j in self.features])
+        row_of = {v: r for r, v in enumerate(rows)}
+        self.columns = np.array([row_of[v] for v in kept])
         # flat (row, position) of each row's last present value
         self.totals = np.arange(len(rows)) * k + np.maximum(n_present - 1, 0)
 
