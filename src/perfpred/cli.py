@@ -125,7 +125,7 @@ KIND_FLAGS = {
 
 def _kind_flags(args) -> None:
     """Refuse each kind-specific flag ``--kind`` does not read; default the others."""
-    flags = KIND_FLAGS[args.command].items()
+    flags = KIND_FLAGS.get(args.command, {}).items()
     if refused := [f"--{flag} only applies to --kind {' or '.join(kinds)}, not --kind {args.kind}"
                    for flag, (kinds, _) in flags if args.kind not in kinds
                    and getattr(args, flag) is not None]:
@@ -229,7 +229,6 @@ def cmd_fit_scaling(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    _kind_flags(args)
     dataset = _task_dataset(args)
     features, grid = [], None  # baseline predictors read no feature matrix
     if args.kind == "gbt":
@@ -376,7 +375,6 @@ def cmd_report(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    _kind_flags(args)
     dataset = _task_dataset(args)
     if args.kind == "scaling_heatmap":
         points = scale_points(dataset)
@@ -475,6 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _kind_flags(args)  # before the command reads any input
         return args.func(args)
     except (OSError, json.JSONDecodeError) as e:
         print(f"I/O error: {e}", file=sys.stderr)

@@ -12,10 +12,10 @@ split rule, with which fitting, prediction and TreeSHAP route rows.
 
 Split search is XGBoost's exact greedy algorithm (Chen & Guestrin 2016,
 arXiv:1603.02754, section 3.1). After the rows are put in canonical order,
-a node sorts its own rows once per column: present values ascending, ties
-in row order, missing rows last. It then scores every column that can
-split it, and both missing-value routings where it has missing rows, in
-one cumulative-sum pass.
+a node sorts its own rows in each column with two distinct present values
+(no other can split it): present values ascending, ties in row order,
+missing rows last. It then scores every column that can split it, and both
+missing-value routings where it has missing rows, in one cumulative-sum pass.
 Every SSE is bit-identical to scoring one column at a time: cumsum adds
 sequentially in any shape, but np.sum sums 8 or more terms in blocks, so
 the sums over a node's missing rows are taken per missing count on
@@ -43,7 +43,7 @@ one its config gives alone, bit for bit. ``fit_gbt`` is a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -315,14 +315,14 @@ class _NodePlan:
         return found
 
 
+@dataclass(eq=False)
 class _PlanStore:
     """The node plans of one batch over its canonical rows ``X``, keyed by
     (node rows, leaf size): first come, first kept, up to ``PLAN_BUDGET`` bytes."""
 
-    def __init__(self, X: np.ndarray):
-        self.X = X
-        self.plans: dict = {}
-        self.cached_bytes = 0
+    X: np.ndarray
+    plans: dict = field(default_factory=dict)
+    cached_bytes: int = 0
 
     def plan(self, idx: np.ndarray, min_leaf: int) -> _NodePlan:
         key = (idx.tobytes(), min_leaf)

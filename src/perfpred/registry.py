@@ -10,9 +10,8 @@ The schema is stated once: in the fields of ``ArchFeatures`` and
 ``DataFeatures`` (a value kind each; a required one has no default) and in
 ``GEN_FEATURES``, which ``SCHEMA`` gathers. A value kind is "positive" (> 0),
 "level" (in ``ENUM_VOCAB``), "percent" (in [0, 100]), "per100k" (>= 0) or
-"real"; every number is finite. A record's violations come in a fixed
-order: a non-string organization or provenance, then file order within
-each section, then the missing required fields, then the domain sum.
+"real"; every number is finite. A record's violations: its text fields, each
+section's in file order, the missing required fields, then the domain sum.
 """
 
 from __future__ import annotations
@@ -294,14 +293,14 @@ def validate_record_dict(obj: dict, where: str, violations: list[str]) -> ModelR
         return None
     where = model_id
     n_before = len(violations)
-    text = {n: "" if obj.get(n) is None else obj[n] for n in ("organization", "provenance")}
-    violations += [f"{where}: {name} must be a string, got {value!r}"
-                   for name, value in text.items() if not isinstance(value, str)]
     sections = {name: obj.get(name) or {} for name in SCHEMA}
     violations += [f"{where}: {name} must be a JSON object, got {raw!r}"
                    for name, raw in sections.items() if not isinstance(raw, dict)]
     if len(violations) > n_before:
         return None
+    text = {n: "" if obj.get(n) is None else obj[n] for n in ("organization", "provenance")}
+    violations += [f"{where}: {name} must be a string, got {value!r}"
+                   for name, value in text.items() if not isinstance(value, str)]
 
     held: dict[str, dict] = {}
     for section, kinds in SCHEMA.items():
@@ -458,9 +457,8 @@ def load_scores(path) -> tuple[list[ScoreRecord], dict[str, TaskSpec]]:
             continue
         lo, hi = score_range(kind)
         if not (lo <= value <= hi):
-            violations.append(
-                f"{where}: {row['model_id']}/{row['task_id']} value {value} outside [{lo}, {hi}]"
-            )
+            violations.append(f"{where}: {row['model_id']}/{row['task_id']} value {value} "
+                              f"outside [{lo}, {hi}]")
             continue
         task_id = row["task_id"]
         if task_id in tasks:

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import _cond_expectation, random_fitted_ensemble
 from perfpred import gbtree
-from perfpred.gbtree import GBTConfig, TreeEnsemble, _NodePlan, _PlanStore, fit_gbt, fit_gbt_batch, paper_grid
+from perfpred.gbtree import (GBTConfig, TreeEnsemble, _NodePlan, _PlanStore, fit_gbt,
+                             fit_gbt_batch, paper_grid)
 from perfpred.prng import CounterRng
 from perfpred.registry import Column, FeatureMatrix
 from perfpred.shapley import shap_matrix, tree_shap

@@ -201,18 +201,20 @@ def test_a_registry_csv_record_is_labelled_by_its_data_row(tmp_path):
 def test_organization_and_provenance_are_strings():
     records, violations = validate_raw_records(
         [raw_record("a", organization=None, provenance=None), raw_record("b"),
-         raw_record("c", organization=[1, 2], provenance=0)])
+         raw_record("c", organization=[1, 2], provenance=0, arch={"dimension": -1})])
     assert [(r.organization, r.provenance) for r in records] == [("", ""), ("org", "reported")]
     assert violations == ["c: organization must be a string, got [1, 2]",
-                          "c: provenance must be a string, got 0"]
+                          "c: provenance must be a string, got 0",
+                          "c: dimension must be > 0, got -1"]
     absent = raw_record("d")
     del absent["organization"], absent["provenance"]
     (rec,), _ = validate_raw_records([absent])
     assert (rec.organization, rec.provenance) == ("", "")
 
 
-@pytest.mark.parametrize("name, label", [("registry.json", "registry"), ("models.csv", "registry"),
-                                         ("mapping.json", "column-mapping"), ("scores.csv", "scores")])
+@pytest.mark.parametrize("name, label", [
+    ("registry.json", "registry"), ("models.csv", "registry"), ("mapping.json", "column-mapping"),
+    ("scores.csv", "scores")])
 def test_a_file_that_is_not_utf8_is_one_violation(tmp_path, name, label):
     csv_path, map_path = _write_mapped_csv(tmp_path, ["m1,1000000000,300,gelu"])
     json_path = write_registry_json(tmp_path, [raw_record("a")])
