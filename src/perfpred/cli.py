@@ -111,12 +111,14 @@ def _feature_names(text, default=None):
     return names
 
 
+REQUIRED = object()  # a kind flag's default where the kinds that read it need it given
+
 # each command's kind-specific flags: the kinds that read it, and its default
 KIND_FLAGS = {
     "cv": {"features": (("gbt",), None)},
     "plot-data": {
         "features": (("shap_beeswarm", "shap_dependence"), None),
-        "feature": (("shap_dependence",), None),
+        "feature": (("shap_dependence",), REQUIRED),
         "seed": (("shap_beeswarm", "shap_dependence"), 0),
         "grid": (("scaling_heatmap",), 50),
     },
@@ -124,11 +126,15 @@ KIND_FLAGS = {
 
 
 def _kind_flags(args) -> None:
-    """Refuse each kind-specific flag ``--kind`` does not read; default the others."""
+    """Refuse each kind-specific flag ``--kind`` does not read and each one it
+    requires but was not given; default the others."""
     flags = KIND_FLAGS.get(args.command, {}).items()
-    if refused := [f"--{flag} only applies to --kind {' or '.join(kinds)}, not --kind {args.kind}"
-                   for flag, (kinds, _) in flags if args.kind not in kinds
-                   and getattr(args, flag) is not None]:
+    refused = [f"--{flag} only applies to --kind {' or '.join(kinds)}, not --kind {args.kind}"
+               for flag, (kinds, _) in flags if args.kind not in kinds
+               and getattr(args, flag) is not None]
+    refused += [f"--kind {args.kind} requires --{flag}" for flag, (kinds, default) in flags
+                if args.kind in kinds and default is REQUIRED and not getattr(args, flag)]
+    if refused:
         raise RegistryError(refused)
     for flag, (kinds, default) in flags:
         if args.kind in kinds and getattr(args, flag) is None:
@@ -396,8 +402,6 @@ def cmd_plot_data(args) -> int:
         rows += [[e.feature, e.mean_abs_phi, v, phi] for e in entries for v, phi in e.points]
         _atomic_write(os.path.join(args.out, f"beeswarm-{args.task}.csv"), _csv_text(rows))
     elif args.kind == "shap_dependence":
-        if not args.feature:
-            raise RegistryError(["shap_dependence requires --feature"])
         X, ensemble = _encode_and_fit(args, dataset)
         points, n_missing = shapley.shap_dependence(ensemble, X, args.feature)
         rows = [[f"# missing_rows={n_missing}"], ["feature_value", "phi"], *points]

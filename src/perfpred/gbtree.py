@@ -11,39 +11,36 @@ breadth first so a child comes after its parent; ``goes_left`` is the one
 split rule, with which fitting, prediction and TreeSHAP route rows.
 
 Split search is XGBoost's exact greedy algorithm (Chen & Guestrin 2016,
-arXiv:1603.02754, section 3.1). After the rows are put in canonical order,
-a node sorts its own rows in each column with two distinct present values
-(no other can split it): present values ascending, ties in row order,
-missing rows last. It then scores every column that can split it, and both
-missing-value routings where it has missing rows, in one cumulative-sum pass.
-Every SSE is bit-identical to scoring one column at a time: cumsum adds
-sequentially in any shape, but np.sum sums 8 or more terms in blocks, so
-the sums over a node's missing rows are taken per missing count on
-unpadded blocks, exactly as a 1-D np.sum would take them.
+arXiv:1603.02754, section 3.1), scored one tree level at a time, the
+depth-wise growth of Mitchell & Frank 2017 (PeerJ CS 3:e127).
+``fit_gbt_batch`` fits many configs in lockstep, each on its own row set
+(its root membership) of one canonical matrix: the rows of X sorted
+lexicographically, NaN last. The sort is stable, so restricted to a fit's
+rows it is the canonical order of those rows alone; a nested CV's grid
+search is one batch and its refits another. Each round grows every fit's
+tree together: a level's frontier nodes, of every fit, are scored in one
+(column, node, position) block, each node's rows ascending and padded at
+the end. The block sorts, per node, only the columns that can split some
+node of it (two distinct present values): present values ascending, ties
+in row order, then missing rows, then padding. It scores every threshold
+and both missing-value routings in one cumulative-sum pass, and splits and
+leaves are written straight into each fit's ``NODE`` table. The root
+level's residual-free part (the sort, the counts, which thresholds are
+inadmissible) is the same every round, so it is built once per set of
+live fits.
 
-Most of a node's search does not depend on the residuals: the sort, how
-many rows of each column are missing, the row counts on each side of every
-threshold and which thresholds are inadmissible. That part is a node plan.
-Independent fits on the same rows (a grid search's configs on one training
-split) share one plan store in ``fit_gbt_batch`` and boost in lockstep.
-Each round grows every fit's tree one level at a time, the depth-wise
-growth of Mitchell & Frank 2017 (PeerJ CS 3:e127). The frontier nodes of
-all fits are grouped by membership and leaf size; a group takes its node
-means and SSEs in one pass and searches all of its residual vectors with
-one plan, so a plan is built once per batch. Plans are kept across rounds,
-keyed by the node's rows (always ascending, so the key is canonical), up
-to ``PLAN_BUDGET`` array bytes per batch; a node that misses the store
-builds its plan again, and the result is bit-identical either way. A
-split's child rows are routed once per group and not stored: routing costs
-microseconds. Node sums run over C-ordered rows, never zero-padded, so
-each equals the 1-D np.sum of one fit alone, and each fit keeps its own
-depth limit, gain floor and tie-breaks: every ensemble of a batch is the
-one its config gives alone, bit for bit. ``fit_gbt`` is a batch of one.
+Every number is bit-identical to fitting one config alone, one node and
+one column at a time. cumsum adds sequentially, so trailing padding leaves
+every prefix alone; np.sum sums 8 or more terms in blocks, so the node
+means and SSEs are one exact-length sum per node size, and the sums over
+the missing rows one per missing count across the block, over C-ordered
+rows, never padded. Each fit keeps its own depth limit, leaf size, gain
+floor and tie-breaks. ``fit_gbt`` is a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,11 +87,6 @@ NODE = np.dtype([("feature", np.intp), ("threshold", float), ("default_left", bo
                  ("left", np.intp), ("right", np.intp), ("value", float), ("cover", np.intp)])
 
 
-def _node(cover: int) -> list:
-    """A node row in ``NODE`` field order, a leaf until its value or split is set."""
-    return [-1, np.nan, False, -1, -1, np.nan, cover]
-
-
 @dataclass(eq=False)
 class TreeEnsemble:
     base_score: float
@@ -102,12 +94,6 @@ class TreeEnsemble:
     column_names: tuple[str, ...]
     nodes: np.ndarray  # NODE records, tree after tree
     roots: np.ndarray  # each tree's root index (intp, so it indexes even when empty)
-
-    @classmethod
-    def from_nodes(cls, base_score, learning_rate, column_names, nodes, roots) -> "TreeEnsemble":
-        """The ensemble of the node rows ``nodes`` (``_node`` form) and ``roots``."""
-        return cls(base_score, learning_rate, tuple(column_names),
-                   np.array([tuple(n) for n in nodes], dtype=NODE), np.array(roots, dtype=np.intp))
 
     def predict_row(self, x: np.ndarray, mask: np.ndarray | None = None) -> float:
         return float(self.predict(np.reshape(x, (1, -1)), mask)[0])
@@ -153,22 +139,22 @@ class TreeEnsemble:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeEnsemble":
-        nodes: list[list] = []
+        nodes: list[tuple] = []
         roots = []
         for tree in d["trees"]:
             roots.append(len(nodes))
             queue = [tree]
             for node in queue:  # breadth first, as _grow numbers them
-                row = _node(node["cover"])
                 if "leaf_value" in node:
-                    row[5] = node["leaf_value"]
-                else:
-                    child = roots[-1] + len(queue)
-                    row[:5] = (node["split_feature"], node["threshold"],
-                               node["default_direction"] == "left", child, child + 1)
-                    queue += (node["left"], node["right"])
-                nodes.append(row)
-        return cls.from_nodes(d["base_score"], d["learning_rate"], d["columns"], nodes, roots)
+                    nodes.append((-1, np.nan, False, -1, -1, node["leaf_value"], node["cover"]))
+                    continue
+                child = roots[-1] + len(queue)
+                nodes.append((node["split_feature"], node["threshold"],
+                              node["default_direction"] == "left", child, child + 1, np.nan,
+                              node["cover"]))
+                queue += (node["left"], node["right"])
+        return cls(d["base_score"], d["learning_rate"], tuple(d["columns"]),
+                   np.array(nodes, dtype=NODE), np.array(roots, dtype=np.intp))
 
 
 def fold_mask(X, mask: np.ndarray | None) -> np.ndarray:
@@ -179,230 +165,215 @@ def fold_mask(X, mask: np.ndarray | None) -> np.ndarray:
     return X if mask is None else np.where(mask, np.nan, X)
 
 
-PLAN_BUDGET = 256 * 1024  # array bytes of node plans (and their keys) kept per batch
+LEVEL_CELLS = 1 << 16  # (column, node, row) cells of one split search block
 
 
-class _NodePlan:
-    """One node's split search, with what does not depend on the residuals
-    built once. Its rows are the node's columns that have an admissible
-    threshold (a column without one can never split the node), ordered by
-    missing count, so the missing rows of each count form one slice.
+def _search_plan(XT, sizes, min_leaf):
+    """The part of a block's split search that does not depend on the
+    residuals, or None when no column can split any of its nodes. ``XT``
+    holds the nodes' feature values (column, node, position), rows in
+    canonical order padded with NaN, ``sizes`` their row counts and
+    ``min_leaf`` their leaf sizes.
 
-    ``gather`` holds the node's rows in each kept column's sorted order
-    (present values ascending, ties in row order, missing rows last), or is
-    None when no split is admissible. ``features`` lists the kept
-    columns, ascending, and ``columns`` the row of each. ``counts`` and ``bad`` are
-    indexed by (side, routing): routing 0 sends the missing rows left,
-    routing 1 right. Without missing rows both routings score alike, so the
-    plan holds routing 0 only.
+    Returns the columns kept, their values sorted within each (column,
+    node) pair (present ascending, ties in row order, then missing, then
+    padding), each sorted value's position in the node block, the missing
+    rows' positions grouped by missing count, each pair's last present
+    position, its missing and present counts, and which (routing, pair,
+    threshold) are inadmissible.
     """
+    _, g, k = XT.shape
+    # only a column with two distinct present values in a node can split it:
+    # sort no other (a column kept for one node is inadmissible in the rest)
+    cols = np.flatnonzero(np.logical_or.reduce(
+        np.fmin.reduce(XT, axis=2) < np.fmax.reduce(XT, axis=2), axis=1))
+    c = len(cols)
+    if not c:
+        return None
+    V = XT[cols] if c < len(XT) else XT
+    pos = V.argsort(axis=2, kind="stable")
+    pos += (np.arange(c * g) * k).reshape(c, g, 1)
+    V = V.take(pos)
+    pos %= g * k
+    n_miss = (np.add.reduce(np.isnan(V), axis=2) - (k - sizes)).ravel()  # per (column, node)
+    n_present = np.tile(sizes, c) - n_miss
+    end = np.arange(c * g) * k + n_present + n_miss  # past each pair's last row
+    tails = [(at, end[at, None] - np.arange(u, 0, -1))
+             for u in np.flatnonzero(np.bincount(n_miss)).tolist() if u
+             for at in [np.flatnonzero(n_miss == u)]]
+    last = end - n_miss - (n_present > 0)
+    short = _side_counts(n_miss, n_present, k, 2 if tails else 1) < np.tile(min_leaf, c)[:, None]
+    bad = short[0] | short[1] | ~(V[..., :-1] < V[..., 1:]).reshape(c * g, k - 1)
+    return cols, V.reshape(-1), pos, tails, last, n_miss, n_present, bad
 
-    __slots__ = ("gather", "features", "columns", "tails", "totals", "counts", "bad")
 
-    def __init__(self, X: np.ndarray, idx: np.ndarray, min_leaf: int):
-        k = len(idx)
-        block = X.T[:, idx]
-        # only a column with two distinct present values can split: sort no other
-        sortable = np.flatnonzero(np.fmin.reduce(block, axis=1) < np.fmax.reduce(block, axis=1))
-        block = block[sortable]
-        order = np.argsort(block, axis=1, kind="stable")  # idx ascends: ties in row order, NaN last
-        gather = idx[order]
-        V = np.take_along_axis(block, order, axis=1)  # each row: present ascending, then NaN
-        n_miss = np.isnan(V).sum(axis=1)
-        n_present = k - n_miss
-
-        # the side that does not take the missing rows adds nothing to its
-        # count and sums: the same bits as adding -0.0
-        kk = np.arange(1, k)  # threshold t: t + 1 present rows on the left
-        counts = np.empty((2, 2, len(V), k - 1))
-        counts[0, 0] = kk + n_miss[:, None]
+def _side_counts(n_miss, n_present, k, routings):
+    """Each (side, routing, pair, threshold)'s row count. A threshold t has
+    t + 1 present rows on its left; routing 0 sends the missing rows left,
+    routing 1 right (tried only where rows are missing), and the side that
+    does not take them adds nothing to its count or sums."""
+    kk = np.arange(1, k)
+    counts = np.empty((2, routings, len(n_miss), k - 1))
+    np.add(kk, n_miss[:, None], out=counts[0, 0])
+    np.subtract(n_present[:, None], kk, out=counts[1, 0])
+    if routings == 2:
         counts[0, 1] = kk
-        counts[1, 0] = n_present[:, None] - kk
-        counts[1, 1] = counts[1, 0] + n_miss[:, None]
-        short = counts < min_leaf
-        bad = short[0] | short[1] | ~(V[:, :-1] < V[:, 1:])
-        kept = np.flatnonzero(~bad.all(axis=(0, 2))).tolist()  # rows of V that can split
-        self.features = sortable[kept].tolist()
-        if not kept:
-            self.gather = None
-            return
-        n_miss = n_miss.tolist()
-        rows = sorted(kept, key=n_miss.__getitem__)  # stable
-        if rows != list(range(len(V))):
-            gather, n_present, counts, bad = gather[rows], n_present[rows], \
-                counts[:, :, rows], bad[:, rows]
-        # (first row, end row, first missing position) of each missing count
-        self.tails, a = [], 0
-        for b in range(1, len(rows) + 1):
-            if b == len(rows) or n_miss[rows[b]] != n_miss[rows[a]]:
-                if n_miss[rows[a]]:
-                    self.tails.append((a, b, k - n_miss[rows[a]]))
-                a = b
-        routings = 2 if self.tails else 1
-        # counts and bad broadcast over a leading fit axis
-        self.gather = gather
-        self.counts, self.bad = counts[:, :routings, None], bad[:routings, None]
-        row_of = {v: r for r, v in enumerate(rows)}
-        self.columns = np.array([row_of[v] for v in kept])
-        # flat (row, position) of each row's last present value
-        self.totals = np.arange(len(rows)) * k + np.maximum(n_present - 1, 0)
-
-    def nbytes(self) -> int:
-        if self.gather is None:
-            return 0
-        return sum(a.nbytes for a in (self.gather, self.columns, self.totals, self.counts, self.bad))
-
-    def best_split(self, R, X):
-        """Exact greedy search over all midpoints of present values, for
-        each residual vector (row) of ``R``; thresholds are read from ``X``,
-        the batch's canonical rows.
-
-        Missing rows are tried on both sides and kept on the lower-SSE side.
-        Ties break deterministically: lowest feature index, lowest threshold,
-        missing routed left. Returns one (sse_after, feature, threshold,
-        default_left) or None per row of ``R``. Call under
-        ``np.errstate(divide="ignore", invalid="ignore")``: positions past a
-        column's present rows divide by zero before they are masked out.
-        """
-        batch = len(R)
-        if self.gather is None:
-            return [None] * batch
-        p, k = self.gather.shape
-        stack = np.empty((2, batch, p, k))  # residuals, their squares
-        R.take(self.gather, axis=1, out=stack[0])
-        np.multiply(stack[0], stack[0], out=stack[1])
-        # sums over the missing rows must equal 1-D np.sum bit for bit, whose
-        # summation order depends on the term count: each missing count's
-        # block is summed on its own, never zero-padded (0.0 where none)
-        missing = np.zeros((2, batch, p))
-        for a, b, start in self.tails:
-            np.add.reduce(stack[..., a:b, start:], axis=3, out=missing[..., a:b])
-        cum = stack.cumsum(axis=3)
-        left = cum[..., :-1]
-        total = cum.reshape(2, batch, p * k).take(self.totals, axis=2)[..., None]
-        # (statistic, side * routings + routing, fit, row, threshold), filled
-        # in place because large temporaries cost page faults
-        routings = self.bad.shape[0]
-        sides = np.empty((2, 2 * routings, batch, p, k - 1))
-        np.add(left, missing[..., None], out=sides[:, 0])
-        np.subtract(total, left, out=sides[:, routings])
-        if routings == 2:
-            sides[:, 1] = left
-            np.add(sides[:, 2], missing[..., None], out=sides[:, 3])
-        S, Q = sides.reshape(2, 2, routings, batch, p, k - 1)
-        S *= S
-        S /= self.counts
-        np.subtract(Q, S, out=S)
-        sse = np.add(S[0], S[1], out=S[0])  # (routing, fit, row, threshold)
-        np.copyto(sse, np.inf, where=self.bad)
-        t = sse.argmin(axis=3)  # first occurrence: lowest threshold
-        v = sse.min(axis=3)
-        # ties between routings: lower threshold wins, then left; a column
-        # without missing rows scores the same on both, so it stays left
-        right = (v[-1] < v[0]) | ((v[-1] == v[0]) & (t[-1] < t[0]))
-        value = np.where(right, v[-1], v[0])[:, self.columns]  # (fit, kept feature)
-        value[~np.isfinite(value)] = np.inf
-        found = []
-        for f, c in enumerate(value.argmin(axis=1).tolist()):  # lowest feature index
-            if value[f, c] == np.inf:
-                found.append(None)
-                continue
-            j, row = self.features[c], self.columns[c]
-            i = int(t[int(right[f, row]), f, row])
-            below, above = X[self.gather[row, i:i + 2], j]  # both present
-            found.append((float(value[f, c]), j, float(0.5 * (below + above)),
-                          not bool(right[f, row])))
-        return found
+        np.add(counts[1, 0], n_miss[:, None], out=counts[1, 1])
+    return counts
 
 
-@dataclass(eq=False)
-class _PlanStore:
-    """The node plans of one batch over its canonical rows ``X``, keyed by
-    (node rows, leaf size): first come, first kept, up to ``PLAN_BUDGET`` bytes."""
+def _best_splits(plan, Rn):
+    """Exact greedy split search over all midpoints of present values, for
+    the nodes of ``plan`` (``_search_plan``) whose residuals, in row order
+    and padded, are the rows of ``Rn``.
 
-    X: np.ndarray
-    plans: dict = field(default_factory=dict)
-    cached_bytes: int = 0
-
-    def plan(self, idx: np.ndarray, min_leaf: int) -> _NodePlan:
-        key = (idx.tobytes(), min_leaf)
-        plan = self.plans.get(key)
-        if plan is None:
-            plan = _NodePlan(self.X, idx, min_leaf)
-            nbytes = plan.nbytes() + len(key[0])
-            if self.cached_bytes + nbytes <= PLAN_BUDGET:
-                self.plans[key] = plan
-                self.cached_bytes += nbytes
-        return plan
-
-
-def _grow(store, R, configs, root, nodes) -> np.ndarray:
-    """One tree per residual vector (row) of ``R``, each limited by its own
-    config, grown together one level at a time from the rows ``root``. Fit
-    ``f``'s tree grows, breadth first, from the last of its node rows
-    ``nodes[f]``. Returns each row's training-set predictions.
-
-    The nodes of a level are grouped by (membership, leaf size). A group
-    gathers its fits' node residuals in C order, so each node sum equals the
-    1-D np.sum of that fit alone, and searches all its fits in one call.
+    Missing rows are tried on both sides and kept on the lower-SSE side.
+    Ties break deterministically: lowest feature index, lowest threshold,
+    missing routed left. Returns each node's (sse_after, feature, threshold,
+    default_left); sse_after is inf where no split is admissible. Call
+    under ``np.errstate(divide="ignore", invalid="ignore")``: positions past
+    a column's present rows divide by zero before they are masked out.
     """
-    train_pred = np.empty(R.shape)
-    # (fit, node index, rows), each fit's nodes in breadth-first order
-    frontier = [(f, len(table) - 1, root) for f, table in enumerate(nodes)]
+    g, k = Rn.shape
+    if plan is None:
+        return np.full(g, np.inf), np.zeros(g, np.intp), np.zeros(g), np.ones(g, bool)
+    cols, V, pos, tails, last, n_miss, n_present, bad = plan
+    routings, c = len(bad), len(cols)
+    stack = np.empty((2,) + pos.shape)  # residuals, their squares
+    Rn.take(pos, out=stack[0])
+    np.multiply(stack[0], stack[0], out=stack[1])
+    # sums over the missing rows must equal 1-D np.sum bit for bit, whose
+    # summation order depends on the term count: the (column, node) pairs
+    # with u missing rows are summed together, u terms each, never padded,
+    # over C-ordered rows (take gives them; stack[:, tail] would not)
+    missing = np.zeros((2, c * g, 1))
+    for at, tail in tails:
+        missing[:, at, 0] = np.add.reduce(stack.reshape(2, -1).take(tail, axis=1), axis=2)
+    # cumsum adds sequentially, so trailing padding leaves every prefix alone
+    cum = stack.cumsum(axis=3).reshape(2, c * g, k)
+    left = cum[..., :-1]
+    total = cum.reshape(2, -1)[:, last, None]
+
+    counts = _side_counts(n_miss, n_present, k, routings)
+    # (statistic, side * routings + routing, pair, threshold), filled in
+    # place because large temporaries cost page faults
+    sides = np.empty((2, 2 * routings, c * g, k - 1))
+    np.add(left, missing, out=sides[:, 0])
+    np.subtract(total, left, out=sides[:, routings])
+    if routings == 2:
+        sides[:, 1] = left
+        np.add(sides[:, 2], missing, out=sides[:, 3])
+    S, Q = sides.reshape(2, 2, routings, c * g, k - 1)
+    S *= S
+    S /= counts
+    np.subtract(Q, S, out=S)
+    sse = np.add(S[0], S[1], out=S[0])  # (routing, pair, threshold)
+    np.copyto(sse, np.inf, where=bad)
+    t = sse.argmin(axis=2)  # first occurrence: lowest threshold
+    v = sse.reshape(-1).take(t + np.arange(0, sse.size, k - 1).reshape(routings, -1))
+    # ties between routings: lower threshold wins, then left; a column
+    # without missing rows scores the same on both, so it stays left
+    right = (v[-1] < v[0]) | ((v[-1] == v[0]) & (t[-1] < t[0]))
+    value = np.where(right, v[-1], v[0]).reshape(c, g)
+    value[~np.isfinite(value)] = np.inf
+    best = value.argmin(axis=0)  # lowest feature index
+    pair = best * g + np.arange(g)
+    right = right[pair]
+    at = t[right.view(np.int8), pair] + pair * k
+    return value.reshape(-1)[pair], cols[best], 0.5 * (V[at] + V[at + 1]), ~right
+
+
+def _grow(XT, R, max_depth, min_leaf, rows, pool, free, start, strict, root_plans=None):
+    """One tree per residual vector (row) of ``R``, grown together one level
+    at a time from the root rows ``rows`` (each ascending and padded with
+    the padding row, ``XT``'s last column), limited by ``max_depth`` and
+    ``min_leaf`` of that row. Tree ``i`` writes its ``NODE`` records into
+    ``pool`` from position ``free[i]`` on, breadth first, numbered from
+    ``start[i]``; ``free`` is advanced past them. Returns each row's
+    training-set predictions and the root level's search plans, which a
+    later round on the same roots passes back as ``root_plans``. When
+    ``strict``, raises ``_SmallChild`` before writing a child with fewer
+    rows than its leaf size.
+
+    Every frontier node of every tree is scored in one search per level;
+    node means and SSEs are exact-length sums, one call per node size, so
+    each equals the 1-D np.sum of that node alone.
+    """
+    pad = R.shape[1] - 1
+    train_pred = np.zeros(R.shape)
+    fit = np.arange(len(R))  # the frontier's trees, ascending
+    sizes = (rows < pad).sum(axis=1)
     depth = 0
-    while frontier:
-        groups: dict = {}
-        for e, (f, _, idx) in enumerate(frontier):
-            groups.setdefault((idx.tobytes(), configs[f].min_samples_leaf), (idx, []))[1].append(e)
-        children: list = [None] * len(frontier)  # (left rows, right rows) of each split
-        for (_, min_leaf), (idx, entries) in groups.items():
-            fits = [frontier[e][0] for e in entries]
-            rows = R.take(fits, axis=0)
-            node_r = rows.take(idx, axis=1)  # C order, unlike rows[:, idx]
-            node_mean = np.add.reduce(node_r, 1) / len(idx)  # np.mean, bit for bit
-            splits = [None] * len(entries)
-            grow = [m for m, f in enumerate(fits) if depth < configs[f].max_depth] \
-                if len(idx) >= 2 * min_leaf else []
-            if grow:
-                mean = node_mean[:, None]
-                if len(grow) < len(entries):
-                    rows, node_r, mean = rows[grow], node_r[grow], mean[grow]
-                node_sse = np.add.reduce((node_r - mean) ** 2, 1).tolist()
-                found = store.plan(idx, min_leaf).best_split(rows, store.X)
-                for m, sse, split in zip(grow, node_sse, found):
-                    if split is not None and not (sse - split[0] <= MIN_GAIN):
-                        splits[m] = split[1:]
-            routed: dict = {}
-            for e, f, mean, split in zip(entries, fits, node_mean.tolist(), splits):
-                _, i, _ = frontier[e]
-                if split is None:
-                    nodes[f][i][5] = mean
-                    train_pred[f][idx] = mean
-                    continue
-                if split not in routed:
-                    left = goes_left(store.X[idx, split[0]], split[1], split[2])
-                    routed[split] = idx[left], idx[~left]
-                nodes[f][i][:3] = split
-                children[e] = routed[split]
-        level, frontier = frontier, []
-        for (f, i, _), sides in zip(level, children):
-            if sides is not None:
-                table = nodes[f]
-                table[i][3:5] = len(table), len(table) + 1
-                frontier += [(f, len(table) + s, side) for s, side in enumerate(sides)]
-                table += [_node(len(side)) for side in sides]
+    while len(fit):
+        at = free[fit] + np.arange(len(fit)) - np.searchsorted(fit, fit)
+        free += np.bincount(fit, minlength=len(free))
+        Rn = R.take(fit[:, None] * R.shape[1] + rows)  # (node, position)
+        mean, node_sse = np.empty(len(fit)), np.empty(len(fit))
+        for k in np.flatnonzero(np.bincount(sizes)).tolist():
+            i = np.flatnonzero(sizes == k)
+            r = Rn[i, :k]  # C order
+            mean[i] = np.add.reduce(r, 1) / k  # np.mean, bit for bit
+            node_sse[i] = np.add.reduce((r - mean[i, None]) ** 2, 1)
+        pool["feature"][at], pool["threshold"][at], pool["default_left"][at] = -1, np.nan, False
+        pool["left"][at], pool["right"][at], pool["value"][at], pool["cover"][at] = \
+            -1, -1, mean, sizes
+        grow = np.flatnonzero((depth < max_depth[fit]) & (sizes >= 2 * min_leaf[fit]))
+        split = feature = threshold = default_left = grow  # all empty if none grows
+        if len(grow):
+            if depth or root_plans is None:
+                # one block per level, or per run of nodes that fits LEVEL_CELLS
+                step = max(1, LEVEL_CELLS // (len(XT) * sizes[grow].max()))
+                blocks = (np.split(grow, range(step, len(grow), step)) if step < len(grow)
+                          else [grow])
+                plans = [(a, k, _search_plan(XT[:, rows[a, :k]], sizes[a], min_leaf[fit[a]]))
+                         for a, k in ((a, sizes[a].max()) for a in blocks)]
+                root_plans = root_plans if depth else plans
+            else:
+                plans = root_plans
+            found = [_best_splits(plan, Rn[a, :k]) for a, k, plan in plans]
+            sse_after, feature, threshold, default_left = (
+                np.concatenate(f) for f in zip(*found)) if len(found) > 1 else found[0]
+            gains = ~(node_sse[grow] - sse_after <= MIN_GAIN) & (sse_after < np.inf)
+            split, feature = grow[gains], feature[gains]
+            threshold, default_left = threshold[gains], default_left[gains]
+        leaf = np.ones(len(fit), bool)
+        leaf[split] = False
+        train_pred[fit[leaf, None], rows[leaf]] = mean[leaf, None]  # the padding row takes any
+        # a tree's children are its next level's nodes, left then right
+        at, fit = at[split], fit[split]
+        children = free[fit] - start[fit] + 2 * (np.arange(len(fit)) - np.searchsorted(fit, fit))
+        pool["feature"][at], pool["threshold"][at] = feature, threshold
+        pool["default_left"][at], pool["value"][at] = default_left, np.nan
+        pool["left"][at], pool["right"][at] = children, children + 1
+
+        # each split's rows, left then right, stay ascending with padding last
+        parent = rows[split]
+        present = parent < pad
+        left = goes_left(XT[feature[:, None], parent], threshold[:, None],
+                         default_left[:, None]) & present
+        sides = np.stack([left, present & ~left], axis=1)
+        sizes = sides.sum(axis=2).ravel()
+        if strict and (sizes < min_leaf[fit].repeat(2)).any():
+            raise _SmallChild
+        rows = np.sort(np.where(sides, parent[:, None], pad), axis=2)
+        rows = rows.reshape(len(sizes), parent.shape[1])[:, :sizes.max(initial=0)]
+        fit = fit.repeat(2)
         depth += 1
-    return train_pred
+    return train_pred, root_plans
 
 
 def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
                   mask: np.ndarray | None = None,
-                  column_names: tuple[str, ...] | None = None) -> list[TreeEnsemble]:
-    """One boosted ensemble per config, all fitted on the same rows.
+                  column_names: tuple[str, ...] | None = None,
+                  rows: list | None = None) -> list[TreeEnsemble]:
+    """One boosted ensemble per config. ``rows``, if given, holds one set of
+    row indices of ``X`` per config, that fit's training rows; by default
+    every fit trains on all rows.
 
-    The fits share one node-plan store and boost in lockstep, round by
-    round; a fit retires after its own ``n_trees``.
-    Each ensemble is bit-identical to fitting its config alone.
+    The fits boost in lockstep, round by round, and a fit retires after its
+    own ``n_trees``. Each ensemble is bit-identical to fitting its config
+    alone on its rows (``fit_gbt(X[r], y[r], config)`` for ascending ``r``),
+    and row sets that ``fit_gbt`` would refuse raise its error.
     """
     X = fold_mask(X, mask)
     y = np.asarray(y, dtype=float)
@@ -410,11 +381,21 @@ def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
         raise ValueError("empty feature matrix")
     if X.shape[0] != len(y):
         raise ValueError("X and y row counts differ")
-    if np.isnan(y).any():
+    member = np.ones((len(configs), len(y)), dtype=bool)
+    if rows is not None:
+        if len(rows) != len(configs):
+            raise ValueError("one row set per config")
+        member[:] = False
+        for m, r in zip(member, rows):
+            m[r] = True
+    counts = member.sum(axis=1)
+    if not counts.all():
+        raise ValueError("empty feature matrix")
+    if np.isnan(y[member.any(axis=0)]).any():
         raise ValueError("targets contain NaN")
-    if any(X.shape[0] < 2 * c.min_samples_leaf for c in configs):
+    if (counts < [2 * c.min_samples_leaf for c in configs]).any():
         raise ValueError("too few rows for min_samples_leaf")
-    if np.isnan(X).all():
+    if not (member & ~np.isnan(X).all(axis=1)).any(axis=1).all():
         raise ValueError("all feature values missing")
     if column_names is None:
         column_names = tuple(f"f{j}" for j in range(X.shape[1]))
@@ -422,28 +403,68 @@ def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
     # canonicalize row order so fitting is exactly invariant to joint row
     # permutations (floating-point sums depend on summation order; sorting
     # rows lexicographically makes that order a function of the data alone;
-    # lexsort puts NaN last, as each node plan's sort does)
+    # lexsort puts NaN last, as each node's sort does). The lexsort is
+    # stable, so restricted to a fit's rows it is the lexsort of those rows
     order = np.lexsort([y, *X.T[::-1]])
-    X, y = X[order], y[order]
-
-    base_score = float(y.mean())
-    nodes: list[list] = [[] for _ in configs]  # each fit's node rows, tree after tree
-    roots: list[list] = [[] for _ in configs]
-    rates = np.array([[c.learning_rate] for c in configs])
-    pred = np.full((len(configs), len(y)), base_score)
-    root = np.arange(len(y))
-    store = _PlanStore(X)
+    y, member = y[order], member[:, order]
+    XT = np.hstack([X[order].T, np.full((X.shape[1], 1), np.nan)])  # and the padding row
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(max((c.n_trees for c in configs), default=0)):
-            live = [f for f, c in enumerate(configs) if c.n_trees > t]
-            for f in live:
-                roots[f].append(len(nodes[f]))
-                nodes[f].append(_node(len(y)))
-            train_pred = _grow(store, y - pred[live], [configs[f] for f in live], root,
-                               [nodes[f] for f in live])
-            pred[live] += rates[live] * train_pred
-    return [TreeEnsemble.from_nodes(base_score, c.learning_rate, column_names, n, r)
-            for c, n, r in zip(configs, nodes, roots)]
+        try:
+            return _boost(XT, y, member, configs, column_names, strict=True)
+        except _SmallChild:
+            return _boost(XT, y, member, configs, column_names, strict=False)
+
+
+class _SmallChild(Exception):
+    """A split left a child with fewer rows than its leaf size: its
+    threshold, a midpoint that rounds onto a value (or -inf), sent rows the
+    other way than the search counted them."""
+
+
+def _boost(XT, y, member, configs, column_names, strict) -> list[TreeEnsemble]:
+    """The boosting rounds of ``fit_gbt_batch`` over the canonical matrix
+    ``XT`` (transposed, with the padding row) and targets ``y``; fit ``f``
+    trains on the rows ``member[f]``."""
+    n, counts = len(y), member.sum(axis=1)
+    base = np.array([y[m].mean() for m in member])
+    max_depth = np.array([c.max_depth for c in configs])
+    min_leaf = np.array([c.min_samples_leaf for c in configs])
+    rates = np.array([[c.learning_rate] for c in configs])
+    n_trees = np.array([c.n_trees for c in configs], dtype=np.intp)
+    # each fit's root rows, ascending, padded with the padding row n
+    width = np.arange(counts.max(initial=0))
+    roots = np.full((len(configs), len(width)), n)
+    roots[width < counts[:, None]] = np.flatnonzero(member) % n
+    # each fit's nodes fill its own region of one pool, sized for its
+    # largest trees: 2 ** (depth + 1) - 1 nodes, and 2 l - 1 for l leaves of
+    # min_samples_leaf rows or more. A child can be smaller only when a
+    # threshold rounds onto a value; then every level below the root holds
+    # at most k nodes, since the nodes that split hold disjoint rows, two or
+    # more each. Below numpy's huge-page size (4 MB), pages never written
+    # take no memory
+    most = [c.n_trees * min(2 ** (c.max_depth + 1) - 1,
+                            2 * (k // c.min_samples_leaf) - 1 if strict else 1 + c.max_depth * k)
+            for c, k in zip(configs, counts.tolist())]
+    start = np.cumsum([0] + most)
+    pool, free = np.empty(start[-1], NODE), start[:-1].copy()
+    tree_roots = np.empty((len(configs), n_trees.max(initial=0)), np.intp)
+    yp = np.append(y, 0.0)
+    pred = np.repeat(base[:, None], n + 1, axis=1)
+    root_plans = None  # the live fits' roots are the same every round
+    for t in range(n_trees.max(initial=0)):
+        live = np.flatnonzero(n_trees > t)
+        if len(live) < (n_trees > t - 1).sum():
+            root_plans = None  # a fit retired
+        tree_roots[live, t] = free[live] - start[live]
+        live_free = free[live]
+        train_pred, root_plans = _grow(XT, yp - pred[live], max_depth[live], min_leaf[live],
+                                       roots[live], pool, live_free, start[live], strict,
+                                       root_plans)
+        free[live] = live_free
+        pred[live] += rates[live] * train_pred
+    return [TreeEnsemble(float(b), c.learning_rate, tuple(column_names), pool[s:e],
+                         tree_roots[f, :c.n_trees])
+            for f, (c, b, s, e) in enumerate(zip(configs, base, start, free))]
 
 
 def fit_gbt(X: np.ndarray, y: np.ndarray, config: GBTConfig,

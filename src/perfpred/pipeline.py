@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import baselines
-from .gbtree import GBTConfig, TreeEnsemble, fit_gbt, fit_gbt_batch
+from .gbtree import GBTConfig, TreeEnsemble, fit_gbt_batch
+from .gbtree import fit_gbt  # noqa: F401 (perfbench checks tracing wraps fit_gbt here)
 from .metrics import mae
 from .prng import PRNG_ID, CounterRng
 from .registry import Dataset, FeatureMatrix, encode_features
@@ -81,46 +82,66 @@ def grid_search(train_X: FeatureMatrix, train_y: np.ndarray, grid: list[GBTConfi
 
     Ties break by (smaller n_trees, smaller max_depth, smaller rate).
     """
+    return _grid_search_batch(train_X, train_y, [np.arange(len(train_y))], grid, inner_folds,
+                              seed)[0]
+
+
+def _grid_search_batch(X: FeatureMatrix, y: np.ndarray, trains: list[np.ndarray],
+                       grid: list[GBTConfig], inner_folds: int, seed: int) -> list[GBTConfig]:
+    """``grid_search`` on each training split ``trains`` (ascending row
+    indices of ``X``), with every fit of every split in one lockstep batch."""
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    n = len(train_X.model_ids)
-    if n < inner_folds:
-        raise ValueError("training split smaller than inner_folds")
-    assign = fold_assignment(train_X.model_ids, seed, inner_folds)
-    folds = np.array([assign[m] for m in train_X.model_ids])
-
     # boosting is stagewise, so an n_trees=k ensemble is a prefix of the
     # n_trees=m>k one; share fits across the tree-count axis of the grid
     groups: dict[GBTConfig, list[tuple[int, int]]] = {}
     for gi, c in enumerate(grid):
         groups.setdefault(replace(c, n_trees=0), []).append((c.n_trees, gi))
-
-    # the prototypes share each inner fold's training rows, so each fold
-    # fits them as one lockstep batch
     protos = [replace(shape, n_trees=max(nt for nt, _ in members))
               for shape, members in groups.items()]
-    preds_by_config = {gi: np.empty(n) for gi in range(len(grid))}
-    for f in range(inner_folds):
-        test = folds == f
-        fits = fit_gbt_batch(train_X.values[~test], train_y[~test], protos,
-                             column_names=train_X.column_names)
+
+    tests, rows = [], []  # (split, its inner test rows); each prototype's training rows
+    for s, train in enumerate(trains):
+        if len(train) < inner_folds:
+            raise ValueError("training split smaller than inner_folds")
+        ids = [X.model_ids[i] for i in train]
+        assign = fold_assignment(ids, seed, inner_folds)
+        folds = np.array([assign[m] for m in ids])
+        for f in range(inner_folds):
+            tests.append((s, folds == f))
+            rows += [train[folds != f]] * len(protos)
+    fits = iter(fit_gbt_batch(X.values, y, protos * len(tests), rows=rows,
+                              column_names=X.column_names))
+    preds = [np.empty((len(grid), len(train))) for train in trains]
+    for s, test in tests:
+        X_test = X.values[trains[s][test]]
         for members, ens in zip(groups.values(), fits):
-            staged = ens.staged_predict(train_X.values[test])
+            staged = ens.staged_predict(X_test)
             for nt, gi in members:
-                preds_by_config[gi][test] = staged[:, nt]
-    scored = [
-        (mae(preds_by_config[gi], train_y), c.n_trees, c.max_depth, c.learning_rate, gi)
-        for gi, c in enumerate(grid)
-    ]
-    scored.sort()
-    return grid[scored[0][4]]
+                preds[s][gi, test] = staged[:, nt]
+    best = []
+    for pred, train in zip(preds, trains):
+        scored = [(mae(pred[gi], y[train]), c.n_trees, c.max_depth, c.learning_rate, gi)
+                  for gi, c in enumerate(grid)]
+        scored.sort()
+        best.append(grid[scored[0][4]])
+    return best
+
+
+def _tuned_fits(X: FeatureMatrix, y: np.ndarray, trains: list[np.ndarray],
+                grid: list[GBTConfig], inner_folds: int,
+                seed: int) -> tuple[list[GBTConfig], list[TreeEnsemble]]:
+    """Nested CV's two phases on each training split ``trains``: one batch
+    grid-searches every split, then one batch refits each split's winner."""
+    best = _grid_search_batch(X, y, trains, grid, inner_folds, seed)
+    return best, fit_gbt_batch(X.values, y, best, rows=trains, column_names=X.column_names)
 
 
 def fit_tuned(X: FeatureMatrix, y: np.ndarray, grid: list[GBTConfig], inner_folds: int,
               seed: int) -> tuple[GBTConfig, TreeEnsemble]:
     """Grid-search on ``X``, then refit the winning config on all of ``X``."""
-    best = grid_search(X, y, grid, inner_folds, seed)
-    return best, fit_gbt(X.values, y, best, column_names=X.column_names)
+    (best,), (ens,) = _tuned_fits(X, y, [np.arange(len(y))], grid, inner_folds, seed)
+    return best, ens
 
 
 def run_cv(dataset: Dataset, feature_names, predictor_kind: str, plan: CVPlan,
@@ -143,6 +164,10 @@ def run_cv(dataset: Dataset, feature_names, predictor_kind: str, plan: CVPlan,
     X = encode_features(dataset, list(feature_names)) if predictor_kind == "gbt" else None
     points = scale_points(dataset)
 
+    if predictor_kind == "gbt":
+        best, fits = _tuned_fits(X, dataset.values,
+                                 [np.flatnonzero(folds != f) for f in range(plan.outer_folds)],
+                                 grid, plan.inner_folds, plan.seed)
     preds = np.empty(n)
     fold_configs: list[dict] = []
     for f in range(plan.outer_folds):
@@ -163,10 +188,8 @@ def run_cv(dataset: Dataset, feature_names, predictor_kind: str, plan: CVPlan,
                 preds[i] = baselines.predict_power_law_score(
                     params, points[i].N, points[i].D, dataset.task.polarity)
         else:
-            best, ens = fit_tuned(X.subset_rows(train_idx), y_train, grid, plan.inner_folds,
-                                  plan.seed)
-            preds[test_idx] = ens.predict(X.values[test_idx])
-            fold_configs.append(asdict(best))
+            preds[test_idx] = fits[f].predict(X.values[test_idx])
+            fold_configs.append(asdict(best[f]))
 
     return CVResult(
         task_id=dataset.task.task_id,

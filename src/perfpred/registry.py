@@ -251,10 +251,6 @@ class FeatureMatrix:
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
-    def subset_rows(self, idx) -> "FeatureMatrix":
-        idx = np.asarray(idx)
-        return FeatureMatrix(tuple(self.model_ids[i] for i in idx), self.columns, self.values[idx])
-
 
 # ---------------------------------------------------------------------------
 # validation helpers

@@ -323,12 +323,16 @@ def test_a_kind_flag_is_checked_before_any_input_is_read(tmp_path, capsys, comma
                  str(tmp_path / "absent.csv"), "--task", "t", "--out", str(tmp_path / "out"),
                  "--kind", kind, flag, value])
     err = capsys.readouterr().err
-    if reads:  # accepted: the missing registry is then an I/O error
+    # a required kind flag left out is refused before any input is read too
+    unmet = kind == "shap_dependence" and flag != "--feature"
+    if reads and not unmet:  # accepted: the missing registry is then an I/O error
         assert code == 2 and "VIOLATION" not in err
     else:
         assert code == 1
+    if not reads:
         assert f"VIOLATION: {flag} only applies to --kind " in err
         assert f", not --kind {kind}" in err
+    assert ("VIOLATION: --kind shap_dependence requires --feature" in err) == unmet
     assert "Traceback" not in err
 
 

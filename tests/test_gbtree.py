@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import _cond_expectation, random_fitted_ensemble
 from perfpred import gbtree
-from perfpred.gbtree import (GBTConfig, TreeEnsemble, _NodePlan, _PlanStore, fit_gbt,
-                             fit_gbt_batch, paper_grid)
+from perfpred.gbtree import (GBTConfig, TreeEnsemble, _best_splits, _grow, _search_plan,
+                             fit_gbt, fit_gbt_batch, paper_grid)
 from perfpred.prng import CounterRng
 from perfpred.registry import Column, FeatureMatrix
 from perfpred.shapley import shap_matrix, tree_shap
@@ -352,6 +352,15 @@ def test_root_split_matches_brute_force_search(problem):
                 root["default_direction"] == "left") == expected
 
 
+def score_one_node(X, r, min_leaf):
+    """The level search on one node whose rows are all of ``X``, in order:
+    (sse_after, feature, threshold, default_left)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plan = _search_plan(X.T[:, None, :], np.array([len(r)]), np.array([min_leaf]))
+        found = _best_splits(plan, r[None])
+    return tuple(v[0].item() for v in found)
+
+
 def test_split_sse_is_bit_equal_to_one_column_scoring():
     # the missing-side sums follow 1-D np.sum, whose summation order changes
     # at 8 terms; residuals spanning many magnitudes expose any other order
@@ -361,9 +370,7 @@ def test_split_sse_is_bit_equal_to_one_column_scoring():
         X = rng.normal(size=(n, 3))
         mask = rng.random((n, 3)) < 0.5
         r = rng.normal(size=n) * 10.0 ** rng.integers(-4, 5, size=n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Xm = np.where(mask, np.nan, X)
-            (sse, j, thr, default_left), = _NodePlan(Xm, np.arange(n), 1).best_split(r[None], Xm)
+        sse, j, thr, default_left = score_one_node(np.where(mask, np.nan, X), r, 1)
         m = mask[:, j]
         sr = r[~m][np.argsort(X[~m, j], kind="stable")]
         cs, css = np.cumsum(sr), np.cumsum(sr * sr)
@@ -381,11 +388,12 @@ def test_split_sse_is_bit_equal_to_one_column_scoring():
 
 
 # ---------------------------------------------------------------------------
-# node plans: a fit that keeps them equals a fit that keeps none
+# the level pass: scoring a level's nodes in one block equals scoring each
+# node alone
 
 
-def fit_json(X, y, config, mask=None, budget=gbtree.PLAN_BUDGET):
-    with mock.patch.object(gbtree, "PLAN_BUDGET", budget):
+def fit_json(X, y, config, mask=None, cells=gbtree.LEVEL_CELLS):
+    with mock.patch.object(gbtree, "LEVEL_CELLS", cells):
         return json.dumps(fit_gbt(X, y, config, mask=mask).to_dict())
 
 
@@ -413,38 +421,136 @@ def boosting_problems(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(boosting_problems())
-def test_node_plans_do_not_change_any_fit(problem):
+def test_a_level_scores_like_its_nodes_one_by_one(problem):
+    # LEVEL_CELLS = 1 searches each node in a block of its own, unpadded
     X, missing, y, config, as_nan = problem
     assume(len(y) >= 2 * config.min_samples_leaf and not missing.all())
     if as_nan:
         X, mask = np.where(missing, np.nan, X), None
     else:
         mask = missing
-    assert fit_json(X, y, config, mask) == fit_json(X, y, config, mask, budget=0)
+    assert fit_json(X, y, config, mask) == fit_json(X, y, config, mask, cells=1)
 
 
-def test_node_plans_do_not_change_a_wide_fit():
+def test_a_wide_level_scores_like_its_nodes_one_by_one():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(40, 30))
     X[rng.random(X.shape) < 0.4] = np.nan
     y = rng.normal(size=40)
     config = GBTConfig(max_depth=4, learning_rate=0.3, n_trees=8, min_samples_leaf=2)
-    assert fit_json(X, y, config) == fit_json(X, y, config, budget=0)
-    assert fit_json(X, y, config) == fit_json(X, y, config, budget=10**9)
+    assert fit_json(X, y, config) == fit_json(X, y, config, cells=1)
+    assert fit_json(X, y, config) == fit_json(X, y, config, cells=10**9)
+    # a level of many fits, some blocks holding several of them
+    rows = [np.flatnonzero(rng.random(40) < 0.7) for _ in range(6)]
+    configs = [GBTConfig(d, 0.3, 5) for d in (2, 3, 4, 5, 3, 4)]
+    for cells in (1, 3000, gbtree.LEVEL_CELLS):
+        with mock.patch.object(gbtree, "LEVEL_CELLS", cells):
+            batch = fit_gbt_batch(X, y, configs, rows=rows)
+        for ens, c, r in zip(batch, configs, rows):
+            assert json.dumps(ens.to_dict()) == json.dumps(fit_gbt(X[r], y[r], c).to_dict())
 
 
-def kept_store(X, y, config, mask=None):
-    """Fit and return the fit's _PlanStore, with the plans it kept."""
-    kept = []
+def one_column_split(x, r, min_leaf):
+    """One node's best split on one column by 1-D sums: the present rows in
+    stable sorted order, their residual sums taken with np.cumsum, the
+    missing rows' with np.sum. Returns (sse, threshold, default_left) or
+    None, preferring the lowest SSE, then threshold, then missing left."""
+    miss = np.isnan(x)
+    order = np.argsort(x[~miss], kind="stable")
+    xs, rs, rm = x[~miss][order], r[~miss][order], r[miss]
+    cs, css = np.cumsum(rs), np.cumsum(rs * rs)
+    ms, mss = np.sum(rm), np.sum(rm * rm)
+    best = None
+    for b in range(1, len(rs)):  # b present rows on the left
+        if not xs[b - 1] < xs[b]:
+            continue
+        for default_left in (True, False) if len(rm) else (True,):
+            sums = [cs[b - 1], cs[-1] - cs[b - 1]]
+            squares = [css[b - 1], css[-1] - css[b - 1]]
+            counts = [b, len(rs) - b]
+            side = 0 if default_left else 1
+            sums[side] += ms
+            squares[side] += mss
+            counts[side] += len(rm)
+            if min(counts) < min_leaf:
+                continue
+            sse = (squares[0] - sums[0] * sums[0] / counts[0]) + \
+                (squares[1] - sums[1] * sums[1] / counts[1])
+            key = (sse, b, not default_left)
+            if best is None or key < best[0]:
+                best = (key, (sse, 0.5 * (xs[b - 1] + xs[b]), default_left))
+    return None if best is None else best[1]
 
-    class Kept(_PlanStore):
-        def __init__(self, *args):
-            super().__init__(*args)
-            kept.append(self)
 
-    with mock.patch.object(gbtree, "_PlanStore", Kept):
+def test_level_pass_sums_are_bit_equal_to_one_node_one_column_scoring():
+    # np.sum switches from sequential to blocked pairwise summation at 8
+    # terms: one level holds nodes of 7, 8 and 9 rows beside larger ones,
+    # columns with 8 or more missing rows, and columns with exactly two
+    # present values, every one padded to the level's widest node
+    rng = np.random.default_rng(7)
+    sizes = np.array([7, 8, 9, 9, 8, 12, 17, 24, 31])
+    min_leaf = np.array([1, 2, 1, 2, 1, 1, 2, 1, 3])
+    p, k = 5, sizes.max()
+    for _ in range(10):
+        XT = np.full((p, len(sizes), k), np.nan)
+        Rn = np.full((len(sizes), k), 12345.678)  # the padding, never summed
+        for i, size in enumerate(sizes.tolist()):
+            x = rng.integers(0, 4, size=(p, size)).astype(float)
+            x[rng.random(x.shape) < 0.3] = np.nan
+            if size >= 10:
+                x[0, :] = np.nan
+                x[0, rng.choice(size, 2, replace=False)] = (1.0, 2.0)  # two present values
+                x[1, rng.choice(size, 8, replace=False)] = np.nan  # 8 or more missing rows
+            XT[:, i, :size] = x
+            Rn[i, :size] = rng.normal(size=size) * 10.0 ** rng.integers(-6, 7, size=size)
+        assert [int(np.isnan(XT[1, i, :size]).sum()) >= 8 for i, size in enumerate(sizes)] == \
+            [size >= 10 for size in sizes]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            found = [_best_splits(_search_plan(XT[j:j + 1], sizes, min_leaf), Rn)
+                     for j in range(p)]
+            found.append(_best_splits(_search_plan(XT, sizes, min_leaf), Rn))
+        for i, size in enumerate(sizes.tolist()):
+            by_column = [one_column_split(XT[j, i, :size], Rn[i, :size], min_leaf[i])
+                         for j in range(p)]
+            for j, split in enumerate(by_column):
+                sse, _, threshold, default_left = (v[i] for v in found[j])
+                if split is None:
+                    assert sse == np.inf
+                else:
+                    assert sse.tobytes() == np.float64(split[0]).tobytes()
+                    assert (threshold, default_left) == split[1:]
+            # the whole block picks the lowest SSE, then the lowest feature
+            best = min((s[0], j) for j, s in enumerate(by_column) if s is not None)[1]
+            assert found[-1][0][i].tobytes() == np.float64(by_column[best][0]).tobytes()
+            assert (found[-1][1][i], found[-1][2][i], found[-1][3][i]) == \
+                (best, *by_column[best][1:])
+
+    # the level's node means are one exact-length sum per node size
+    R = np.hstack([rng.normal(size=(len(sizes), 40)) * 10.0 ** rng.integers(-6, 7, 40),
+                   np.zeros((len(sizes), 1))])
+    rows = np.full((len(sizes), k), 40)
+    for i, size in enumerate(sizes.tolist()):
+        rows[i, :size] = np.sort(rng.choice(40, size, replace=False))
+    pool, free = np.empty(len(sizes), gbtree.NODE), np.arange(len(sizes))
+    train_pred, _ = _grow(np.full((1, 41), np.nan), R, np.zeros(len(sizes), int), min_leaf,
+                          rows, pool, free, free.copy(), True)
+    for i, size in enumerate(sizes.tolist()):
+        mean = np.mean(R[i, rows[i, :size]])
+        assert pool["value"][i].tobytes() == mean.tobytes()
+        assert (train_pred[i, rows[i, :size]] == mean).all()
+
+
+def fit_canonical_matrix(X, y, config, mask=None):
+    """Fit and return the canonical (row-sorted) matrix the fit grew its trees on."""
+    seen = []
+
+    def grow(XT, *args):
+        seen.append(XT[:, :-1].T.copy())  # less the padding row
+        return _grow(XT, *args)
+
+    with mock.patch.object(gbtree, "_grow", grow):
         fit_gbt(X, y, config, mask)
-    return kept[0]
+    return seen[0]
 
 
 @st.composite
@@ -474,37 +580,22 @@ def test_canonical_row_order_equals_the_missing_flag_and_value_key_pairs(problem
     for j in range(X.shape[1] - 1, -1, -1):
         keys += [gone[:, j], np.where(gone[:, j], np.inf, X[:, j])]
     order = np.lexsort(keys)
-    store = kept_store(X, y, GBTConfig(n_trees=0, min_samples_leaf=1), mask)
-    assert store.X.tobytes() == np.where(gone, np.nan, X)[order].tobytes()
+    canonical = fit_canonical_matrix(X, y, GBTConfig(n_trees=1, min_samples_leaf=1), mask)
+    assert canonical.tobytes() == np.where(gone, np.nan, X)[order].tobytes()
 
 
-def test_node_plans_stay_within_the_budget():
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(92, 74))
-    X[rng.random(X.shape) < 0.5] = np.nan
-    y = rng.normal(size=92)
-    store = kept_store(X, y, GBTConfig(max_depth=5, learning_rate=0.1, n_trees=10))
-    held = sum(plan.nbytes() + len(key[0]) for key, plan in store.plans.items())
-    assert held == store.cached_bytes <= gbtree.PLAN_BUDGET
-    assert store.plans
-
-
-def test_node_without_admissible_split_is_the_same_leaf_when_cached():
+def test_node_without_admissible_split_is_a_leaf():
     # a constant column, a tied column whose one odd value would leave fewer
     # than min_samples_leaf rows on its side, and a column missing all but once
     X = np.array([[1.0, 0.0, np.nan], [1.0, 0.0, np.nan], [1.0, 0.0, 5.0],
                   [1.0, 0.0, np.nan], [1.0, 1.0, np.nan]])
     y = np.array([0.0, 1.0, 3.0, 0.5, 2.0])
-    store = _PlanStore(X)
-    idx = np.arange(5)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert store.plan(idx, 2).best_split((y - y.mean())[None], X) == [None]
-        assert store.plan(idx, 2).best_split(y[None, ::-1].copy(), X) == [None]  # from the cache
-    assert list(store.plans.values())[0].gather is None
+    assert score_one_node(X, y - y.mean(), 2)[0] == np.inf
+    assert score_one_node(X, y[::-1].copy(), 2)[0] == np.inf
     config = GBTConfig(max_depth=3, learning_rate=0.5, n_trees=4, min_samples_leaf=2)
     ens = fit_gbt(X, y, config)
     assert all("leaf_value" in t and t["cover"] == 5 for t in ens.to_dict()["trees"])
-    assert fit_json(X, y, config) == fit_json(X, y, config, budget=0)
+    assert fit_json(X, y, config) == fit_json(X, y, config, cells=1)
 
 
 def test_a_node_that_splits_differently_in_a_later_round_gets_its_own_children():
@@ -519,7 +610,29 @@ def test_a_node_that_splits_differently_in_a_later_round_gets_its_own_children()
     for tree in trees:
         assert tree["left"]["cover"] == int((X[:, 0] < tree["threshold"]).sum())
         assert tree["right"]["cover"] == 6 - tree["left"]["cover"]
-    assert fit_json(X, y, config) == fit_json(X, y, config, budget=0)
+    assert fit_json(X, y, config) == fit_json(X, y, config, cells=1)
+
+
+def test_a_threshold_that_rounds_onto_a_value_may_leave_a_child_empty():
+    # the midpoint of -inf and 1 is -inf, which sends every row right; the
+    # node pool, sized for children of min_samples_leaf rows, is then sized
+    # again for the bound that holds without them
+    X = np.array([[-np.inf], [1.0], [2.0], [3.0]])
+    y = np.array([5.0, 0.0, 0.0, 0.0])
+    config = GBTConfig(max_depth=2, learning_rate=1.0, n_trees=1, min_samples_leaf=1)
+    passes = []
+
+    def boost(*args, strict):
+        passes.append(strict)
+        return boost_batch(*args, strict=strict)
+
+    boost_batch = gbtree._boost
+    with mock.patch.object(gbtree, "_boost", boost):
+        tree = fit_gbt(X, y, config).to_dict()["trees"][0]
+    assert passes == [True, False]
+    assert tree["threshold"] == -np.inf and tree["left"]["cover"] == 0
+    assert tree["right"]["cover"] == 4 and tree["right"]["left"]["cover"] == 0
+    assert fit_json(X, y, config) == fit_json(X, y, config, cells=1)
 
 
 # ---------------------------------------------------------------------------
@@ -565,30 +678,66 @@ def test_each_fit_of_a_batch_equals_its_config_fitted_alone(problem):
         assert_same_table(ensemble, alone)
 
 
-def plans_built(X, y, configs, budget=gbtree.PLAN_BUDGET):
-    built = []
-
-    class Counted(gbtree._NodePlan):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(1)
-
-    with mock.patch.object(gbtree, "_NodePlan", Counted), \
-            mock.patch.object(gbtree, "PLAN_BUDGET", budget):
-        fit_gbt_batch(X, y, configs)
-    return len(built)
+# ---------------------------------------------------------------------------
+# root memberships: a fit over some rows of a shared matrix is the fit of
+# those rows alone
 
 
-def test_a_batch_builds_each_membership_plan_once():
-    rng = np.random.default_rng(6)
-    X = rng.normal(size=(30, 3))
-    X[rng.random(X.shape) < 0.3] = np.nan
-    y = rng.normal(size=30)
-    config = GBTConfig(max_depth=3, learning_rate=0.3, n_trees=6)
-    for budget in (gbtree.PLAN_BUDGET, 0):
-        # copies of one config share every node: the plans of one fit serve all
-        alone = plans_built(X, y, [config], budget)
-        assert plans_built(X, y, [config] * 4, budget) == alone > 0
-    # fits of other rates share the root of each round, and with it its plan
-    rates = [GBTConfig(3, lr, 6) for lr in (0.01, 0.1, 0.3)]
-    assert plans_built(X, y, rates, 0) < sum(plans_built(X, y, [c], 0) for c in rates)
+@st.composite
+def membership_problems(draw):
+    """One shared matrix (8 to 30 rows) with NaN cells, duplicated rows and a
+    column that is constant or missing inside the first fit's rows only, and
+    fits over row subsets of it."""
+    n = draw(st.integers(8, 30))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(0, 3, size=(n, p)).astype(float)
+    else:
+        X = rng.normal(size=(n, p))
+    X[rng.random((n, p)) < draw(st.sampled_from([0.0, 0.2, 0.5]))] = np.nan
+    y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    copies = rng.choice(n, size=n // 3, replace=False)
+    X[copies[1:]] = X[copies[0]]  # duplicate rows; the first half keep their own targets
+    y[copies[len(copies) // 2:]] = y[copies[0]]
+    config = st.builds(GBTConfig, max_depth=st.integers(1, 5),
+                       learning_rate=st.sampled_from([0.01, 0.1, 0.3, 1.0]),
+                       n_trees=st.integers(0, 6), min_samples_leaf=st.integers(1, 3))
+    configs = draw(st.lists(config, min_size=1, max_size=5))
+    share = st.sampled_from([0.4, 0.7, 1.0])
+    rows = [np.flatnonzero(rng.random(n) < draw(share)) for _ in configs]
+    X[rows[0], rng.integers(p)] = draw(st.sampled_from([1.0, np.nan]))  # inert in fit 0 only
+    mask = rng.random((n, p)) < 0.2 if draw(st.booleans()) else None
+    return X, y, configs, rows, mask
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(membership_problems())
+def test_each_fit_over_a_membership_equals_fit_gbt_on_its_rows(problem):
+    X, y, configs, rows, mask = problem
+    gone = np.isnan(X) if mask is None else np.isnan(X) | mask
+    assume(all(len(r) >= 2 * c.min_samples_leaf and not gone[r].all()
+               for c, r in zip(configs, rows)))
+    batch = fit_gbt_batch(X, y, configs, mask=mask, rows=rows)
+    for ensemble, config, r in zip(batch, configs, rows):
+        alone = fit_gbt(X[r], y[r], config, mask=None if mask is None else mask[r])
+        assert json.dumps(ensemble.to_dict()) == json.dumps(alone.to_dict())
+        assert_same_table(ensemble, alone)
+
+
+def test_a_membership_fit_gbt_would_refuse_raises_its_error():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(12, 2))
+    X[9:] = np.nan
+    y = rng.normal(size=12)
+    y[8] = np.nan  # outside every membership but one
+    good = np.arange(8)
+    for rows, config in [(np.arange(0), GBTConfig()), (np.arange(3), GBTConfig()),
+                         (np.arange(9, 12), GBTConfig(min_samples_leaf=1)),
+                         (np.arange(6, 10), GBTConfig(min_samples_leaf=1))]:
+        with pytest.raises(ValueError) as alone:
+            fit_gbt(X[rows], y[rows], config)
+        with pytest.raises(ValueError) as batch:
+            fit_gbt_batch(X, y, [GBTConfig(), config], rows=[good, rows])
+        assert str(batch.value) == str(alone.value)
+    fit_gbt_batch(X, y, [GBTConfig(n_trees=2)], rows=[good])  # the NaN target is not a member

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from perfpred.baselines import PowerLawParams, ScalePoint, fit_power_law
-from perfpred.gbtree import GBTConfig, fit_gbt
+from perfpred.gbtree import GBTConfig, fit_gbt, paper_grid
 from perfpred.metabias import estimate_contrast, pet_peese, precision_weights
 from perfpred.pipeline import SCALING_FEATURES, CVPlan, run_cv
 from perfpred.registry import all_feature_names, encode_features
@@ -51,6 +51,16 @@ GOLDENS = {
     "pet_peese": "b7dd066d7e4e98e4341519da623f2da9d78d5b8e74792841957fcebbd5f0f08b",
 }
 
+# the paper's 18-config grid on 15 models: its 9 prototypes share each
+# n_trees prefix, and the chosen configs include both tree counts; recorded
+# before the two-phase nested CV and the level pass
+PAPER_GRID_GOLDENS = {
+    "paper/scale/0": "72e453a4c9ec3c6046e7e115008c0d499d27c8f3be14254eb4f527bfdeccc117",
+    "paper/scale/1": "c454cd50e7480b2e136987576dba3d6851fba0a779303f3563c110787b704bc8",
+    "paper/four/0": "715300857c84aec354d111cfc0ac10d7a02954a9b2691e604cd436075663694a",
+    "paper/four/1": "c7b37157f23203b6272cb908e4c37ca2bbbe7755e6fcc19af94524d3a9785a8e",
+}
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -64,6 +74,14 @@ def _cv_dataset():
     spec = GenSpec(n_models=27, noise_sigma=0.02, missing_rate=0.25,
                    feature_effects={"pct_code": 0.002, "entropy_mean": 0.004})
     return synth_dataset(spec, seed=5)[0]
+
+
+def paper_grid_digest(name: str, seed: int) -> str:
+    spec = GenSpec(n_models=15, noise_sigma=0.02, missing_rate=0.25,
+                   feature_effects={"pct_code": 0.002, "entropy_mean": 0.004})
+    ds = synth_dataset(spec, seed=5)[0]
+    return _json_digest(run_cv(ds, FEATURE_SETS[name], "gbt", CVPlan(seed=seed),
+                               paper_grid()).to_dict())
 
 
 def cv_digest(name: str, seed: int) -> str:
@@ -115,6 +133,8 @@ def compute(key: str) -> str:
     kind, *rest = key.split("/")
     if kind == "cv":
         return cv_digest(rest[0], int(rest[1]))
+    if kind == "paper":
+        return paper_grid_digest(rest[0], int(rest[1]))
     return {"shap_matrix": shap_digest, "fit_power_law": power_law_digest,
             "pet_peese": pet_peese_digest}[kind]()
 
@@ -133,6 +153,11 @@ def test_golden(key):
     assert compute(key) == GOLDENS[key]
 
 
+@pytest.mark.parametrize("key", sorted(PAPER_GRID_GOLDENS))
+def test_paper_grid_golden(key):
+    assert compute(key) == PAPER_GRID_GOLDENS[key]
+
+
 if __name__ == "__main__":
-    for k in GOLDENS:
+    for k in [*GOLDENS, *PAPER_GRID_GOLDENS]:
         print(f'    "{k}": "{compute(k)}",')

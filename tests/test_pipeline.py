@@ -1,11 +1,14 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import small_dataset
 from perfpred.baselines import fit_log_linear, ScalePoint
 from perfpred.gbtree import GBTConfig, fit_gbt, paper_grid
+from perfpred.metrics import mae
 from perfpred.pipeline import (
     SCALING_FEATURES,
     CVPlan,
@@ -16,7 +19,7 @@ from perfpred.pipeline import (
     run_cv,
 )
 from perfpred.prng import PRNG_ID, CounterRng
-from perfpred.registry import Column, FeatureMatrix, encode_features
+from perfpred.registry import Column, FeatureMatrix, all_feature_names, encode_features
 from perfpred.synthdata import GenSpec, synth_dataset
 
 
@@ -152,6 +155,71 @@ def test_gbt_cv_singleton_grid_matches_manual_fits():
         assert got == pytest.approx(list(preds), abs=1e-12)
     assert all(c == {"max_depth": 2, "learning_rate": 0.3, "n_trees": 25,
                      "min_samples_leaf": 2} for c in result.fold_configs)
+
+
+def reference_run_cv(ds, features, plan, grid) -> dict:
+    """Nested CV one fit at a time: every config fitted alone on every inner
+    training split, scored by its staged predictions, the lowest mean MAE
+    chosen with ties to fewer trees, then lower depth, then lower rate, then
+    grid order, and refitted alone on the outer training split."""
+    X = encode_features(ds, features)
+    y = ds.values
+    assign = fold_assignment(ds.model_ids, plan.seed, plan.outer_folds)
+    folds = np.array([assign[m] for m in ds.model_ids])
+    preds = np.empty(len(y))
+    chosen = []
+    for f in range(plan.outer_folds):
+        train = np.flatnonzero(folds != f)
+        Xt, yt = X.values[train], y[train]
+        ids = [ds.model_ids[i] for i in train]
+        inner_assign = fold_assignment(ids, plan.seed, plan.inner_folds)
+        inner = np.array([inner_assign[m] for m in ids])
+        scores = np.empty((len(grid), len(train)))
+        for g in range(plan.inner_folds):
+            test = inner == g
+            for gi, c in enumerate(grid):
+                ens = fit_gbt(Xt[~test], yt[~test], c, column_names=X.column_names)
+                scores[gi, test] = ens.staged_predict(Xt[test])[:, c.n_trees]
+        best = min(range(len(grid)), key=lambda gi: (mae(scores[gi], yt), grid[gi].n_trees,
+                                                     grid[gi].max_depth,
+                                                     grid[gi].learning_rate, gi))
+        ens = fit_gbt(Xt, yt, grid[best], column_names=X.column_names)
+        preds[folds == f] = ens.predict(X.values[folds == f])
+        chosen.append(asdict(grid[best]))
+    return {"predictions": {m: float(p) for m, p in zip(ds.model_ids, preds)},
+            "mae": mae(preds, y), "fold_configs": chosen}
+
+
+@st.composite
+def nested_cv_problems(draw):
+    """Small synthetic datasets with missing features, a few feature sets,
+    seeds, and grids whose configs share depths and rates across tree counts."""
+    spec = GenSpec(n_models=draw(st.integers(9, 20)), noise_sigma=0.02,
+                   missing_rate=draw(st.sampled_from([0.0, 0.3, 0.6])),
+                   feature_effects={"pct_code": 0.002})
+    ds = synth_dataset(spec, seed=draw(st.integers(0, 1000)))[0]
+    features = draw(st.sampled_from([list(SCALING_FEATURES),
+                                     ["total_params", "pct_code", "entropy_mean"],
+                                     all_feature_names()[:8]]))
+    config = st.builds(GBTConfig, max_depth=st.sampled_from([1, 2, 3, 5]),
+                       learning_rate=st.sampled_from([0.1, 0.3]),
+                       n_trees=st.sampled_from([1, 3, 6]))
+    grid = draw(st.lists(config, min_size=1, max_size=4))
+    seeds = draw(st.lists(st.integers(0, 50), min_size=1, max_size=2, unique=True))
+    return ds, features, grid, seeds
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(nested_cv_problems())
+def test_run_cv_equals_a_nested_cv_of_single_fits(problem):
+    ds, features, grid, seeds = problem
+    for seed in seeds:
+        got = run_cv(ds, features, "gbt", CVPlan(seed=seed), grid).to_dict()
+        want = reference_run_cv(ds, features, CVPlan(seed=seed), grid)
+        assert json.dumps({k: got[k] for k in want}, sort_keys=True) == \
+            json.dumps(want, sort_keys=True)
+    assert multi_seed_mae(ds, features, "gbt", seeds, grid) == \
+        [reference_run_cv(ds, features, CVPlan(seed=s), grid)["mae"] for s in seeds]
 
 
 def test_multi_seed_mae_ordering_and_determinism():
