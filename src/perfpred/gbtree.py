@@ -229,8 +229,11 @@ def _best_splits(plan, Rn):
 
     Missing rows are tried on both sides and kept on the lower-SSE side.
     Ties break deterministically: lowest feature index, lowest threshold,
-    missing routed left. Returns each node's (sse_after, feature, threshold,
-    default_left); sse_after is inf where no split is admissible. Call
+    missing routed left. A threshold is the midpoint of the values on either
+    side, or the value above where the midpoint is not strictly above the
+    value below (adjacent floats, -inf, overflow), so every row goes to the
+    side the search counted it on. Returns each node's (sse_after, feature,
+    threshold, default_left); sse_after is inf where no split is admissible. Call
     under ``np.errstate(divide="ignore", invalid="ignore")``: positions past
     a column's present rows divide by zero before they are masked out.
     """
@@ -280,10 +283,14 @@ def _best_splits(plan, Rn):
     pair = best * g + np.arange(g)
     right = right[pair]
     at = t[right.view(np.int8), pair] + pair * k
-    return value.reshape(-1)[pair], cols[best], 0.5 * (V[at] + V[at + 1]), ~right
+    below, above = V[at], V[at + 1]
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (below + above)
+    threshold = np.where((below < mid) & (mid <= above), mid, above)
+    return value.reshape(-1)[pair], cols[best], threshold, ~right
 
 
-def _grow(XT, R, max_depth, min_leaf, rows, pool, free, start, strict, root_plans=None):
+def _grow(XT, R, max_depth, min_leaf, rows, pool, free, start, root_plans=None):
     """One tree per residual vector (row) of ``R``, grown together one level
     at a time from the root rows ``rows`` (each ascending and padded with
     the padding row, ``XT``'s last column), limited by ``max_depth`` and
@@ -291,9 +298,7 @@ def _grow(XT, R, max_depth, min_leaf, rows, pool, free, start, strict, root_plan
     ``pool`` from position ``free[i]`` on, breadth first, numbered from
     ``start[i]``; ``free`` is advanced past them. Returns each row's
     training-set predictions and the root level's search plans, which a
-    later round on the same roots passes back as ``root_plans``. When
-    ``strict``, raises ``_SmallChild`` before writing a child with fewer
-    rows than its leaf size.
+    later round on the same roots passes back as ``root_plans``.
 
     Every frontier node of every tree is scored in one search per level;
     node means and SSEs are exact-length sums, one call per node size, so
@@ -353,8 +358,6 @@ def _grow(XT, R, max_depth, min_leaf, rows, pool, free, start, strict, root_plan
                          default_left[:, None]) & present
         sides = np.stack([left, present & ~left], axis=1)
         sizes = sides.sum(axis=2).ravel()
-        if strict and (sizes < min_leaf[fit].repeat(2)).any():
-            raise _SmallChild
         rows = np.sort(np.where(sides, parent[:, None], pad), axis=2)
         rows = rows.reshape(len(sizes), parent.shape[1])[:, :sizes.max(initial=0)]
         fit = fit.repeat(2)
@@ -409,19 +412,10 @@ def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
     y, member = y[order], member[:, order]
     XT = np.hstack([X[order].T, np.full((X.shape[1], 1), np.nan)])  # and the padding row
     with np.errstate(divide="ignore", invalid="ignore"):
-        try:
-            return _boost(XT, y, member, configs, column_names, strict=True)
-        except _SmallChild:
-            return _boost(XT, y, member, configs, column_names, strict=False)
+        return _boost(XT, y, member, configs, column_names)
 
 
-class _SmallChild(Exception):
-    """A split left a child with fewer rows than its leaf size: its
-    threshold, a midpoint that rounds onto a value (or -inf), sent rows the
-    other way than the search counted them."""
-
-
-def _boost(XT, y, member, configs, column_names, strict) -> list[TreeEnsemble]:
+def _boost(XT, y, member, configs, column_names) -> list[TreeEnsemble]:
     """The boosting rounds of ``fit_gbt_batch`` over the canonical matrix
     ``XT`` (transposed, with the padding row) and targets ``y``; fit ``f``
     trains on the rows ``member[f]``."""
@@ -437,13 +431,10 @@ def _boost(XT, y, member, configs, column_names, strict) -> list[TreeEnsemble]:
     roots[width < counts[:, None]] = np.flatnonzero(member) % n
     # each fit's nodes fill its own region of one pool, sized for its
     # largest trees: 2 ** (depth + 1) - 1 nodes, and 2 l - 1 for l leaves of
-    # min_samples_leaf rows or more. A child can be smaller only when a
-    # threshold rounds onto a value; then every level below the root holds
-    # at most k nodes, since the nodes that split hold disjoint rows, two or
-    # more each. Below numpy's huge-page size (4 MB), pages never written
-    # take no memory
-    most = [c.n_trees * min(2 ** (c.max_depth + 1) - 1,
-                            2 * (k // c.min_samples_leaf) - 1 if strict else 1 + c.max_depth * k)
+    # min_samples_leaf rows or more (every child holds as many rows as the
+    # search counted). Below numpy's huge-page size (4 MB), pages never
+    # written take no memory
+    most = [c.n_trees * min(2 ** (c.max_depth + 1) - 1, 2 * (k // c.min_samples_leaf) - 1)
             for c, k in zip(configs, counts.tolist())]
     start = np.cumsum([0] + most)
     pool, free = np.empty(start[-1], NODE), start[:-1].copy()
@@ -458,7 +449,7 @@ def _boost(XT, y, member, configs, column_names, strict) -> list[TreeEnsemble]:
         tree_roots[live, t] = free[live] - start[live]
         live_free = free[live]
         train_pred, root_plans = _grow(XT, yp - pred[live], max_depth[live], min_leaf[live],
-                                       roots[live], pool, live_free, start[live], strict,
+                                       roots[live], pool, live_free, start[live],
                                        root_plans)
         free[live] = live_free
         pred[live] += rates[live] * train_pred

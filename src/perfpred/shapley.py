@@ -7,18 +7,35 @@ leaf count and expectation, and ``gbtree.goes_left`` picks each row's hot
 child. Local accuracy holds exactly: base value plus the attribution
 vector reproduces the ensemble prediction for every explained row.
 
-All rows are explained in one traversal per tree. The path algorithm visits
-both children of every node for every row, so the visits and the
-zero-fractions ``z`` do not depend on the row; only the one-fractions ``o``
-and the permutation weights ``w`` do, and they are carried as (rows,)
-arrays (in the spirit of the path arrays of GPUTreeShap, Mitchell et al.
-2022, arXiv:2010.13972). ``tree_shap`` is the one-row case of the same
-routine. Summation order: the one-row recursion enters the child a row
-takes (hot) before the other (cold), so each row adds the leaves'
-contributions in its own order. Contributions are therefore kept per leaf
-and added per row in that hot-first depth-first order (a leaf's rank in it
-is the leaf count of every hot sibling subtree it follows), which keeps
-every attribution bit-identical to explaining the rows one at a time.
+Path arrays. The algorithm's state at a node depends only on the path to
+it: each step appends an element (EXTEND) whose zero-fraction ``z`` is a
+ratio of covers, the same for every row, and whose one-fraction ``o`` (0
+or 1) says whether the row takes that step; a step on a feature that
+already split an ancestor first removes that ancestor's element (UNWIND).
+One row-independent pass over each tree lists which path element each
+split's feature removes and the features of each leaf's path. The trees
+of a block then grow together one depth at a time, after the path arrays
+of GPUTreeShap (Mitchell et al. 2022, arXiv:2010.13972) on CPU numpy: a
+depth's nodes are parted by path length and unwind position, and each part
+extends its paths into both children by one set of array operations over
+(path position, node, row), so siblings share their path's prefix. At the
+leaves, the weights unwound at every path position are computed at once.
+A block holds consecutive trees whose path states fit ``SHAP_CELLS``
+cells, so memory does not grow with the ensemble. ``tree_shap`` is the
+one-row case.
+
+Why every attribution is bit-identical to the per-node recursion that
+explains one row at a time (``recursive_shap`` in the tests' conftest):
+each array element is computed by the recursion's expressions in the same
+operand order (``o`` is held as bools, which multiply and subtract as 1.0
+and 0.0), and the unwound weights are summed over positions in the same
+order. The recursion enters the child a row takes (hot) before the other
+(cold), so each row adds a tree's leaf contributions in its own order; a
+leaf's rank in it is the leaf count of every sibling subtree the row takes
+instead of the leaf's path. A tree's contributions are placed by rank and
+added into the attributions one slot after another, as the recursion adds
+them. Adding a zero changes nothing (an attribution starts at +0.0, so it
+is never -0.0), so a leaf may add zeros for the features off its path.
 """
 
 from __future__ import annotations
@@ -31,52 +48,70 @@ import numpy as np
 from .gbtree import TreeEnsemble, fold_mask, goes_left
 from .registry import FeatureMatrix
 
+# cells of a block's path states, (leaf, row, path position), and of a chunk
+# of unwound weights, (leaf, row, position pair)
+SHAP_CELLS = 1 << 15
+
 
 @lru_cache(maxsize=None)
 def _ranks(l: int) -> tuple[np.ndarray, np.ndarray]:
-    """(l - i) and (i + 1) for i < l, as (l, 1) columns."""
-    i = np.arange(l)[:, None]
+    """(l - i) and (i + 1) for i < l, as (l, 1, 1) columns."""
+    i = np.arange(l)[:, None, None]
     return l - i, i + 1
 
 
-def _extend_path(z, o, w, pz, po):
-    """The path (z, o, w) with one element (pz, po) appended.
+def _extend(z, o, w, pz, po):
+    """The paths (z, o, w) of a part's nodes, each extended by one element
+    (pz, po) per child: the paths of the children, left then right.
 
-    ``z`` is a list of l floats, ``o`` and ``w`` are (l, rows) and ``po`` is
-    a scalar or (rows,).
+    ``z`` is (l, nodes, 1), ``o`` and ``w`` are (l, nodes, rows), ``pz``
+    is (2, nodes, 1) and ``po`` (2, nodes, rows); ``l`` is at least 1.
+    Returns (l + 1, 2 * nodes, ...) arrays.
     """
-    l, rows = w.shape
-    new_o = np.empty((l + 1, rows))
-    new_o[:l] = o
-    new_o[l] = po
-    new_w = np.zeros((l + 1, rows))
-    if l == 0:
-        new_w[0] = 1.0
-    else:
-        down, up = _ranks(l)
-        new_w[:l] = pz * w * down / (l + 1)
-        new_w[1:] += po * w * up / (l + 1)
-    return z + [pz], new_o, new_w
+    l, m = w.shape[:2]
+    down, up = (r[:, None] for r in _ranks(l))
+    w = w[:, None]
+    new_w = np.empty((l + 1, 2) + w.shape[2:])
+    head = new_w[:l]  # pz * w * down / (l + 1), in place
+    np.multiply(pz, w, out=head)
+    head *= down
+    head /= l + 1
+    new_w[l] = 0.0
+    tail = po * w  # added: po * w * up / (l + 1)
+    tail *= up
+    tail /= l + 1
+    new_w[1:] += tail
+    new_z, new_o = np.empty((l + 1, 2, m, 1)), np.empty(new_w.shape, bool)
+    new_z[:l], new_z[l] = z[:, None], pz
+    new_o[:l], new_o[l] = o[:, None], po
+    return (a.reshape(l + 1, 2 * m, -1) for a in (new_z, new_o, new_w))
 
 
-def _unwound_weights(z, o, w, index):
+def _unwound_weights(z, o, w, index: slice):
     """Path weights with element ``e`` removed, for each ``e`` in ``index``.
 
-    Inverts ``_extend_path``; returns (l - 1, len(index), rows). The removed
-    element's ``z`` is row-independent but its ``o`` is not, so the
-    ``o != 0`` branch is taken per row.
+    Inverts ``_extend``; returns (l - 1, len(index), paths, rows) for paths
+    of ``l`` elements. The removed element's ``z`` is row-independent but
+    its ``o`` (0 or 1) is not, so the ``o != 0`` branch is taken per row;
+    where it is taken, ``(i + 1) * o`` is ``i + 1``.
     """
     l = len(z) - 1
-    oi = o[index]
-    zi = np.array([z[e] for e in index])[:, None]
+    oi, zi = o[index], z[index]
     down, _ = _ranks(l)
-    zero_o = w[:l, None] * (l + 1) / (zi * down[:, :, None])
-    inverted = np.empty_like(zero_o)
+    weights = np.empty((l,) + oi.shape)
+    np.multiply(w[:l, None], l + 1, out=weights)  # where o is 0
+    np.divide(weights, zi * down[:, None], out=weights)
+    one = oi != 0.0
     n = w[l]
     for i in range(l - 1, -1, -1):
-        inverted[i] = v = n * (l + 1) / ((i + 1) * oi)
-        n = w[i] - v * zi * (l - i) / (l + 1)
-    return np.where(oi != 0.0, inverted, zero_o)
+        v = n * (l + 1)  # n * (l + 1) / ((i + 1) * o) where o is 1
+        v /= i + 1
+        n = v * zi  # w[i] - v * zi * (l - i) / (l + 1), in place
+        n *= l - i
+        n /= l + 1
+        np.subtract(w[i], n, out=n)
+        np.copyto(weights[i], v, where=one)
+    return weights
 
 
 def _bottom_up(ensemble: TreeEnsemble) -> tuple[list[int], list[float]]:
@@ -92,72 +127,162 @@ def _bottom_up(ensemble: TreeEnsemble) -> tuple[list[int], list[float]]:
     return counts, E
 
 
-def _visit(i, walk, d, z, o, w, pz, po, pi, rank) -> None:
-    """Extend the path by (pz, po, pi) into node ``i``; at a leaf, record its
-    contributions in ``walk = (X, table, leaf counts, leaves)``. The rows of
-    ``table`` are the ensemble's ``gbtree.NODE`` records as tuples."""
-    X, table, counts, leaves = walk
-    j, threshold, default_left, left, right, value, cover = table[i]
-    z, o, w = _extend_path(z, o, w, pz, po)
-    d = d + [pi]
-    if j < 0:
-        total = sum(_unwound_weights(z, o, w, range(1, len(d))))
-        zs = np.array(z[1:])[:, None]
-        leaves.append((rank, d[1:], total * (o[1:] - zs) * value))
-        return
-    hot_left = goes_left(X[:, j], threshold, default_left)
-    iz, io = 1.0, 1.0
-    if j in d:
-        k = d.index(j)
-        iz, io = z[k], o[k]
-        w = _unwound_weights(z, o, w, [k])[:, 0]
-        z, o, d = z[:k] + z[k + 1:], np.delete(o, k, axis=0), d[:k] + d[k + 1:]
+def _paths(feature: list, left: list, right: list, root: int) -> tuple[list, list]:
+    """The row-independent part of the tree at node ``root``, given each
+    node's split feature and children: each split's unwind position (the
+    element of its path that its feature removes, or 0), and each leaf with
+    the features of its path's elements after the root's."""
+    unwinds, leaves = [], []
+    queue = [(root, ())]
+    for i, features in queue:
+        j = feature[i]
+        if j < 0:
+            leaves.append((i, features))
+            continue
+        k = features.index(j) + 1 if j in features else 0
+        unwinds.append((i, k))
+        features = (features[:k - 1] + features[k:] if k else features) + (j,)
+        queue += [(left[i], features), (right[i], features)]
+    return unwinds, leaves
+
+
+# A part is a set of nodes at one depth whose paths have the same length l:
+# (nodes, z (l, nodes, 1), o (l, nodes, rows) as bools, w (l, nodes, rows),
+# each row's rank of the node's first leaf (nodes, rows)).
+_PART_AXES = (0, 1, 1, 1, 0)
+
+
+def _select(part, at):
+    return tuple(a.take(at, axis) for a, axis in zip(part, _PART_AXES))
+
+
+def _merge(parts):
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(a, axis) for a, axis in zip(zip(*parts), _PART_AXES))
+
+
+def _children(XT, nodes, counts, part, k):
+    """The part of the children of ``part``'s nodes, left children then
+    right. Every node of ``part`` splits on a feature whose element on its
+    path is ``k``, or 0 for a feature not on it; ``XT`` holds the explained
+    rows as columns."""
+    n, z, o, w, rank = part
+    at = nodes[n]
+    iz = io = 1.0
+    if k:
+        iz, io = z[k, :, 0], o[k]
+        w = _unwound_weights(z, o, w, slice(k, k + 1))[:, 0]
+        z, o = (np.concatenate([a[:k], a[k + 1:]]) for a in (z, o))
+    left = goes_left(XT[at["feature"]], at["threshold"][:, None], at["default_left"][:, None])
+    hot = np.array([left, ~left])
+    child = np.array([at["left"], at["right"]])
     # a row visits its hot child first, so the cold child's leaves come
     # after all the leaves of the hot one
-    for child, hot, other in ((left, hot_left, right), (right, ~hot_left, left)):
-        _visit(child, walk, d, z, o, w, iz * table[child][6] / cover, np.where(hot, io, 0.0),
-               j, np.where(hot, rank, rank + counts[other]))
+    rank = rank + np.where(hot, 0, counts[child[::-1], None])
+    pz = iz * nodes["cover"][child] / at["cover"]
+    z, o, w = _extend(z, o, w, pz[..., None], hot & io if k else hot)
+    return child.reshape(-1), z, o, w, rank.reshape(2 * len(n), -1)
 
 
-def _add_tree_phi(X: np.ndarray, table: list, counts: list, root: int, phi: np.ndarray) -> None:
-    """Add the attributions of the tree at node ``root`` of ``table`` for
-    every row of ``X`` into ``phi`` (rows, p).
+def _add_block_phi(XT, nodes, counts, trees, phi) -> None:
+    """Add the attributions of ``trees`` (each the ``_paths`` of a tree)
+    for every row into ``phi`` (p, rows), tree after tree.
 
-    NaN entries are routed by default direction.
+    The trees grow together one depth at a time, one extension per node:
+    a depth's nodes are parted by path length and unwind position, and each
+    part is one sequence of array operations.
     """
-    if table[root][0] < 0:  # a one-leaf tree attributes nothing
-        return
-    rows = X.shape[0]
-    leaves = []  # (visit rank per row, path features, contributions (len, rows))
-    _visit(root, (X, table, counts, leaves), [], [], np.empty((0, rows)), np.empty((0, rows)),
-           1.0, 1.0, -1, np.zeros(rows, dtype=np.int64))
+    rows = phi.shape[1]
+    unwind = np.full(len(nodes), -1)  # -1 at a leaf
+    for splits, _ in trees:
+        unwind[[i for i, _ in splits]] = [k for _, k in splits]
+    leaves = [leaf for _, tree_leaves in trees for leaf in tree_leaves]
+    slot = np.empty(len(nodes), np.intp)  # a leaf's place in ``leaves``
+    slot[[i for i, _ in leaves]] = np.arange(len(leaves))
+    longest = max(len(features) for _, features in leaves)
 
-    # every row visits the same leaves, but in its own order; add their
-    # contributions in that order so phi sums bit-identically
-    cols = sorted({f for _, feats, _ in leaves for f in feats})
-    pos = {f: i for i, f in enumerate(cols)}
-    contrib = np.zeros((len(leaves), rows, len(cols)))
-    for leaf, (_, feats, values) in enumerate(leaves):
-        contrib[leaf][:, [pos[f] for f in feats]] = values.T
-    order = np.argsort(np.array([rank for rank, _, _ in leaves]), axis=0)
+    roots = np.array([splits[0][0] for splits, _ in trees])  # a tree's first split
+    level = {1: (roots, np.ones((1, len(roots), 1)), np.ones((1, len(roots), rows), bool),
+                 np.ones((1, len(roots), rows)), np.zeros((len(roots), rows), np.intp))}
+    done: dict[int, list] = {}
+    while level:
+        grown: dict[int, list] = {}
+        for l, part in level.items():
+            ks = unwind[part[0]]
+            kinds = sorted(set(ks.tolist()))
+            for k in kinds:
+                sub = part if len(kinds) == 1 else _select(part, np.flatnonzero(ks == k))
+                if k < 0:
+                    done.setdefault(l, []).append(sub)
+                else:
+                    grown.setdefault(l + (k == 0), []).append(_children(XT, nodes, counts, sub, k))
+        level = {l: _merge(parts) for l, parts in grown.items()}
+
+    # each leaf's contributions, in chunks whose unwound weights fit the budget
+    rank = np.empty((len(leaves), rows), np.intp)
+    contributions = np.zeros((longest, len(leaves), rows))
+    while done:
+        l, parts = done.popitem()
+        n, z, o, w, leaf_rank = _merge(parts)
+        del parts
+        rank[slot[n]] = leaf_rank
+        step = max(1, SHAP_CELLS // max(1, rows * (l - 1) ** 2))
+        for c in range(0, len(n), step):
+            c = slice(c, c + step)
+            total = sum(_unwound_weights(z[:, c], o[:, c], w[:, c], slice(1, None)))
+            contributions[:l - 1, slot[n[c]]] = \
+                total * (o[1:, c] - z[1:, c]) * nodes["value"][n[c], None]
+
+    # every row adds a tree's leaves in its own order: one slot per leaf, by
+    # rank, after the attributions so far. Positions past a path's end
+    # (feature -1) land in a spare first column, so a slot holds two cells
+    # or more and np.add.reduce adds the slots one after another, as one row
+    # at a time would add them (it sums pairwise only along a lone axis)
+    features = np.array([f + (-1,) * (longest - len(f)) for _, f in leaves]).T
     every_row = np.arange(rows)
-    for step in order:
-        phi[:, cols] += contrib[step, every_row]
+    start = 0
+    for _, tree_leaves in trees:
+        at = slice(start, start + len(tree_leaves))
+        start = at.stop
+        cols = np.array(sorted({-1}.union(*(f for _, f in tree_leaves))))
+        where = (1 + rank[at]) * len(cols) + np.searchsorted(cols, features[:, at])[..., None]
+        slots = np.zeros((1 + len(tree_leaves), len(cols), rows))
+        slots[0, 1:] = phi[cols[1:]]
+        slots.reshape(slots.shape[0] * len(cols), rows)[where, every_row] = contributions[:, at]
+        phi[cols[1:]] = np.add.reduce(slots, axis=0)[1:]
 
 
 def _shap_rows(ensemble: TreeEnsemble, X: np.ndarray) -> tuple[np.ndarray, float]:
-    """Attributions (rows, p) of every row of ``X``, one traversal per tree,
-    and the base value: base_score plus lr * each tree's expectation, added
-    tree by tree as ``TreeEnsemble.staged_predict`` accumulates leaves."""
-    phi = np.zeros(X.shape)
-    table = ensemble.nodes.tolist()
+    """Attributions (rows, p) of every row of ``X`` and the base value:
+    base_score plus lr * each tree's expectation, added tree by tree as
+    ``TreeEnsemble.staged_predict`` accumulates leaves.
+
+    Trees are explained in blocks of consecutive trees whose path states fit
+    ``SHAP_CELLS``, counting every path as long as the block's longest.
+    """
+    feature, left, right = (ensemble.nodes[k].tolist() for k in ("feature", "left", "right"))
     counts, expectation = _bottom_up(ensemble)
+    counts = np.array(counts)
+    XT = np.ascontiguousarray(X.T)
+    phi = np.zeros(XT.shape)
     base = ensemble.base_score
+    block, leaves, length = [], 0, 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for root in ensemble.roots.tolist():
-            _add_tree_phi(X, table, counts, root, phi)
             base += ensemble.learning_rate * expectation[root]
-    return ensemble.learning_rate * phi, float(base)
+            if feature[root] < 0:  # a one-leaf tree attributes nothing
+                continue
+            tree = _paths(feature, left, right, root)
+            tree_length = 1 + max(len(features) for _, features in tree[1])
+            if block and (leaves + len(tree[1])) * len(X) * max(length, tree_length) > SHAP_CELLS:
+                _add_block_phi(XT, ensemble.nodes, counts, block, phi)
+                block, leaves, length = [], 0, 0
+            block.append(tree)
+            leaves, length = leaves + len(tree[1]), max(length, tree_length)
+        if block:
+            _add_block_phi(XT, ensemble.nodes, counts, block, phi)
+    return np.ascontiguousarray(ensemble.learning_rate * phi.T), float(base)
 
 
 def tree_shap(ensemble: TreeEnsemble, x: np.ndarray,

@@ -119,6 +119,66 @@ def brute_shapley(ensemble: TreeEnsemble, x, miss=None):
     return phi, v(frozenset())
 
 
+# ---------------------------------------------------------------------------
+# reference path algorithm: one row, one node at a time, in plain floats
+
+
+def _extended(z, o, w, pz, po):
+    l = len(w)
+    new_w = [0.0] * (l + 1)
+    if l == 0:
+        new_w[0] = 1.0
+    for i in range(l):
+        new_w[i] = pz * w[i] * (l - i) / (l + 1)
+    for i in range(l):
+        new_w[i + 1] += po * w[i] * (i + 1) / (l + 1)
+    return z + [pz], o + [po], new_w
+
+
+def _unwound(z, o, w, e):
+    """The path weights with element ``e`` removed."""
+    l = len(z) - 1
+    if o[e] == 0.0:
+        return [w[i] * (l + 1) / (z[e] * (l - i)) for i in range(l)]
+    out, n = [0.0] * l, w[l]
+    for i in range(l - 1, -1, -1):
+        out[i] = v = n * (l + 1) / ((i + 1) * o[e])
+        n = w[i] - v * z[e] * (l - i) / (l + 1)
+    return out
+
+
+def recursive_shap(ensemble: TreeEnsemble, x) -> np.ndarray:
+    """One row's attributions by the recursive path algorithm (Lundberg et
+    al. 2020, Algorithm 2), visiting the child the row takes first and
+    adding each leaf's contributions as it is reached. ``shapley`` must
+    equal it bit for bit."""
+    nodes = ensemble.nodes.tolist()
+    phi = [0.0] * len(ensemble.column_names)
+
+    def visit(i, z, o, w, d, pz, po, pi):
+        j, threshold, default_left, left, right, value, cover = nodes[i]
+        z, o, w = _extended(z, o, w, pz, po)
+        d = d + [pi]
+        if j < 0:
+            for e in range(1, len(d)):
+                phi[d[e]] += sum(_unwound(z, o, w, e)) * (o[e] - z[e]) * value
+            return
+        iz, io = 1.0, 1.0
+        if j in d:
+            k = d.index(j)
+            iz, io, w = z[k], o[k], _unwound(z, o, w, k)
+            z, o, d = z[:k] + z[k + 1:], o[:k] + o[k + 1:], d[:k] + d[k + 1:]
+        hot_left = default_left if math.isnan(x[j]) else x[j] < threshold
+        hot, cold = (left, right) if hot_left else (right, left)
+        for child, po in ((hot, io), (cold, 0.0)):
+            visit(child, z, o, w, d, iz * nodes[child][6] / cover, po, j)
+
+    for root in ensemble.roots.tolist():
+        if nodes[root][0] >= 0:
+            visit(root, [], [], [], [], 1.0, 1.0, -1)
+    return ensemble.learning_rate * np.array(phi)
+
+
 def random_fitted_ensemble(rng, p=None, n_rows=25, n_trees=3, depth=3,
                            missing_rate=0.2):
     """Fit a real GBT on random data so covers and defaults are authentic."""

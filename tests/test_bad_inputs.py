@@ -7,8 +7,11 @@ import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from perfpred.cli import main
+import pytest
+
+from perfpred.cli import build_parser, main
 from perfpred.registry import ENUM_VOCAB, SCHEMA, RegistryError, load_registry
+from perfpred.synthdata import GenSpec, gen_registry, write_registry, write_scores
 
 # the examples share one tmp_path: each overwrites the files it reads
 SWEEP = settings(max_examples=60, deadline=None, derandomize=True,
@@ -94,3 +97,80 @@ def test_the_csv_loader_raises_only_registry_errors(tmp_path, csv_text, mapping)
         assert e.violations
     else:
         assert len(registry) > 0
+
+
+# ---------------------------------------------------------------------------
+# CLI flag sweep: every subcommand, every flag its parser takes, valid and
+# junk values; a run ends in exit 0, 1 or 2, never in a traceback
+
+# values per flag destination; a flag not named here gets FLAG_JUNK. Valid
+# values are cheap: two seeds, one or two features, a 3-point grid
+FLAG_VALUES = {
+    "task": ["taskA", "bogus", ""],
+    "seed": ["0", "1", "-1", "x", "1.5"],
+    "seeds": ["2", "1", "0", "-3", "x"],
+    "features": ["pct_code", "total_params,activation", "bogus", "pct_code,pct_code", ","],
+    "candidates": ["pct_code", "bogus", "pct_code,pct_code", ""],
+    "tol": ["1e-4", "nan", "-1", "inf", "x"],
+    "feature": ["pct_code", "bogus", ""],
+    "grid": ["3", "0", "-2", "x"],
+}
+FLAG_JUNK = ["0", "x", ""]
+# flags whose default is a slow run (every candidate, five seeds) are always given
+ALWAYS = {("select", "candidates"), ("select", "seeds"), ("compare", "seeds"),
+          ("report", "seeds")}
+SUBCOMMANDS = next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sweep")
+    registry, scores, task, _ = gen_registry(
+        GenSpec(n_models=12, task_id="taskA", missing_rate=0.15), seed=3)
+    write_registry(registry, root / "registry.json")
+    write_scores(scores, task, root / "scores.csv")
+    return root
+
+
+@st.composite
+def cli_argv(draw, root):
+    """An argv built from the parser of a subcommand: each of its flags is
+    given (always where required, mostly where ``ALWAYS``, else now and
+    then) with a value that is valid or junk."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [command]
+    for action in SUBCOMMANDS[command]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        flag, dest = action.option_strings[0], action.dest
+        if dest in ("registry", "scores"):
+            value = draw(_mostly(st.just(str(root / f"{dest}.{'json' if dest == 'registry' else 'csv'}")),
+                                 st.sampled_from([str(root / "missing"), str(root / "scores.csv")])))
+        elif dest == "out":
+            value = draw(_mostly(st.just(str(root / "out")), st.just(str(root / "registry.json"))))
+        else:
+            pool = [*action.choices, "bogus"] if action.choices else FLAG_VALUES.get(dest, FLAG_JUNK)
+            if not action.required and (command, dest) not in ALWAYS and draw(st.booleans()):
+                continue
+            if action.required and draw(st.integers(0, 15)) == 0:
+                continue
+            value = draw(st.sampled_from(pool))
+        argv += [flag, value]
+    if draw(st.integers(0, 15)) == 0:
+        argv += ["--bogus", "1"]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_every_flag_combination_exits_with_a_code_and_no_traceback(cli_inputs, data):
+    argv = data.draw(cli_argv(cli_inputs))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refuses the argv
+            code = e.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

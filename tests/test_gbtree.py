@@ -613,26 +613,64 @@ def test_a_node_that_splits_differently_in_a_later_round_gets_its_own_children()
     assert fit_json(X, y, config) == fit_json(X, y, config, cells=1)
 
 
-def test_a_threshold_that_rounds_onto_a_value_may_leave_a_child_empty():
-    # the midpoint of -inf and 1 is -inf, which sends every row right; the
-    # node pool, sized for children of min_samples_leaf rows, is then sized
-    # again for the bound that holds without them
-    X = np.array([[-np.inf], [1.0], [2.0], [3.0]])
-    y = np.array([5.0, 0.0, 0.0, 0.0])
+def test_a_threshold_never_rounds_onto_the_value_below():
+    # the midpoint of -inf and 1 is -inf, and the midpoint of 1 and the next
+    # float rounds onto 1: either would send every row right. The threshold
+    # is then the value above, so each child holds the rows counted for it
+    b = np.nextafter(1.0, 2.0)
+    cases = [(np.array([[-np.inf], [1.0], [2.0], [3.0]]), np.array([5.0, 0.0, 0.0, 0.0]), 1.0),
+             (np.array([[1.0], [1.0], [b], [b]]), np.array([0.0, 0.0, 1.0, 1.0]), b)]
     config = GBTConfig(max_depth=2, learning_rate=1.0, n_trees=1, min_samples_leaf=1)
-    passes = []
-
-    def boost(*args, strict):
-        passes.append(strict)
-        return boost_batch(*args, strict=strict)
-
-    boost_batch = gbtree._boost
-    with mock.patch.object(gbtree, "_boost", boost):
+    for X, y, threshold in cases:
         tree = fit_gbt(X, y, config).to_dict()["trees"][0]
-    assert passes == [True, False]
-    assert tree["threshold"] == -np.inf and tree["left"]["cover"] == 0
-    assert tree["right"]["cover"] == 4 and tree["right"]["left"]["cover"] == 0
-    assert fit_json(X, y, config) == fit_json(X, y, config, cells=1)
+        assert tree["threshold"] == threshold
+        left = int((X[:, 0] < threshold).sum())
+        assert (tree["left"]["cover"], tree["right"]["cover"]) == (left, len(y) - left)
+        assert left > 0 and not np.isnan(tree["left"]["leaf_value"])
+        assert fit_json(X, y, config) == fit_json(X, y, config, cells=1)
+
+
+# values whose midpoints round onto the value below, are -inf, NaN or
+# overflow to inf
+EDGE_VALUES = [-np.inf, -1.7e308, -1.0, np.nextafter(-1.0, 0.0), 0.0, 5e-324, 1.0,
+               np.nextafter(1.0, 2.0), 1.7e308, np.inf, np.nan]
+
+
+@st.composite
+def edge_problems(draw):
+    n = draw(st.integers(4, 16))
+    p = draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(st.lists(st.sampled_from(EDGE_VALUES), min_size=p, max_size=p),
+                               min_size=n, max_size=n)))
+    assume((~np.isnan(X)).any(axis=1).any())
+    y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    config = GBTConfig(max_depth=draw(st.integers(1, 4)), learning_rate=1.0,
+                       n_trees=draw(st.integers(1, 3)),
+                       min_samples_leaf=draw(st.integers(1, max(1, n // 2))))
+    return X, y, config
+
+
+def _check_routed_rows(node, X, min_leaf):
+    """Every child holds the rows routed to it, min_leaf or more, and every
+    leaf value is a number."""
+    assert node["cover"] == len(X)
+    if "leaf_value" in node:
+        assert not np.isnan(node["leaf_value"])
+        return
+    left = gbtree.goes_left(X[:, node["split_feature"]], node["threshold"],
+                            node["default_direction"] == "left")
+    assert left.sum() >= min_leaf and (~left).sum() >= min_leaf
+    _check_routed_rows(node["left"], X[left], min_leaf)
+    _check_routed_rows(node["right"], X[~left], min_leaf)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(edge_problems())
+def test_every_child_holds_the_rows_its_split_counted(problem):
+    X, y, config = problem
+    assume(len(y) >= 2 * config.min_samples_leaf)
+    for tree in fit_gbt(X, y, config).to_dict()["trees"]:
+        _check_routed_rows(tree, X, config.min_samples_leaf)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from conftest import brute_shapley, random_fitted_ensemble, small_dataset
+from conftest import brute_shapley, random_fitted_ensemble, recursive_shap, small_dataset
 from perfpred.gbtree import GBTConfig, TreeEnsemble, fit_gbt
 from perfpred.prng import CounterRng
-from perfpred.registry import Column, FeatureMatrix, encode_features
+from perfpred.registry import (Column, FeatureMatrix, all_feature_names, encode_features)
 from perfpred.shapley import (
     _bottom_up,
     shap_dependence,
@@ -13,6 +16,7 @@ from perfpred.shapley import (
     shap_summary,
     tree_shap,
 )
+from perfpred.synthdata import GenSpec, synth_dataset
 
 
 def leaf(cover, value):
@@ -221,3 +225,103 @@ def test_shap_matrix_unwinds_repeated_feature_with_missing_values():
         assert sm.base_value == pytest.approx(ref_base, abs=1e-12)
         phi, _ = tree_shap(ens, values[i], mask[i])
         assert sm.values[i].tobytes() == phi.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# path arrays: every row equals the one-row recursion, bit for bit
+
+
+def _fitted(seed, n, p, depth, n_trees, missing_rate):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    X[rng.random((n, p)) < missing_rate] = np.nan
+    X[0] = rng.normal(size=p)  # keep a present value in every column
+    y = rng.normal(size=n) + 2.0 * np.nan_to_num(X[:, 0])
+    return fit_gbt(X, y, GBTConfig(depth, 0.5, n_trees, 1)), X
+
+
+def _unwinds_per_path(node, seen=()):
+    """The most splits along one root-to-leaf path on a feature split above."""
+    if "leaf_value" in node:
+        return 0
+    j = node["split_feature"]
+    here = int(j in seen)
+    return here + max(_unwinds_per_path(node[side], seen + (j,)) for side in ("left", "right"))
+
+
+def _assert_rows_are_the_recursion(ens, X):
+    sm = shap_matrix(ens, _feature_matrix(X))
+    for i in range(len(X)):
+        expected = recursive_shap(ens, X[i])
+        assert sm.values[i].tobytes() == expected.tobytes()
+        phi, base = tree_shap(ens, X[i])
+        assert phi.tobytes() == expected.tobytes() and base == sm.base_value
+    return sm
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4), st.integers(1, 8),
+       st.sampled_from([0.0, 0.3]))
+def test_shap_matrix_rows_are_byte_equal_to_the_one_row_recursion(seed, depth, p, n_trees,
+                                                                  missing_rate):
+    ens, X = _fitted(seed, 24, p, depth, n_trees, missing_rate)
+    _assert_rows_are_the_recursion(ens, X)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_row_subsets_and_permutations_are_byte_invariant(seed, random):
+    ens, X = _fitted(seed, 30, 3, 4, 6, 0.3)
+    whole = shap_matrix(ens, _feature_matrix(X))
+    order = list(range(len(X)))
+    random.shuffle(order)
+    subset = sorted(random.sample(order, random.randint(0, len(X))))
+    for rows in (order, subset):
+        part = shap_matrix(ens, _feature_matrix(X[rows]))
+        assert part.values.tobytes() == whole.values[rows].tobytes()
+        assert part.base_value == whole.base_value
+
+
+def test_a_deep_path_that_unwinds_twice_matches_brute_force():
+    # depth 6 on 2 or 3 features: some path splits a feature a third time,
+    # so its path element is unwound more than once
+    for seed, p in ((3, 2), (4, 3), (5, 2)):
+        ens, X = _fitted(seed, 40, p, 6, 4, 0.2)
+        assert max(_unwinds_per_path(t) for t in ens.to_dict()["trees"]) >= 2
+        sm = _assert_rows_are_the_recursion(ens, X)
+        for i in range(len(X)):
+            ref, ref_base = brute_shapley(ens, X[i])
+            assert np.abs(sm.values[i] - ref).max() < 1e-12
+            assert abs(sm.base_value - ref_base) < 1e-12
+
+
+def test_one_leaf_trees_stumps_and_deep_trees_mix():
+    deep, X = _fitted(7, 30, 3, 5, 2, 0.3)
+    trees = deep.to_dict()["trees"]
+    mixed = [leaf(30, 0.7), stump(1, 0.0, -0.5, 0.5, 12, 18), trees[0], leaf(30, -0.2),
+             stump(2, 0.3, 1.0, -1.0, 20, 10, default_left=False), trees[1], leaf(30, 0.1)]
+    ens = ensemble(0.25, 0.3, mixed, deep.column_names)
+    sm = _assert_rows_are_the_recursion(ens, X)
+    for i in range(len(X)):
+        ref, ref_base = brute_shapley(ens, X[i])
+        assert np.abs(sm.values[i] - ref).max() < 1e-12
+        assert abs(sm.base_value - ref_base) < 1e-12
+    only_leaves = ensemble(0.25, 0.3, [leaf(30, 0.7), leaf(30, 0.1)], deep.column_names)
+    phi, base = tree_shap(only_leaves, X[0])
+    assert not phi.any() and base == 0.25 + 0.3 * 0.7 + 0.3 * 0.1
+
+
+def test_shap_matrix_memory_stays_within_two_megabytes():
+    # the explain benchmark's ensemble: 92 models, every encoded column, a
+    # depth-4 100-tree fit; tracemalloc counts allocations, not time
+    dataset, _ = synth_dataset(GenSpec(n_models=92, noise_sigma=0.02, missing_rate=0.2), 0)
+    X = encode_features(dataset, all_feature_names())
+    ens = fit_gbt(X.values, dataset.values, GBTConfig(4, 0.1, 100), X.missing_mask,
+                  X.column_names)
+    tracemalloc.start()
+    try:
+        shap_matrix(ens, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 1024 * 1024
