@@ -55,8 +55,8 @@ SHAP_CELLS = 1 << 15
 
 @lru_cache(maxsize=None)
 def _ranks(l: int) -> tuple[np.ndarray, np.ndarray]:
-    """(l - i) and (i + 1) for i < l, as (l, 1, 1) columns."""
-    i = np.arange(l)[:, None, None]
+    """(l - i) and (i + 1) for i < l, as (l, 1, 1, 1) columns."""
+    i = np.arange(l)[:, None, None, None]
     return l - i, i + 1
 
 
@@ -69,7 +69,7 @@ def _extend(z, o, w, pz, po):
     Returns (l + 1, 2 * nodes, ...) arrays.
     """
     l, m = w.shape[:2]
-    down, up = (r[:, None] for r in _ranks(l))
+    down, up = _ranks(l)
     w = w[:, None]
     new_w = np.empty((l + 1, 2) + w.shape[2:])
     head = new_w[:l]  # pz * w * down / (l + 1), in place
@@ -84,7 +84,8 @@ def _extend(z, o, w, pz, po):
     new_z, new_o = np.empty((l + 1, 2, m, 1)), np.empty(new_w.shape, bool)
     new_z[:l], new_z[l] = z[:, None], pz
     new_o[:l], new_o[l] = o[:, None], po
-    return (a.reshape(l + 1, 2 * m, -1) for a in (new_z, new_o, new_w))
+    return new_z.reshape(l + 1, 2 * m, 1), new_o.reshape(l + 1, 2 * m, -1), \
+        new_w.reshape(l + 1, 2 * m, -1)
 
 
 def _unwound_weights(z, o, w, index: slice):
@@ -100,7 +101,7 @@ def _unwound_weights(z, o, w, index: slice):
     down, _ = _ranks(l)
     weights = np.empty((l,) + oi.shape)
     np.multiply(w[:l, None], l + 1, out=weights)  # where o is 0
-    np.divide(weights, zi * down[:, None], out=weights)
+    np.divide(weights, zi * down, out=weights)
     one = oi != 0.0
     n = w[l]
     for i in range(l - 1, -1, -1):

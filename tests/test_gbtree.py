@@ -533,7 +533,7 @@ def test_level_pass_sums_are_bit_equal_to_one_node_one_column_scoring():
         rows[i, :size] = np.sort(rng.choice(40, size, replace=False))
     pool, free = np.empty(len(sizes), gbtree.NODE), np.arange(len(sizes))
     train_pred, _ = _grow(np.full((1, 41), np.nan), R, np.zeros(len(sizes), int), min_leaf,
-                          rows, pool, free, free.copy(), True)
+                          rows, pool, free, free.copy())
     for i, size in enumerate(sizes.tolist()):
         mean = np.mean(R[i, rows[i, :size]])
         assert pool["value"][i].tobytes() == mean.tobytes()

@@ -8,7 +8,7 @@ from scipy import stats as sps
 from conftest import brute_shapley, random_fitted_ensemble, recursive_shap, small_dataset
 from perfpred.gbtree import GBTConfig, TreeEnsemble, fit_gbt
 from perfpred.prng import CounterRng
-from perfpred.registry import (Column, FeatureMatrix, all_feature_names, encode_features)
+from perfpred.registry import Column, FeatureMatrix, all_feature_names, encode_features
 from perfpred.shapley import (
     _bottom_up,
     shap_dependence,
