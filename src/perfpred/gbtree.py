@@ -234,8 +234,9 @@ def _best_splits(plan, Rn):
     value below (adjacent floats, -inf, overflow), so every row goes to the
     side the search counted it on. Returns each node's (sse_after, feature,
     threshold, default_left); sse_after is inf where no split is admissible. Call
-    under ``np.errstate(divide="ignore", invalid="ignore")``: positions past
-    a column's present rows divide by zero before they are masked out.
+    under ``np.errstate(divide="ignore", invalid="ignore", over="ignore")``:
+    positions past a column's present rows divide by zero before they are
+    masked out, and two values near the float limit sum to +-inf.
     """
     g, k = Rn.shape
     if plan is None:
@@ -284,8 +285,7 @@ def _best_splits(plan, Rn):
     right = right[pair]
     at = t[right.view(np.int8), pair] + pair * k
     below, above = V[at], V[at + 1]
-    with np.errstate(over="ignore"):
-        mid = 0.5 * (below + above)
+    mid = 0.5 * (below + above)
     threshold = np.where((below < mid) & (mid <= above), mid, above)
     return value.reshape(-1)[pair], cols[best], threshold, ~right
 
@@ -411,7 +411,7 @@ def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
     order = np.lexsort([y, *X.T[::-1]])
     y, member = y[order], member[:, order]
     XT = np.hstack([X[order].T, np.full((X.shape[1], 1), np.nan)])  # and the padding row
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _boost(XT, y, member, configs, column_names)
 
 
