@@ -69,9 +69,17 @@ def _residuals(logp: np.ndarray, logN: np.ndarray, logD: np.ndarray, t: np.ndarr
     # log-parameterization keeps Nc, Dc, alphas positive; distant starts can
     # overflow to inf, which just makes them lose the multi-start comparison
     # (fit_power_law runs this under one np.errstate for the whole fit)
-    lNc, lDc, laN, laD = logp
-    aN, aD = np.exp(laN), np.exp(laD)
-    inner = np.exp((lNc - logN) * (aN / aD)) + np.exp(lDc - logD)
+    return _block_residuals(logp[None, :3], logp[3], logN, logD, t)[0]
+
+
+def _block_residuals(P: np.ndarray, laD, logN, logD, t) -> np.ndarray:
+    """``_residuals`` at each row (lNc, lDc, laN) of ``P``, all with the one
+    exponent ``laD``: one row of residuals per row of ``P``. numpy raises to
+    a scalar 0.5 by ``sqrt`` and to an array of exponents by ``pow``, whose
+    bits differ, so a block never mixes exponents."""
+    lNc, lDc, laN = P.T[:, :, None]
+    aD = np.exp(laD)
+    inner = np.exp((lNc - logN) * (np.exp(laN) / aD)) + np.exp(lDc - logD)
     return inner ** aD - t
 
 
@@ -93,19 +101,21 @@ class _LastResiduals:
     def jacobian(self, logp, logN, logD, t):
         """Forward-difference Jacobian with scipy's 2-point step rule.
 
-        Each column is one ``_residuals`` call, as in
-        ``scipy.optimize.approx_derivative``, so every entry is bit-equal to
-        the Jacobian ``least_squares(method="lm")`` estimates.
+        Column i holds the residuals at ``logp`` with coordinate i stepped,
+        as in ``scipy.optimize.approx_derivative``, so every entry is
+        bit-equal to the Jacobian ``least_squares(method="lm")`` estimates.
+        The first three steps keep alpha_D, so they are one block.
         """
         f0 = self.value if logp.tobytes() == self.point else _residuals(logp, logN, logD, t)
         h = _REL_STEP * ((logp >= 0) * 2.0 - 1.0) * np.maximum(1.0, np.abs(logp))
-        J = np.empty((len(f0), len(logp)))
-        for i in range(len(logp)):
-            x = logp.copy()
-            x[i] = logp[i] + h[i]
-            J[:, i] = (_residuals(x, logN, logD, t) - f0) / (x[i] - logp[i])
-        return J
-
+        stepped = logp + h
+        P = np.repeat(logp[None, :3], 3, axis=0)
+        np.fill_diagonal(P, stepped[:3])
+        J = np.empty((len(logp), len(f0)))
+        np.subtract(_block_residuals(P, logp[3], logN, logD, t), f0, out=J[:3])
+        np.subtract(_block_residuals(logp[None, :3], stepped[3], logN, logD, t), f0, out=J[3:])
+        J /= (stepped - logp)[:, None]
+        return J.T
 
 def fit_power_law(points: list[ScalePoint], polarity: str = "higher_better"):
     """Multi-start nonlinear least squares for the Kaplan-form law.
@@ -137,8 +147,12 @@ def fit_power_law(points: list[ScalePoint], polarity: str = "higher_better"):
     ]
     best_x, best_cost = None, None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        residuals = [_residuals(x, logN, logD, t) for x in starts]
-        seeded = sorted(range(len(starts)), key=lambda i: (float(np.sum(residuals[i] ** 2)), i))
+        # the starts with the j-th alpha_D are starts[j::4]: one block each
+        residuals = np.empty((len(starts), len(t)))
+        for j, laD in enumerate(alpha_starts):
+            residuals[j::4] = _block_residuals(np.array(starts[j::4])[:, :3], laD, logN, logD, t)
+        sse = np.add.reduce(residuals ** 2, axis=1).tolist()
+        seeded = sorted(range(len(starts)), key=lambda i: (sse[i], i))
         refinable = [i for i in seeded if np.isfinite(residuals[i]).all()][:16]
         if not refinable:
             raise ValueError("every power-law start overflows: residuals are not finite")

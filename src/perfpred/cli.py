@@ -23,7 +23,15 @@ import numpy as np
 
 from . import __version__, baselines, metabias, shapley
 from .gbtree import fit_gbt, paper_grid  # noqa: F401 (perfbench checks tracing wraps fit_gbt here)
-from .pipeline import SCALING_FEATURES, CVPlan, fit_tuned, greedy_select, run_cv, scale_points
+from .pipeline import (
+    SCALING_FEATURES,
+    CVPlan,
+    fit_tuned,
+    greedy_select,
+    run_cv,
+    run_cv_seeds,
+    scale_points,
+)
 from .prng import PRNG_ID
 from .registry import (
     ENUM_VOCAB,
@@ -141,27 +149,35 @@ def _kind_flags(args) -> None:
             setattr(args, flag, default)
 
 
-def _cv_cached(args, dataset, features, kind, grid, plan):
-    """Run (or reuse) one CV evaluation, caching JSON in the out directory.
+def _cv_cached(args, dataset, features, kind, grid, seeds):
+    """One CV evaluation per seed of ``seeds``, each cached as JSON in the
+    out directory; the seeds that miss are computed together.
 
     The key takes ``features`` in the order given: a fit depends on its
     column order. A cache file that does not parse as a JSON object is
     recomputed and overwritten.
     """
-    key = _cache_key((args.registry, args.scores), __version__, PRNG_ID, dataset.task.task_id,
-                     features, kind, plan.seed, [vars(g) for g in (grid or [])],
-                     plan.outer_folds, plan.inner_folds)
-    cache_path = os.path.join(args.out, "cache", f"cv-{key}.json")
-    try:
-        with open(cache_path) as f:
-            cached = json.load(f)
-        if isinstance(cached, dict):
-            return cached
-    except (FileNotFoundError, ValueError):  # ValueError: not JSON, or not UTF-8
-        pass
-    result = run_cv(dataset, features, kind, plan, grid).to_dict()
-    _atomic_write(cache_path, _json_text(result))
-    return result
+    plan = CVPlan()
+    paths = [os.path.join(args.out, "cache", "cv-" + _cache_key(
+        (args.registry, args.scores), __version__, PRNG_ID, dataset.task.task_id, features,
+        kind, seed, [vars(g) for g in (grid or [])], plan.outer_folds,
+        plan.inner_folds) + ".json") for seed in seeds]
+    results = [None] * len(seeds)
+    for i, path in enumerate(paths):
+        try:
+            with open(path) as f:
+                cached = json.load(f)
+            if isinstance(cached, dict):
+                results[i] = cached
+        except (FileNotFoundError, ValueError):  # ValueError: not JSON, or not UTF-8
+            pass
+    missed = [i for i, r in enumerate(results) if r is None]
+    if missed:
+        computed = run_cv_seeds(dataset, features, kind, [seeds[i] for i in missed], grid, plan)
+        for i, result in zip(missed, computed):
+            results[i] = result.to_dict()
+            _atomic_write(paths[i], _json_text(results[i]))
+    return results
 
 
 def _comparison_seeds(args) -> list[int]:
@@ -179,8 +195,8 @@ def _compare_cached(args, dataset, features, seeds):
     ``features``, (t, df, p) of the paired t-test).
     """
     grid = paper_grid()
-    maes = [[float(_cv_cached(args, dataset, fs, "gbt", grid, CVPlan(seed=s))["mae"])
-             for s in seeds] for fs in (list(SCALING_FEATURES), features)]
+    maes = [[float(r["mae"]) for r in _cv_cached(args, dataset, fs, "gbt", grid, seeds)]
+            for fs in (list(SCALING_FEATURES), features)]
     return [(*mean_ci95(m), m) for m in maes], paired_t_test(*maes)
 
 
@@ -239,7 +255,7 @@ def cmd_cv(args) -> int:
     features, grid = [], None  # baseline predictors read no feature matrix
     if args.kind == "gbt":
         features, grid = _feature_names(args.features), paper_grid()
-    result = _cv_cached(args, dataset, features, args.kind, grid, CVPlan(seed=args.seed))
+    (result,) = _cv_cached(args, dataset, features, args.kind, grid, [args.seed])
     path = os.path.join(args.out, f"cv-{args.task}-{args.kind}-{args.seed}.json")
     _atomic_write(path, _json_text(result))
     print(f"{args.task} [{args.kind}] MAE = {result['mae']:.5f}")

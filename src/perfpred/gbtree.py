@@ -16,18 +16,23 @@ depth-wise growth of Mitchell & Frank 2017 (PeerJ CS 3:e127).
 ``fit_gbt_batch`` fits many configs in lockstep, each on its own row set
 (its root membership) of one canonical matrix: the rows of X sorted
 lexicographically, NaN last. The sort is stable, so restricted to a fit's
-rows it is the canonical order of those rows alone; a nested CV's grid
-search is one batch and its refits another. Each round grows every fit's
-tree together: a level's frontier nodes, of every fit, are scored in one
-(column, node, position) block, each node's rows ascending and padded at
-the end. The block sorts, per node, only the columns that can split some
-node of it (two distinct present values): present values ascending, ties
-in row order, then missing rows, then padding. It scores every threshold
-and both missing-value routings in one cumulative-sum pass, and splits and
-leaves are written straight into each fit's ``NODE`` table. The root
-level's residual-free part (the sort, the counts, which thresholds are
-inadmissible) is the same every round, so it is built once per set of
-live fits.
+rows it is the canonical order of those rows alone. Each round grows
+every fit's tree together: a level's frontier nodes, of every fit, are
+scored in one (column, node, position) block, each node's rows ascending
+and padded at the end. The block sorts, per node, only the columns that
+can split some node of it (two distinct present values): present values
+ascending, ties in row order, then missing rows, then padding. It scores
+every threshold and both missing-value routings in one cumulative-sum
+pass, and splits and leaves are written straight into each fit's ``NODE``
+table. The root level's residual-free part (the sort, the counts, which
+thresholds are inadmissible) is the same every round, so it is built once
+per set of live fits, and the searches of a batch reuse one scratch buffer
+for their large temporaries. ``staged_batch`` boosts the same way but keeps no
+trees: each fit's held-out rows walk its tree after every round (the walk
+``staged_predict`` uses) and add its leaf to their running predictions in
+cumsum's order, and the next round overwrites the tree, so a fit's region
+of the node pool holds one tree. A nested CV's grid search and its refits
+are two such batches.
 
 Every number is bit-identical to fitting one config alone, one node and
 one column at a time. cumsum adds sequentially, so trailing padding leaves
@@ -110,16 +115,10 @@ class TreeEnsemble:
         # to accumulating base + lr * leaf one tree at a time
         if X.shape[1] != len(self.column_names):
             raise ValueError("column mismatch")
-        # every tree at once, one level per step: (rows, trees) node indices
-        node = np.repeat(self.roots[None], X.shape[0], axis=0)
-        rows = np.arange(X.shape[0])[:, None]
-        at = self.nodes[node]
-        while (split := at["feature"] >= 0).any():
-            left = goes_left(X[rows, at["feature"]], at["threshold"], at["default_left"])
-            node = np.where(split, np.where(left, at["left"], at["right"]), node)
-            at = self.nodes[node]
+        node = np.repeat(self.roots[None], X.shape[0], axis=0)  # (rows, trees)
+        leaf = _leaf_values(self.nodes, X, np.arange(X.shape[0])[:, None], node)
         base = np.full((X.shape[0], 1), self.base_score)
-        return np.cumsum(np.hstack([base, at["value"] * self.learning_rate]), axis=1)
+        return np.cumsum(np.hstack([base, leaf * self.learning_rate]), axis=1)
 
     def to_dict(self) -> dict:
         rows = self.nodes.tolist()
@@ -157,6 +156,19 @@ class TreeEnsemble:
                    np.array(nodes, dtype=NODE), np.array(roots, dtype=np.intp))
 
 
+def _leaf_values(nodes, X, rows, node, base=0) -> np.ndarray:
+    """The value of the leaf each walker reaches in the node table
+    ``nodes``: walker (i, j) routes row ``rows[i]`` of ``X`` from node
+    ``node[i, j]``, and the child indices it meets count from ``base[i, j]``.
+    Every walker steps at once, one level per step."""
+    at = nodes[node]
+    while (split := at["feature"] >= 0).any():
+        left = goes_left(X[rows, at["feature"]], at["threshold"], at["default_left"])
+        node = np.where(split, base + np.where(left, at["left"], at["right"]), node)
+        at = nodes[node]
+    return at["value"]
+
+
 def fold_mask(X, mask: np.ndarray | None) -> np.ndarray:
     """``X`` as floats, NaN wherever ``mask`` is set: NaN is the one
     missing-value marker below the public entries, and ``mask`` an optional
@@ -166,6 +178,9 @@ def fold_mask(X, mask: np.ndarray | None) -> np.ndarray:
 
 
 LEVEL_CELLS = 1 << 16  # (column, node, row) cells of one split search block
+# (fit, column, training row) cells of the grid-search fits of one nested-CV
+# batch: its seeds are as many as fit, and at least one
+BATCH_CELLS = 1 << 17
 
 
 def _search_plan(XT, sizes, min_leaf):
@@ -207,13 +222,34 @@ def _search_plan(XT, sizes, min_leaf):
     return cols, V.reshape(-1), pos, tails, last, n_miss, n_present, bad
 
 
-def _side_counts(n_miss, n_present, k, routings):
-    """Each (side, routing, pair, threshold)'s row count. A threshold t has
-    t + 1 present rows on its left; routing 0 sends the missing rows left,
-    routing 1 right (tried only where rows are missing), and the side that
-    does not take them adds nothing to its count or sums."""
+class _Scratch:
+    """One float buffer that the split searches of a batch reuse for their
+    large temporaries, grown as needed. Allocated per search, they would be
+    fresh pages each time, one page fault per page, because the allocator
+    hands freed blocks of this size back to the system."""
+
+    def __init__(self):
+        self.buf = np.empty(0)
+
+    def arrays(self, *shapes):
+        """One view of the buffer per shape, back to back, valid until the
+        next call."""
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        if self.buf.size < sum(sizes):
+            self.buf = None  # freed before its successor is allocated
+            self.buf = np.empty(sum(sizes))
+        ends = np.cumsum(sizes).tolist()
+        return [self.buf[e - n:e].reshape(shape) for shape, n, e in zip(shapes, sizes, ends)]
+
+
+def _side_counts(n_miss, n_present, k, routings, out=None):
+    """Each (side, routing, pair, threshold)'s row count, into ``out`` if
+    given. A threshold t has t + 1 present rows on its left; routing 0
+    sends the missing rows left, routing 1 right (tried only where rows are
+    missing), and the side that does not take them adds nothing to its
+    count or sums."""
     kk = np.arange(1, k)
-    counts = np.empty((2, routings, len(n_miss), k - 1))
+    counts = np.empty((2, routings, len(n_miss), k - 1)) if out is None else out
     np.add(kk, n_miss[:, None], out=counts[0, 0])
     np.subtract(n_present[:, None], kk, out=counts[1, 0])
     if routings == 2:
@@ -222,7 +258,7 @@ def _side_counts(n_miss, n_present, k, routings):
     return counts
 
 
-def _best_splits(plan, Rn):
+def _best_splits(plan, Rn, scratch=None):
     """Exact greedy split search over all midpoints of present values, for
     the nodes of ``plan`` (``_search_plan``) whose residuals, in row order
     and padded, are the rows of ``Rn``.
@@ -236,14 +272,20 @@ def _best_splits(plan, Rn):
     threshold, default_left); sse_after is inf where no split is admissible. Call
     under ``np.errstate(divide="ignore", invalid="ignore", over="ignore")``:
     positions past a column's present rows divide by zero before they are
-    masked out, and two values near the float limit sum to +-inf.
+    masked out, and two values near the float limit sum to +-inf. The
+    temporaries live in ``scratch`` (a ``_Scratch``), if given.
     """
     g, k = Rn.shape
     if plan is None:
         return np.full(g, np.inf), np.zeros(g, np.intp), np.zeros(g), np.ones(g, bool)
     cols, V, pos, tails, last, n_miss, n_present, bad = plan
     routings, c = len(bad), len(cols)
-    stack = np.empty((2,) + pos.shape)  # residuals, their squares
+    # residuals and their squares, their cumulative sums, and (below) the
+    # side counts and (statistic, side * routings + routing, pair,
+    # threshold) sums, filled in place
+    stack, cum, counts, sides = (scratch or _Scratch()).arrays(
+        (2,) + pos.shape, (2,) + pos.shape, (2, routings, c * g, k - 1),
+        (2, 2 * routings, c * g, k - 1))
     Rn.take(pos, out=stack[0])
     np.multiply(stack[0], stack[0], out=stack[1])
     # sums over the missing rows must equal 1-D np.sum bit for bit, whose
@@ -254,14 +296,12 @@ def _best_splits(plan, Rn):
     for at, tail in tails:
         missing[:, at, 0] = np.add.reduce(stack.reshape(2, -1).take(tail, axis=1), axis=2)
     # cumsum adds sequentially, so trailing padding leaves every prefix alone
-    cum = stack.cumsum(axis=3).reshape(2, c * g, k)
+    np.cumsum(stack, axis=3, out=cum)
+    cum = cum.reshape(2, c * g, k)
     left = cum[..., :-1]
     total = cum.reshape(2, -1)[:, last, None]
 
-    counts = _side_counts(n_miss, n_present, k, routings)
-    # (statistic, side * routings + routing, pair, threshold), filled in
-    # place because large temporaries cost page faults
-    sides = np.empty((2, 2 * routings, c * g, k - 1))
+    _side_counts(n_miss, n_present, k, routings, counts)
     np.add(left, missing, out=sides[:, 0])
     np.subtract(total, left, out=sides[:, routings])
     if routings == 2:
@@ -290,7 +330,7 @@ def _best_splits(plan, Rn):
     return value.reshape(-1)[pair], cols[best], threshold, ~right
 
 
-def _grow(XT, R, max_depth, min_leaf, rows, pool, free, start, root_plans=None):
+def _grow(XT, R, max_depth, min_leaf, rows, pool, free, start, root_plans=None, scratch=None):
     """One tree per residual vector (row) of ``R``, grown together one level
     at a time from the root rows ``rows`` (each ascending and padded with
     the padding row, ``XT``'s last column), limited by ``max_depth`` and
@@ -335,7 +375,7 @@ def _grow(XT, R, max_depth, min_leaf, rows, pool, free, start, root_plans=None):
                 root_plans = root_plans if depth else plans
             else:
                 plans = root_plans
-            found = [_best_splits(plan, Rn[a, :k]) for a, k, plan in plans]
+            found = [_best_splits(plan, Rn[a, :k], scratch) for a, k, plan in plans]
             sse_after, feature, threshold, default_left = (
                 np.concatenate(f) for f in zip(*found)) if len(found) > 1 else found[0]
             gains = ~(node_sse[grow] - sse_after <= MIN_GAIN) & (sse_after < np.inf)
@@ -379,6 +419,41 @@ def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
     and row sets that ``fit_gbt`` would refuse raise its error.
     """
     X = fold_mask(X, mask)
+    XT, y, member = _canonical(X, y, configs, rows)
+    if column_names is None:
+        column_names = tuple(f"f{j}" for j in range(X.shape[1]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _boost(XT, y, member, configs, column_names)
+
+
+def staged_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig], rows: list,
+                 tests: list, stages: list, mask: np.ndarray | None = None) -> list[np.ndarray]:
+    """Each fit's predictions of its held-out rows after some of its rounds:
+    ``tests[f]`` holds row indices of ``X`` and ``stages[f]`` tree counts
+    (0 to that fit's ``n_trees``). Column ``j`` of result ``f`` is
+    bit-identical to column ``stages[f][j]`` of ``fit_gbt_batch(X, y,
+    configs, mask, rows=rows)[f].staged_predict(X[tests[f]], mask[tests[f]])``.
+
+    No tree is kept: after each round the held-out rows walk the trees just
+    grown, which the next round overwrites, and add their leaves to their
+    predictions in the order ``staged_predict`` adds them.
+    """
+    X = fold_mask(X, mask)
+    XT, y, member = _canonical(X, y, configs, rows)
+    if not len(tests) == len(stages) == len(configs):
+        raise ValueError("one held-out row set and one stage list per config")
+    if any(not 0 <= k <= c.n_trees for c, ks in zip(configs, stages) for k in ks):
+        raise ValueError("a stage outside 0..n_trees")
+    held = np.concatenate([np.zeros(0, np.intp), *tests])
+    owner = np.repeat(np.arange(len(configs)), [len(t) for t in tests])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _boost(XT, y, member, configs, held=(X, held, owner, stages))
+
+
+def _canonical(X, y, configs, rows):
+    """The checked inputs of a batch: the canonical matrix, transposed, with
+    the padding row; the targets in its row order; and each fit's root
+    membership of its rows."""
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("empty feature matrix")
@@ -400,8 +475,6 @@ def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
         raise ValueError("too few rows for min_samples_leaf")
     if not (member & ~np.isnan(X).all(axis=1)).any(axis=1).all():
         raise ValueError("all feature values missing")
-    if column_names is None:
-        column_names = tuple(f"f{j}" for j in range(X.shape[1]))
 
     # canonicalize row order so fitting is exactly invariant to joint row
     # permutations (floating-point sums depend on summation order; sorting
@@ -409,16 +482,17 @@ def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
     # lexsort puts NaN last, as each node's sort does). The lexsort is
     # stable, so restricted to a fit's rows it is the lexsort of those rows
     order = np.lexsort([y, *X.T[::-1]])
-    y, member = y[order], member[:, order]
     XT = np.hstack([X[order].T, np.full((X.shape[1], 1), np.nan)])  # and the padding row
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _boost(XT, y, member, configs, column_names)
+    return XT, y[order], member[:, order]
 
 
-def _boost(XT, y, member, configs, column_names) -> list[TreeEnsemble]:
+def _boost(XT, y, member, configs, column_names=None, held=None):
     """The boosting rounds of ``fit_gbt_batch`` over the canonical matrix
     ``XT`` (transposed, with the padding row) and targets ``y``; fit ``f``
-    trains on the rows ``member[f]``."""
+    trains on the rows ``member[f]``. Returns the ensembles; or, given
+    ``held`` = (X, rows, owner, stages), the predictions of row ``rows[i]``
+    of ``X`` by fit ``owner[i]`` (ascending) after each of ``stages[f]``
+    trees, one array per fit, keeping one tree per fit at a time."""
     n, counts = len(y), member.sum(axis=1)
     base = np.array([y[m].mean() for m in member])
     max_depth = np.array([c.max_depth for c in configs])
@@ -430,29 +504,58 @@ def _boost(XT, y, member, configs, column_names) -> list[TreeEnsemble]:
     roots = np.full((len(configs), len(width)), n)
     roots[width < counts[:, None]] = np.flatnonzero(member) % n
     # each fit's nodes fill its own region of one pool, sized for its
-    # largest trees: 2 ** (depth + 1) - 1 nodes, and 2 l - 1 for l leaves of
-    # min_samples_leaf rows or more (every child holds as many rows as the
-    # search counted). Below numpy's huge-page size (4 MB), pages never
-    # written take no memory
-    most = [c.n_trees * min(2 ** (c.max_depth + 1) - 1, 2 * (k // c.min_samples_leaf) - 1)
+    # largest trees (or tree, when the trees are not kept): 2 ** (depth + 1)
+    # - 1 nodes, and 2 l - 1 for l leaves of min_samples_leaf rows or more
+    # (every child holds as many rows as the search counted). Below numpy's
+    # huge-page size (4 MB), pages never written take no memory
+    most = [(1 if held else c.n_trees)
+            * min(2 ** (c.max_depth + 1) - 1, 2 * (k // c.min_samples_leaf) - 1)
             for c, k in zip(configs, counts.tolist())]
     start = np.cumsum([0] + most)
     pool, free = np.empty(start[-1], NODE), start[:-1].copy()
     tree_roots = np.empty((len(configs), n_trees.max(initial=0)), np.intp)
+    if held:
+        X, held_rows, owner, stages = held
+        ends = np.cumsum(np.bincount(owner, minlength=len(configs))).tolist()
+        out = [np.empty((e - b, len(ks))) for b, e, ks in zip([0] + ends, ends, stages)]
+        at_stage: dict[int, list] = {}  # tree count -> (fit, column)s it fills
+        for f, ks in enumerate(stages):
+            for j, k in enumerate(ks):
+                at_stage.setdefault(k, []).append((f, j))
+        acc = base[owner]  # each held-out row's prediction so far
+
+        def keep(k):
+            for f, j in at_stage.get(k, ()):
+                out[f][:, j] = acc[ends[f] - len(out[f]):ends[f]]
+        keep(0)
     yp = np.append(y, 0.0)
     pred = np.repeat(base[:, None], n + 1, axis=1)
     root_plans = None  # the live fits' roots are the same every round
+    scratch = _Scratch()
     for t in range(n_trees.max(initial=0)):
         live = np.flatnonzero(n_trees > t)
         if len(live) < (n_trees > t - 1).sum():
             root_plans = None  # a fit retired
+        if held and root_plans is None:
+            walk = np.flatnonzero(n_trees[owner] > t)  # the live fits' held-out rows
+            walk_rows, walk_root = held_rows[walk, None], start[owner[walk], None]
+            walk_rates = rates[owner[walk], 0]
         tree_roots[live, t] = free[live] - start[live]
         live_free = free[live]
         train_pred, root_plans = _grow(XT, yp - pred[live], max_depth[live], min_leaf[live],
                                        roots[live], pool, live_free, start[live],
-                                       root_plans)
-        free[live] = live_free
+                                       root_plans, scratch)
+        if held:
+            # the held-out rows walk this round's trees (each rooted at its
+            # region's first node) and add leaf * rate as cumsum would
+            leaf = _leaf_values(pool, X, walk_rows, walk_root, walk_root)[:, 0]
+            acc[walk] += leaf * walk_rates
+            keep(t + 1)
+        else:
+            free[live] = live_free
         pred[live] += rates[live] * train_pred
+    if held:
+        return out
     return [TreeEnsemble(float(b), c.learning_rate, tuple(column_names), pool[s:e],
                          tree_roots[f, :c.n_trees])
             for f, (c, b, s, e) in enumerate(zip(configs, base, start, free))]

@@ -5,6 +5,14 @@ Fold assignment is a pure function of the sorted model ids and the seed:
 ids are shuffled with the package's counter-based generator and dealt
 round-robin, so any two runs (or implementations honoring the same PRNG)
 produce identical splits.
+
+A GBT nested CV is two lockstep batches of ``gbtree.staged_batch``: the
+grid search fits every prototype config on every inner training split,
+and the refits fit each outer training split's winner. Neither keeps
+trees, only the predictions of its held-out rows. ``run_cv_seeds`` runs
+the CVs of many seeds in the same two batches, as many seeds as
+``gbtree.BATCH_CELLS`` admits, and each of its results is byte-equal to
+``run_cv`` of that seed alone.
 """
 
 from __future__ import annotations
@@ -13,9 +21,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import baselines
-from .gbtree import GBTConfig, TreeEnsemble, fit_gbt_batch
-from .gbtree import fit_gbt  # noqa: F401 (perfbench checks tracing wraps fit_gbt here)
+from . import baselines, gbtree
+from .gbtree import GBTConfig, TreeEnsemble, fit_gbt, staged_batch
 from .metrics import mae
 from .prng import PRNG_ID, CounterRng
 from .registry import Dataset, FeatureMatrix, encode_features
@@ -83,13 +90,16 @@ def grid_search(train_X: FeatureMatrix, train_y: np.ndarray, grid: list[GBTConfi
     Ties break by (smaller n_trees, smaller max_depth, smaller rate).
     """
     return _grid_search_batch(train_X, train_y, [np.arange(len(train_y))], grid, inner_folds,
-                              seed)[0]
+                              [seed])[0]
 
 
 def _grid_search_batch(X: FeatureMatrix, y: np.ndarray, trains: list[np.ndarray],
-                       grid: list[GBTConfig], inner_folds: int, seed: int) -> list[GBTConfig]:
-    """``grid_search`` on each training split ``trains`` (ascending row
-    indices of ``X``), with every fit of every split in one lockstep batch."""
+                       grid: list[GBTConfig], inner_folds: int,
+                       seeds: list[int]) -> list[GBTConfig]:
+    """``grid_search`` on each training split ``trains[s]`` (ascending row
+    indices of ``X``) with inner folds drawn by ``seeds[s]``, every fit of
+    every split in one lockstep batch that keeps only its staged
+    predictions of its inner test rows."""
     if not grid:
         raise ValueError("empty hyperparameter grid")
     # boosting is stagewise, so an n_trees=k ensemble is a prefix of the
@@ -100,8 +110,8 @@ def _grid_search_batch(X: FeatureMatrix, y: np.ndarray, trains: list[np.ndarray]
     protos = [replace(shape, n_trees=max(nt for nt, _ in members))
               for shape, members in groups.items()]
 
-    tests, rows = [], []  # (split, its inner test rows); each prototype's training rows
-    for s, train in enumerate(trains):
+    tests, rows, held = [], [], []  # (split, its inner test rows); each prototype's rows
+    for s, (train, seed) in enumerate(zip(trains, seeds)):
         if len(train) < inner_folds:
             raise ValueError("training split smaller than inner_folds")
         ids = [X.model_ids[i] for i in train]
@@ -110,15 +120,15 @@ def _grid_search_batch(X: FeatureMatrix, y: np.ndarray, trains: list[np.ndarray]
         for f in range(inner_folds):
             tests.append((s, folds == f))
             rows += [train[folds != f]] * len(protos)
-    fits = iter(fit_gbt_batch(X.values, y, protos * len(tests), rows=rows,
-                              column_names=X.column_names))
+            held += [train[folds == f]] * len(protos)
+    stages = [[nt for nt, _ in members] for members in groups.values()]
+    staged = iter(staged_batch(X.values, y, protos * len(tests), rows, held,
+                               stages * len(tests)))
     preds = [np.empty((len(grid), len(train))) for train in trains]
     for s, test in tests:
-        X_test = X.values[trains[s][test]]
-        for members, ens in zip(groups.values(), fits):
-            staged = ens.staged_predict(X_test)
-            for nt, gi in members:
-                preds[s][gi, test] = staged[:, nt]
+        for members, st in zip(groups.values(), staged):
+            for j, (_, gi) in enumerate(members):
+                preds[s][gi, test] = st[:, j]
     best = []
     for pred, train in zip(preds, trains):
         scored = [(mae(pred[gi], y[train]), c.n_trees, c.max_depth, c.learning_rate, gi)
@@ -128,20 +138,11 @@ def _grid_search_batch(X: FeatureMatrix, y: np.ndarray, trains: list[np.ndarray]
     return best
 
 
-def _tuned_fits(X: FeatureMatrix, y: np.ndarray, trains: list[np.ndarray],
-                grid: list[GBTConfig], inner_folds: int,
-                seed: int) -> tuple[list[GBTConfig], list[TreeEnsemble]]:
-    """Nested CV's two phases on each training split ``trains``: one batch
-    grid-searches every split, then one batch refits each split's winner."""
-    best = _grid_search_batch(X, y, trains, grid, inner_folds, seed)
-    return best, fit_gbt_batch(X.values, y, best, rows=trains, column_names=X.column_names)
-
-
 def fit_tuned(X: FeatureMatrix, y: np.ndarray, grid: list[GBTConfig], inner_folds: int,
               seed: int) -> tuple[GBTConfig, TreeEnsemble]:
     """Grid-search on ``X``, then refit the winning config on all of ``X``."""
-    (best,), (ens,) = _tuned_fits(X, y, [np.arange(len(y))], grid, inner_folds, seed)
-    return best, ens
+    best = grid_search(X, y, grid, inner_folds, seed)
+    return best, fit_gbt(X.values, y, best, column_names=X.column_names)
 
 
 def run_cv(dataset: Dataset, feature_names, predictor_kind: str, plan: CVPlan,
@@ -151,56 +152,81 @@ def run_cv(dataset: Dataset, feature_names, predictor_kind: str, plan: CVPlan,
     Baseline kinds fit directly on each outer training split. MAE pools the
     out-of-fold predictions across all folds.
     """
+    return run_cv_seeds(dataset, feature_names, predictor_kind, [plan.seed], grid, plan)[0]
+
+
+def run_cv_seeds(dataset: Dataset, feature_names, predictor_kind: str, seeds,
+                 grid: list[GBTConfig] | None = None,
+                 plan: CVPlan | None = None) -> list[CVResult]:
+    """``run_cv`` under ``plan``'s fold counts (default ``CVPlan()``) for
+    each of ``seeds``, in seed order.
+
+    The gbt kind's nested CVs run as many seeds at once as
+    ``gbtree.BATCH_CELLS`` admits: one lockstep batch grid-searches every
+    outer training split of those seeds, and one refits each split's
+    winner. Both keep only the predictions of their held-out rows.
+    """
     if predictor_kind not in PREDICTOR_KINDS:
         raise ValueError(f"unknown predictor kind: {predictor_kind}")
+    plan = plan or CVPlan()
     n = len(dataset)
     if n < 3 * plan.outer_folds:
         raise ValueError("too few rows for the outer fold count")
     if predictor_kind == "gbt" and not grid:
         raise ValueError("gbt requires a nonempty grid")
 
-    assign = fold_assignment(dataset.model_ids, plan.seed, plan.outer_folds)
-    folds = np.array([assign[m] for m in dataset.model_ids])
-    X = encode_features(dataset, list(feature_names)) if predictor_kind == "gbt" else None
-    points = scale_points(dataset)
-
+    assigns = [fold_assignment(dataset.model_ids, s, plan.outer_folds) for s in seeds]
+    # each seed's (training rows, test rows) per outer fold
+    splits = [[(np.flatnonzero(folds != f), np.flatnonzero(folds == f))
+               for f in range(plan.outer_folds)]
+              for folds in (np.array([a[m] for m in dataset.model_ids]) for a in assigns)]
+    preds = np.empty((len(seeds), n))
+    fold_configs: list[list[dict]] = [[] for _ in seeds]
+    y = dataset.values
     if predictor_kind == "gbt":
-        best, fits = _tuned_fits(X, dataset.values,
-                                 [np.flatnonzero(folds != f) for f in range(plan.outer_folds)],
-                                 grid, plan.inner_folds, plan.seed)
-    preds = np.empty(n)
-    fold_configs: list[dict] = []
-    for f in range(plan.outer_folds):
-        test = folds == f
-        train_idx = np.nonzero(~test)[0]
-        test_idx = np.nonzero(test)[0]
-        y_train = dataset.values[train_idx]
-        if predictor_kind == "median":
-            preds[test_idx] = baselines.median_predictor(y_train)
-        elif predictor_kind == "log_linear":
-            a, b, c = baselines.fit_log_linear([points[i] for i in train_idx])
-            for i in test_idx:
-                preds[i] = a + b * np.log10(points[i].N) + c * np.log10(points[i].D)
-        elif predictor_kind == "power_law":
-            params, _ = baselines.fit_power_law([points[i] for i in train_idx],
-                                                dataset.task.polarity)
-            for i in test_idx:
-                preds[i] = baselines.predict_power_law_score(
-                    params, points[i].N, points[i].D, dataset.task.polarity)
-        else:
-            preds[test_idx] = fits[f].predict(X.values[test_idx])
-            fold_configs.append(asdict(best[f]))
+        X = encode_features(dataset, list(feature_names))
+        # (fit, column, training row) cells of one seed's grid-search fits
+        cells = (len({replace(c, n_trees=0) for c in grid}) * X.values.shape[1]
+                 * (plan.outer_folds - 1) * (plan.inner_folds - 1) * n)
+        step = max(1, gbtree.BATCH_CELLS // max(cells, 1))  # no columns: fitting refuses
+        for first in range(0, len(seeds), step):
+            batch = [(k, train, test) for k in range(first, min(first + step, len(seeds)))
+                     for train, test in splits[k]]
+            _, trains, tests = zip(*batch)
+            best = _grid_search_batch(X, y, list(trains), grid, plan.inner_folds,
+                                      [seeds[k] for k, _, _ in batch])
+            staged = staged_batch(X.values, y, best, list(trains), list(tests),
+                                  [[c.n_trees] for c in best])
+            for (k, _, test), config, st in zip(batch, best, staged):
+                preds[k, test] = st[:, 0]
+                fold_configs[k].append(asdict(config))
+    else:
+        points = scale_points(dataset)
+        for k, seed_splits in enumerate(splits):
+            for train_idx, test_idx in seed_splits:
+                if predictor_kind == "median":
+                    preds[k, test_idx] = baselines.median_predictor(y[train_idx])
+                elif predictor_kind == "log_linear":
+                    a, b, c = baselines.fit_log_linear([points[i] for i in train_idx])
+                    for i in test_idx:
+                        preds[k, i] = a + b * np.log10(points[i].N) + c * np.log10(points[i].D)
+                else:
+                    params, _ = baselines.fit_power_law([points[i] for i in train_idx],
+                                                        dataset.task.polarity)
+                    for i in test_idx:
+                        preds[k, i] = baselines.predict_power_law_score(
+                            params, points[i].N, points[i].D, dataset.task.polarity)
 
-    return CVResult(
+    return [CVResult(
         task_id=dataset.task.task_id,
         feature_names=tuple(feature_names),
         predictor_kind=predictor_kind,
-        seed=plan.seed,
-        predictions={m: float(preds[i]) for i, m in enumerate(dataset.model_ids)},
-        mae=mae(preds, dataset.values),
+        seed=seed,
+        predictions={m: float(p) for m, p in zip(dataset.model_ids, pred.tolist())},
+        mae=mae(pred, y),
         fold_assignment=assign,
-        fold_configs=fold_configs,
-    )
+        fold_configs=configs,
+    ) for seed, pred, assign, configs in zip(seeds, preds, assigns, fold_configs)]
 
 
 def multi_seed_mae(dataset: Dataset, feature_names, predictor_kind: str, seeds,
@@ -209,9 +235,8 @@ def multi_seed_mae(dataset: Dataset, feature_names, predictor_kind: str, seeds,
     """One pooled out-of-fold MAE per seed, in seed order."""
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    plan = plan or CVPlan()
-    return [run_cv(dataset, feature_names, predictor_kind, plan.with_seed(s), grid).mae
-            for s in seeds]
+    return [r.mae for r in run_cv_seeds(dataset, feature_names, predictor_kind, seeds, grid,
+                                        plan)]
 
 
 @dataclass

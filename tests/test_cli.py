@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from perfpred import shapley
 from perfpred.cli import build_parser, main
-from perfpred.pipeline import CVPlan, run_cv
+from perfpred.pipeline import CVPlan, run_cv, run_cv_seeds
 from perfpred.registry import join_scores, load_registry, load_scores
 from perfpred.synthdata import GenSpec, gen_registry, write_registry, write_scores
 
@@ -370,6 +371,38 @@ def test_compare_small_run(synth_files, tmp_path):
     assert payload["seeds"] == [0, 1]
     assert len(payload["scaling_mae"]["per_seed"]) == 2
     assert payload["paired_t"]["df"] == 1
+
+
+def test_a_comparison_computes_only_the_seeds_its_cache_misses(tmp_path):
+    registry, scores, task, _ = gen_registry(GenSpec(n_models=12, missing_rate=0.2), seed=3)
+    write_registry(registry, tmp_path / "registry.json")
+    write_scores(scores, task, tmp_path / "scores.csv")
+    features = "total_params,total_tokens_billions,pct_code"
+
+    def run(out, *argv):
+        with mock.patch("perfpred.cli.run_cv_seeds", wraps=run_cv_seeds) as computed:
+            assert main([*argv, "--registry", str(tmp_path / "registry.json"),
+                         "--scores", str(tmp_path / "scores.csv"), "--task", task.task_id,
+                         "--features", features, "--out", str(tmp_path / out)]) == 0
+        cache = {p.name: p.read_bytes() for p in (tmp_path / out / "cache").iterdir()}
+        return [(c.args[1], c.args[3]) for c in computed.call_args_list], cache
+
+    scale = ["total_params", "total_tokens_billions"]
+    chosen = features.split(",")
+    assert run("warm", "cv", "--seed", "1")[0] == [(chosen, [1])]
+    calls, warm = run("warm", "compare", "--seeds", "3")
+    assert calls == [(scale, [0, 1, 2]), (chosen, [0, 2])]
+    assert run("cold", "compare", "--seeds", "3") == ([(scale, [0, 1, 2]), (chosen, [0, 1, 2])],
+                                                       warm)
+    assert len(warm) == 6
+    assert (tmp_path / "warm" / f"compare-{task.task_id}.json").read_bytes() == \
+        (tmp_path / "cold" / f"compare-{task.task_id}.json").read_bytes()
+
+    # a corrupt file is recomputed alone, to the same bytes
+    (name,) = [n for n, text in warm.items()
+               if (json.loads(text)["seed"], json.loads(text)["feature_names"]) == (2, chosen)]
+    (tmp_path / "warm" / "cache" / name).write_text("{not json")
+    assert run("warm", "compare", "--seeds", "3") == ([(chosen, [2])], warm)
 
 
 def test_plot_data_heatmap_row_count(synth_files, tmp_path):

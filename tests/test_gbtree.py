@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import _cond_expectation, random_fitted_ensemble
 from perfpred import gbtree
 from perfpred.gbtree import (GBTConfig, TreeEnsemble, _best_splits, _grow, _search_plan,
-                             fit_gbt, fit_gbt_batch, paper_grid)
+                             fit_gbt, fit_gbt_batch, paper_grid, staged_batch)
 from perfpred.prng import CounterRng
 from perfpred.registry import Column, FeatureMatrix
 from perfpred.shapley import shap_matrix, tree_shap
@@ -761,6 +762,50 @@ def test_each_fit_over_a_membership_equals_fit_gbt_on_its_rows(problem):
         alone = fit_gbt(X[r], y[r], config, mask=None if mask is None else mask[r])
         assert json.dumps(ensemble.to_dict()) == json.dumps(alone.to_dict())
         assert_same_table(ensemble, alone)
+
+
+@st.composite
+def held_out_problems(draw):
+    """Memberships of one shared matrix, as above, with all-missing rows
+    appended outside every membership; each fit's held-out rows are drawn
+    from every row, repeats included, and its stages from 0..n_trees in any
+    order. Some batches mix 50- and 100-tree fits, so half retire early."""
+    X, y, configs, rows, mask = draw(membership_problems())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.vstack([X, np.full((2, X.shape[1]), np.nan)])  # every split feature missing
+    y = np.append(y, [np.nan, np.nan])  # no fit trains on them
+    mask = None if mask is None else np.vstack([mask, rng.random((2, X.shape[1])) < 0.5])
+    if draw(st.booleans()):
+        configs = [replace(c, n_trees=draw(st.sampled_from([50, 100])))
+                   for c in configs[:2]]
+        rows = rows[:2]
+    tests = [rng.integers(0, len(X), size=draw(st.integers(0, 12))) for _ in configs]
+    stages = [np.arange(c.n_trees + 1) if draw(st.booleans())
+              else rng.integers(0, c.n_trees + 1, size=3) for c in configs]
+    return X, y, configs, rows, mask, tests, stages
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(held_out_problems())
+def test_a_tree_less_batch_predicts_its_held_out_rows_as_the_fitted_ensembles_do(problem):
+    X, y, configs, rows, mask, tests, stages = problem
+    gone = np.isnan(X) if mask is None else np.isnan(X) | mask
+    assume(all(len(r) >= 2 * c.min_samples_leaf and not gone[r].all()
+               for c, r in zip(configs, rows)))
+    got = staged_batch(X, y, configs, rows, tests, stages, mask=mask)
+    batch = fit_gbt_batch(X, y, configs, mask=mask, rows=rows)
+    for predicted, ensemble, test, ks in zip(got, batch, tests, stages):
+        staged = ensemble.staged_predict(X[test], None if mask is None else mask[test])
+        assert predicted.shape == (len(test), len(ks))
+        assert predicted.tobytes() == staged[:, ks].tobytes()
+
+
+def test_a_tree_less_batch_refuses_a_stage_past_its_trees():
+    X, y = np.arange(8.0)[:, None], np.arange(8.0)
+    with pytest.raises(ValueError, match="stage"):
+        staged_batch(X, y, [GBTConfig(n_trees=3)], [np.arange(8)], [np.arange(2)], [[4]])
+    with pytest.raises(ValueError, match="one held-out row set"):
+        staged_batch(X, y, [GBTConfig(n_trees=3)], [np.arange(8)], [], [[1]])
 
 
 def test_a_membership_fit_gbt_would_refuse_raises_its_error():

@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import small_dataset
 from perfpred.baselines import fit_log_linear, ScalePoint
+from perfpred import gbtree, pipeline
 from perfpred.gbtree import GBTConfig, fit_gbt, paper_grid
 from perfpred.metrics import mae
 from perfpred.pipeline import (
@@ -17,6 +20,7 @@ from perfpred.pipeline import (
     grid_search,
     multi_seed_mae,
     run_cv,
+    run_cv_seeds,
 )
 from perfpred.prng import PRNG_ID, CounterRng
 from perfpred.registry import Column, FeatureMatrix, all_feature_names, encode_features
@@ -81,6 +85,8 @@ def test_run_cv_validation():
         run_cv(ds, [], "median", CVPlan())
     with pytest.raises(ValueError, match="nonempty grid"):
         run_cv(small_dataset(9), list(SCALING_FEATURES), "gbt", CVPlan())
+    with pytest.raises(ValueError, match="all feature values missing"):
+        run_cv(small_dataset(9), [], "gbt", CVPlan(), [GBTConfig(2, 0.3, 10)])
 
 
 def test_result_serialization_is_stable():
@@ -220,6 +226,43 @@ def test_run_cv_equals_a_nested_cv_of_single_fits(problem):
             json.dumps(want, sort_keys=True)
     assert multi_seed_mae(ds, features, "gbt", seeds, grid) == \
         [reference_run_cv(ds, features, CVPlan(seed=s), grid)["mae"] for s in seeds]
+
+
+@pytest.mark.parametrize("features", [list(SCALING_FEATURES),
+                                      ["total_params", "total_tokens_billions", "pct_code",
+                                       "entropy_mean"]])
+def test_a_batch_of_seeds_equals_one_run_cv_per_seed(features):
+    # a cap of two seeds per batch, so five seeds take three batches, each a
+    # grid-search call and a refit call of staged_batch
+    ds, _ = synth_dataset(GenSpec(n_models=14, noise_sigma=0.02, missing_rate=0.3,
+                                  feature_effects={"pct_code": 0.002}), seed=5)
+    grid = [GBTConfig(2, 0.3, 4), GBTConfig(2, 0.3, 8), GBTConfig(3, 0.1, 8)]
+    per_seed = 2 * len(features) * 2 * 2 * len(ds)  # prototypes, columns, training rows
+    for seeds in ([0], [0, 1], [0, 1, 2, 3, 4], [3, 0, 7]):
+        want = [json.dumps(run_cv(ds, features, "gbt", CVPlan(seed=s), grid).to_dict())
+                for s in seeds]
+        with mock.patch.object(gbtree, "BATCH_CELLS", 2 * per_seed), \
+                mock.patch.object(pipeline, "staged_batch", wraps=gbtree.staged_batch) as fits:
+            got = run_cv_seeds(ds, features, "gbt", seeds, grid)
+            maes = multi_seed_mae(ds, features, "gbt", seeds, grid)
+        assert [json.dumps(r.to_dict()) for r in got] == want
+        assert maes == [json.loads(w)["mae"] for w in want]
+        assert fits.call_count == 2 * 2 * -(-len(seeds) // 2)  # run_cv_seeds, multi_seed_mae
+
+
+def test_a_batch_of_seeds_keeps_no_grid_search_trees():
+    # 108 grid-search fits of up to 40 trees in one batch: kept, their trees
+    # would take about 2 MB of node pool, and the peak would pass 3 MB;
+    # tracemalloc counts allocations, not time
+    ds, _ = synth_dataset(GenSpec(n_models=30, noise_sigma=0.02, missing_rate=0.2), 0)
+    grid = [GBTConfig(d, lr, nt) for d in (2, 3) for lr in (0.1, 0.3) for nt in (20, 40)]
+    tracemalloc.start()
+    try:
+        run_cv_seeds(ds, SCALING_FEATURES, "gbt", [0, 1, 2], grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 1024 * 1024
 
 
 def test_multi_seed_mae_ordering_and_determinism():
