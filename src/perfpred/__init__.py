@@ -1,7 +1,7 @@
 """Predict LM benchmark performance from documented design decisions."""
 
 from .baselines import PowerLawParams, ScalePoint, eval_power_law, fit_log_linear, fit_power_law, median_predictor
-from .gbtree import GBTConfig, TreeEnsemble, fit_gbt, fit_gbt_batch, paper_grid
+from .gbtree import GBTConfig, TreeEnsemble, fit_gbt, paper_grid
 from .metrics import accuracy, brier, mae, r_squared
 from .pipeline import CVPlan, CVResult, SelectionTrace, fit_tuned, greedy_select, grid_search, multi_seed_mae, run_cv, run_cv_seeds
 from .registry import (

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .gbtree import fit_gbt, paper_grid  # noqa: F401 (perfbench checks tracing 
 from .pipeline import (
     SCALING_FEATURES,
     CVPlan,
+    CVResult,
     fit_tuned,
     greedy_select,
     run_cv,
@@ -149,13 +151,16 @@ def _kind_flags(args) -> None:
             setattr(args, flag, default)
 
 
+CV_RESULT_KEYS = {f.name for f in fields(CVResult)}  # those of CVResult.to_dict()
+
+
 def _cv_cached(args, dataset, features, kind, grid, seeds):
     """One CV evaluation per seed of ``seeds``, each cached as JSON in the
     out directory; the seeds that miss are computed together.
 
     The key takes ``features`` in the order given: a fit depends on its
-    column order. A cache file that does not parse as a JSON object is
-    recomputed and overwritten.
+    column order. A cache file that is not a ``CVResult.to_dict()`` (its
+    keys, with a float ``mae``) is recomputed and overwritten.
     """
     plan = CVPlan()
     paths = [os.path.join(args.out, "cache", "cv-" + _cache_key(
@@ -167,7 +172,8 @@ def _cv_cached(args, dataset, features, kind, grid, seeds):
         try:
             with open(path) as f:
                 cached = json.load(f)
-            if isinstance(cached, dict):
+            if (isinstance(cached, dict) and cached.keys() == CV_RESULT_KEYS
+                    and isinstance(cached["mae"], float)):
                 results[i] = cached
         except (FileNotFoundError, ValueError):  # ValueError: not JSON, or not UTF-8
             pass

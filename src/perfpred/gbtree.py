@@ -13,7 +13,7 @@ split rule, with which fitting, prediction and TreeSHAP route rows.
 Split search is XGBoost's exact greedy algorithm (Chen & Guestrin 2016,
 arXiv:1603.02754, section 3.1), scored one tree level at a time, the
 depth-wise growth of Mitchell & Frank 2017 (PeerJ CS 3:e127).
-``fit_gbt_batch`` fits many configs in lockstep, each on its own row set
+``staged_batch`` fits many configs in lockstep, each on its own row set
 (its root membership) of one canonical matrix: the rows of X sorted
 lexicographically, NaN last. The sort is stable, so restricted to a fit's
 rows it is the canonical order of those rows alone. Each round grows
@@ -27,12 +27,13 @@ pass, and splits and leaves are written straight into each fit's ``NODE``
 table. The root level's residual-free part (the sort, the counts, which
 thresholds are inadmissible) is the same every round, so it is built once
 per set of live fits, and the searches of a batch reuse one scratch buffer
-for their large temporaries. ``staged_batch`` boosts the same way but keeps no
-trees: each fit's held-out rows walk its tree after every round (the walk
-``staged_predict`` uses) and add its leaf to their running predictions in
-cumsum's order, and the next round overwrites the tree, so a fit's region
-of the node pool holds one tree. A nested CV's grid search and its refits
-are two such batches.
+for their large temporaries. A batch keeps no trees: each fit's held-out
+rows walk its tree after every round (the walk ``staged_predict`` uses)
+and add its leaf to their running predictions in cumsum's order, and the
+next round overwrites the tree, so a fit's region of the node pool holds
+one tree. A nested CV's grid search and its refits are two such batches.
+``fit_gbt`` boosts one config on all rows the same way and keeps its
+trees.
 
 Every number is bit-identical to fitting one config alone, one node and
 one column at a time. cumsum adds sequentially, so trailing padding leaves
@@ -40,7 +41,7 @@ every prefix alone; np.sum sums 8 or more terms in blocks, so the node
 means and SSEs are one exact-length sum per node size, and the sums over
 the missing rows one per missing count across the block, over C-ordered
 rows, never padded. Each fit keeps its own depth limit, leaf size, gain
-floor and tie-breaks. ``fit_gbt`` is a batch of one.
+floor and tie-breaks.
 """
 
 from __future__ import annotations
@@ -405,40 +406,23 @@ def _grow(XT, R, max_depth, min_leaf, rows, pool, free, start, root_plans=None, 
     return train_pred, root_plans
 
 
-def fit_gbt_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig],
-                  mask: np.ndarray | None = None,
-                  column_names: tuple[str, ...] | None = None,
-                  rows: list | None = None) -> list[TreeEnsemble]:
-    """One boosted ensemble per config. ``rows``, if given, holds one set of
-    row indices of ``X`` per config, that fit's training rows; by default
-    every fit trains on all rows.
+def staged_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig], rows: list,
+                 tests: list, stages: list) -> list[np.ndarray]:
+    """Each fit's predictions of its held-out rows after some of its rounds:
+    fit ``f`` trains on the rows ``rows[f]`` of ``X``, ``tests[f]`` holds
+    row indices of ``X`` and ``stages[f]`` tree counts (0 to that fit's
+    ``n_trees``). Column ``j`` of result ``f`` is bit-identical to column
+    ``stages[f][j]`` of ``fit_gbt(X[r], y[r], configs[f]).staged_predict(
+    X[tests[f]])`` for ``r = rows[f]`` ascending, and row sets that
+    ``fit_gbt`` would refuse raise its error.
 
     The fits boost in lockstep, round by round, and a fit retires after its
-    own ``n_trees``. Each ensemble is bit-identical to fitting its config
-    alone on its rows (``fit_gbt(X[r], y[r], config)`` for ascending ``r``),
-    and row sets that ``fit_gbt`` would refuse raise its error.
+    own ``n_trees``. No tree is kept: after each round the held-out rows
+    walk the trees just grown, which the next round overwrites, and add
+    their leaves to their predictions in the order ``staged_predict`` adds
+    them.
     """
-    X = fold_mask(X, mask)
-    XT, y, member = _canonical(X, y, configs, rows)
-    if column_names is None:
-        column_names = tuple(f"f{j}" for j in range(X.shape[1]))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _boost(XT, y, member, configs, column_names)
-
-
-def staged_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig], rows: list,
-                 tests: list, stages: list, mask: np.ndarray | None = None) -> list[np.ndarray]:
-    """Each fit's predictions of its held-out rows after some of its rounds:
-    ``tests[f]`` holds row indices of ``X`` and ``stages[f]`` tree counts
-    (0 to that fit's ``n_trees``). Column ``j`` of result ``f`` is
-    bit-identical to column ``stages[f][j]`` of ``fit_gbt_batch(X, y,
-    configs, mask, rows=rows)[f].staged_predict(X[tests[f]], mask[tests[f]])``.
-
-    No tree is kept: after each round the held-out rows walk the trees just
-    grown, which the next round overwrites, and add their leaves to their
-    predictions in the order ``staged_predict`` adds them.
-    """
-    X = fold_mask(X, mask)
+    X = np.asarray(X, dtype=float)
     XT, y, member = _canonical(X, y, configs, rows)
     if not len(tests) == len(stages) == len(configs):
         raise ValueError("one held-out row set and one stage list per config")
@@ -447,25 +431,23 @@ def staged_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig], rows: l
     held = np.concatenate([np.zeros(0, np.intp), *tests])
     owner = np.repeat(np.arange(len(configs)), [len(t) for t in tests])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _boost(XT, y, member, configs, held=(X, held, owner, stages))
+        return _boost(XT, y, member, configs, None, held=(X, held, owner, stages))
 
 
 def _canonical(X, y, configs, rows):
     """The checked inputs of a batch: the canonical matrix, transposed, with
     the padding row; the targets in its row order; and each fit's root
-    membership of its rows."""
+    membership of its rows ``rows[f]``."""
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("empty feature matrix")
     if X.shape[0] != len(y):
         raise ValueError("X and y row counts differ")
-    member = np.ones((len(configs), len(y)), dtype=bool)
-    if rows is not None:
-        if len(rows) != len(configs):
-            raise ValueError("one row set per config")
-        member[:] = False
-        for m, r in zip(member, rows):
-            m[r] = True
+    if len(rows) != len(configs):
+        raise ValueError("one row set per config")
+    member = np.zeros((len(configs), len(y)), dtype=bool)
+    for m, r in zip(member, rows):
+        m[r] = True
     counts = member.sum(axis=1)
     if not counts.all():
         raise ValueError("empty feature matrix")
@@ -486,13 +468,14 @@ def _canonical(X, y, configs, rows):
     return XT, y[order], member[:, order]
 
 
-def _boost(XT, y, member, configs, column_names=None, held=None):
-    """The boosting rounds of ``fit_gbt_batch`` over the canonical matrix
+def _boost(XT, y, member, configs, column_names, held=None):
+    """The boosting rounds of a batch over the canonical matrix
     ``XT`` (transposed, with the padding row) and targets ``y``; fit ``f``
-    trains on the rows ``member[f]``. Returns the ensembles; or, given
-    ``held`` = (X, rows, owner, stages), the predictions of row ``rows[i]``
-    of ``X`` by fit ``owner[i]`` (ascending) after each of ``stages[f]``
-    trees, one array per fit, keeping one tree per fit at a time."""
+    trains on the rows ``member[f]``. Returns the ensembles over the columns
+    ``column_names``; or, given ``held`` = (X, rows, owner, stages), the
+    predictions of row ``rows[i]`` of ``X`` by fit ``owner[i]`` (ascending)
+    after each of ``stages[f]`` trees, one array per fit, keeping one tree
+    per fit at a time."""
     n, counts = len(y), member.sum(axis=1)
     base = np.array([y[m].mean() for m in member])
     max_depth = np.array([c.max_depth for c in configs])
@@ -569,4 +552,9 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GBTConfig,
     NaN marks a missing entry; ``mask``, if given, marks more (a present
     value under it is ignored). Targets must be fully observed.
     """
-    return fit_gbt_batch(X, y, [config], mask, column_names)[0]
+    X = fold_mask(X, mask)
+    XT, y, member = _canonical(X, y, [config], [slice(None)])
+    if column_names is None:
+        column_names = tuple(f"f{j}" for j in range(X.shape[1]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _boost(XT, y, member, [config], column_names)[0]

@@ -159,7 +159,7 @@ def run_cv_seeds(dataset: Dataset, feature_names, predictor_kind: str, seeds,
                  grid: list[GBTConfig] | None = None,
                  plan: CVPlan | None = None) -> list[CVResult]:
     """``run_cv`` under ``plan``'s fold counts (default ``CVPlan()``) for
-    each of ``seeds``, in seed order.
+    each of ``seeds``, which must be distinct, in seed order.
 
     The gbt kind's nested CVs run as many seeds at once as
     ``gbtree.BATCH_CELLS`` admits: one lockstep batch grid-searches every
@@ -168,6 +168,8 @@ def run_cv_seeds(dataset: Dataset, feature_names, predictor_kind: str, seeds,
     """
     if predictor_kind not in PREDICTOR_KINDS:
         raise ValueError(f"unknown predictor kind: {predictor_kind}")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seeds must be distinct")
     plan = plan or CVPlan()
     n = len(dataset)
     if n < 3 * plan.outer_folds:
@@ -233,8 +235,6 @@ def multi_seed_mae(dataset: Dataset, feature_names, predictor_kind: str, seeds,
                    grid: list[GBTConfig] | None = None,
                    plan: CVPlan | None = None) -> list[float]:
     """One pooled out-of-fold MAE per seed, in seed order."""
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be distinct")
     return [r.mae for r in run_cv_seeds(dataset, feature_names, predictor_kind, seeds, grid,
                                         plan)]
 
@@ -280,6 +280,8 @@ def greedy_select(dataset: Dataset, candidate_features, plan: CVPlan,
     """
     if len(selection_seeds) == 0:
         raise ValueError("greedy selection needs at least one seed")
+    if np.isnan(tol):
+        raise ValueError("tol must not be NaN")
     candidates = list(candidate_features)
     for f in SCALING_FEATURES:
         if f in candidates:

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -8,8 +9,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from perfpred import shapley
-from perfpred.cli import build_parser, main
+from perfpred import cli, gbtree, pipeline, shapley
+from perfpred.cli import CV_RESULT_KEYS, build_parser, main
 from perfpred.pipeline import CVPlan, run_cv, run_cv_seeds
 from perfpred.registry import join_scores, load_registry, load_scores
 from perfpred.synthdata import GenSpec, gen_registry, write_registry, write_scores
@@ -185,7 +186,12 @@ def test_cv_reuses_cache(synth_files, tmp_path):
     assert len(cache_files) == 1
 
 
-@pytest.mark.parametrize("corrupt", ["{not json", "[1, 2]", "\udcff"])
+# every key of a cached CVResult, but a MAE that is not a float
+MAE_NOT_A_FLOAT = json.dumps({**dict.fromkeys(sorted(CV_RESULT_KEYS)), "mae": "x"})
+
+
+@pytest.mark.parametrize("corrupt", ["{not json", "[1, 2]", "\udcff", "{}", '{"mae": "x"}',
+                                     pytest.param(MAE_NOT_A_FLOAT, id="every key")])
 def test_cv_recomputes_corrupt_cache(synth_files, tmp_path, corrupt):
     reg, scores = synth_files
     argv = ["cv", "--registry", reg, "--scores", scores, "--task", "taskA",
@@ -194,6 +200,7 @@ def test_cv_recomputes_corrupt_cache(synth_files, tmp_path, corrupt):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     (cache_file,) = (out / "cache").iterdir()
+    assert json.loads(cache_file.read_text()).keys() == CV_RESULT_KEYS  # what is written
     cache_file.write_bytes(corrupt.encode("utf-8", "surrogateescape"))
     assert main(argv + ["--out", str(out)]) == 0
     assert list((out / "cache").iterdir()) == [cache_file]
@@ -344,6 +351,16 @@ def test_select_without_seeds_fails_and_writes_nothing(synth_files, tmp_path, ca
                  "--seeds", seeds, "--candidates", "pct_code", "--out", str(tmp_path)])
     assert code == 1
     assert "at least one seed" in capsys.readouterr().err
+    assert not (tmp_path / "select-taskA.json").exists()
+
+
+def test_select_with_a_nan_tolerance_fails_and_writes_nothing(synth_files, tmp_path, capsys):
+    reg, scores = synth_files
+    code = main(["select", "--registry", reg, "--scores", scores, "--task", "taskA",
+                 "--seeds", "1", "--candidates", "pct_code", "--tol", "nan",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "tol must not be NaN" in capsys.readouterr().err
     assert not (tmp_path / "select-taskA.json").exists()
 
 
@@ -559,3 +576,26 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", "import sys, perfpred.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_the_benchmark_tracer_wraps_every_traced_name_and_the_one_fit_gbt(monkeypatch):
+    # perfbench/run.py --trace 1 wraps each name of spans.TRACED wherever
+    # perfpred holds it, so every one must resolve; its fit counters read
+    # the one fit_gbt that the CLI and the pipeline call
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    spans = importlib.import_module("spans")
+    original = gbtree.fit_gbt
+    assert cli.fit_gbt is pipeline.fit_gbt is original
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        for module, attr, _ in spans.TRACED:
+            owner = sys.modules[module]
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert hasattr(owner, "__wrapped__"), (module, attr)
+        assert cli.fit_gbt is pipeline.fit_gbt is gbtree.fit_gbt is not original
+    finally:
+        tracer.uninstall()
+    assert cli.fit_gbt is pipeline.fit_gbt is gbtree.fit_gbt is original

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import _cond_expectation, random_fitted_ensemble
 from perfpred import gbtree
 from perfpred.gbtree import (GBTConfig, TreeEnsemble, _best_splits, _grow, _search_plan,
-                             fit_gbt, fit_gbt_batch, paper_grid, staged_batch)
+                             fit_gbt, paper_grid, staged_batch)
 from perfpred.prng import CounterRng
 from perfpred.registry import Column, FeatureMatrix
 from perfpred.shapley import shap_matrix, tree_shap
@@ -192,8 +192,8 @@ def edge_ensembles():
     X = rng.normal(size=(16, 3))
     X[rng.random(X.shape) < 0.3] = np.nan
     y = rng.normal(size=16)
-    deep = fit_gbt_batch(X, y, [GBTConfig(max_depth=5, learning_rate=0.3, n_trees=n)
-                                for n in (0, 7)])
+    deep = [fit_gbt(X, y, GBTConfig(max_depth=5, learning_rate=0.3, n_trees=n))
+            for n in (0, 7)]
     flat = fit_gbt(X, np.full(16, 0.25), GBTConfig(max_depth=3, n_trees=4))
     return [(e, X) for e in (*deep, flat)]
 
@@ -444,11 +444,10 @@ def test_a_wide_level_scores_like_its_nodes_one_by_one():
     # a level of many fits, some blocks holding several of them
     rows = [np.flatnonzero(rng.random(40) < 0.7) for _ in range(6)]
     configs = [GBTConfig(d, 0.3, 5) for d in (2, 3, 4, 5, 3, 4)]
+    alone = fitted_alone(X, y, configs, rows)  # at the default LEVEL_CELLS
     for cells in (1, 3000, gbtree.LEVEL_CELLS):
         with mock.patch.object(gbtree, "LEVEL_CELLS", cells):
-            batch = fit_gbt_batch(X, y, configs, rows=rows)
-        for ens, c, r in zip(batch, configs, rows):
-            assert json.dumps(ens.to_dict()) == json.dumps(fit_gbt(X[r], y[r], c).to_dict())
+            assert_each_fit_predicts_as_alone(X, y, configs, rows, alone)
 
 
 def one_column_split(x, r, min_leaf):
@@ -675,14 +674,33 @@ def test_every_child_holds_the_rows_its_split_counted(problem):
 
 
 # ---------------------------------------------------------------------------
-# lockstep batches: every fit of a batch is the fit of its config alone
+# lockstep batches: every fit of a batch predicts as fit_gbt on its rows alone
+
+
+def fitted_alone(X, y, configs, rows):
+    """Each fit's staged predictions of every row of X by ``fit_gbt`` on
+    that fit's rows alone."""
+    return [fit_gbt(X[r], y[r], c).staged_predict(X) for c, r in zip(configs, rows)]
+
+
+def assert_each_fit_predicts_as_alone(X, y, configs, rows, alone=None):
+    """``staged_batch`` asked for every row of X after every round, byte for
+    byte against ``alone``, by default ``fitted_alone``."""
+    every = np.arange(len(X))
+    got = staged_batch(X, y, configs, rows, [every] * len(configs),
+                       [range(c.n_trees + 1) for c in configs])
+    if alone is None:
+        alone = fitted_alone(X, y, configs, rows)
+    for predicted, expected in zip(got, alone, strict=True):
+        assert predicted.shape == expected.shape
+        assert predicted.tobytes() == expected.tobytes()
 
 
 @st.composite
 def batch_problems(draw):
     """Shared rows (9 to 40, so node sums reach 8 terms and more) with value
-    ties, NaN or masked entries, and configs of every depth, leaf size and
-    several rates; their tree counts differ, so fits retire in different
+    ties, NaN cells (a mask folded in), and configs of every depth, leaf size
+    and several rates; their tree counts differ, so fits retire in different
     rounds, and repeated configs share every node."""
     n = draw(st.integers(9, 40))
     p = draw(st.integers(1, 4))
@@ -691,30 +709,21 @@ def batch_problems(draw):
         X = rng.integers(0, 3, size=(n, p)).astype(float)
     else:
         X = rng.normal(size=(n, p))
-    missing = rng.random((n, p)) < draw(st.sampled_from([0.0, 0.2, 0.5]))
+    X[rng.random((n, p)) < draw(st.sampled_from([0.0, 0.2, 0.5]))] = np.nan
     y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
     config = st.builds(GBTConfig, max_depth=st.integers(1, 5),
                        learning_rate=st.sampled_from([0.01, 0.1, 0.3, 1.0]),
                        n_trees=st.integers(0, 6), min_samples_leaf=st.integers(1, 3))
     configs = draw(st.lists(config, min_size=2, max_size=6))
-    if draw(st.booleans()):
-        X, mask = np.where(missing, np.nan, X), None
-    else:
-        mask = missing
-    return X, mask, y, configs
+    return X, y, configs
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(batch_problems())
 def test_each_fit_of_a_batch_equals_its_config_fitted_alone(problem):
-    X, mask, y, configs = problem
-    assume(mask is None or not mask.all())
-    batch = fit_gbt_batch(X, y, configs, mask=mask)
-    assert [len(e.to_dict()["trees"]) for e in batch] == [c.n_trees for c in configs]
-    for ensemble, config in zip(batch, configs):
-        alone = fit_gbt(X, y, config, mask=mask)
-        assert json.dumps(ensemble.to_dict()) == json.dumps(alone.to_dict())
-        assert_same_table(ensemble, alone)
+    X, y, configs = problem
+    assume(not np.isnan(X).all())
+    assert_each_fit_predicts_as_alone(X, y, configs, [np.arange(len(X))] * len(configs))
 
 
 # ---------------------------------------------------------------------------
@@ -724,9 +733,9 @@ def test_each_fit_of_a_batch_equals_its_config_fitted_alone(problem):
 
 @st.composite
 def membership_problems(draw):
-    """One shared matrix (8 to 30 rows) with NaN cells, duplicated rows and a
-    column that is constant or missing inside the first fit's rows only, and
-    fits over row subsets of it."""
+    """One shared matrix (8 to 30 rows) with NaN cells (a mask folded in),
+    duplicated rows and a column that is constant or missing inside the
+    first fit's rows only, and fits over row subsets of it."""
     n = draw(st.integers(8, 30))
     p = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -746,22 +755,22 @@ def membership_problems(draw):
     share = st.sampled_from([0.4, 0.7, 1.0])
     rows = [np.flatnonzero(rng.random(n) < draw(share)) for _ in configs]
     X[rows[0], rng.integers(p)] = draw(st.sampled_from([1.0, np.nan]))  # inert in fit 0 only
-    mask = rng.random((n, p)) < 0.2 if draw(st.booleans()) else None
-    return X, y, configs, rows, mask
+    if draw(st.booleans()):
+        X[rng.random((n, p)) < 0.2] = np.nan  # a mask, folded in
+    return X, y, configs, rows
+
+
+def trainable(X, configs, rows):
+    return all(len(r) >= 2 * c.min_samples_leaf and not np.isnan(X[r]).all()
+               for c, r in zip(configs, rows))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(membership_problems())
 def test_each_fit_over_a_membership_equals_fit_gbt_on_its_rows(problem):
-    X, y, configs, rows, mask = problem
-    gone = np.isnan(X) if mask is None else np.isnan(X) | mask
-    assume(all(len(r) >= 2 * c.min_samples_leaf and not gone[r].all()
-               for c, r in zip(configs, rows)))
-    batch = fit_gbt_batch(X, y, configs, mask=mask, rows=rows)
-    for ensemble, config, r in zip(batch, configs, rows):
-        alone = fit_gbt(X[r], y[r], config, mask=None if mask is None else mask[r])
-        assert json.dumps(ensemble.to_dict()) == json.dumps(alone.to_dict())
-        assert_same_table(ensemble, alone)
+    X, y, configs, rows = problem
+    assume(trainable(X, configs, rows))
+    assert_each_fit_predicts_as_alone(X, y, configs, rows)
 
 
 @st.composite
@@ -770,11 +779,10 @@ def held_out_problems(draw):
     appended outside every membership; each fit's held-out rows are drawn
     from every row, repeats included, and its stages from 0..n_trees in any
     order. Some batches mix 50- and 100-tree fits, so half retire early."""
-    X, y, configs, rows, mask = draw(membership_problems())
+    X, y, configs, rows = draw(membership_problems())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = np.vstack([X, np.full((2, X.shape[1]), np.nan)])  # every split feature missing
     y = np.append(y, [np.nan, np.nan])  # no fit trains on them
-    mask = None if mask is None else np.vstack([mask, rng.random((2, X.shape[1])) < 0.5])
     if draw(st.booleans()):
         configs = [replace(c, n_trees=draw(st.sampled_from([50, 100])))
                    for c in configs[:2]]
@@ -782,20 +790,17 @@ def held_out_problems(draw):
     tests = [rng.integers(0, len(X), size=draw(st.integers(0, 12))) for _ in configs]
     stages = [np.arange(c.n_trees + 1) if draw(st.booleans())
               else rng.integers(0, c.n_trees + 1, size=3) for c in configs]
-    return X, y, configs, rows, mask, tests, stages
+    return X, y, configs, rows, tests, stages
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(held_out_problems())
 def test_a_tree_less_batch_predicts_its_held_out_rows_as_the_fitted_ensembles_do(problem):
-    X, y, configs, rows, mask, tests, stages = problem
-    gone = np.isnan(X) if mask is None else np.isnan(X) | mask
-    assume(all(len(r) >= 2 * c.min_samples_leaf and not gone[r].all()
-               for c, r in zip(configs, rows)))
-    got = staged_batch(X, y, configs, rows, tests, stages, mask=mask)
-    batch = fit_gbt_batch(X, y, configs, mask=mask, rows=rows)
-    for predicted, ensemble, test, ks in zip(got, batch, tests, stages):
-        staged = ensemble.staged_predict(X[test], None if mask is None else mask[test])
+    X, y, configs, rows, tests, stages = problem
+    assume(trainable(X, configs, rows))
+    got = staged_batch(X, y, configs, rows, tests, stages)
+    for predicted, config, r, test, ks in zip(got, configs, rows, tests, stages):
+        staged = fit_gbt(X[r], y[r], config).staged_predict(X[test])
         assert predicted.shape == (len(test), len(ks))
         assert predicted.tobytes() == staged[:, ks].tobytes()
 
@@ -821,6 +826,7 @@ def test_a_membership_fit_gbt_would_refuse_raises_its_error():
         with pytest.raises(ValueError) as alone:
             fit_gbt(X[rows], y[rows], config)
         with pytest.raises(ValueError) as batch:
-            fit_gbt_batch(X, y, [GBTConfig(), config], rows=[good, rows])
+            staged_batch(X, y, [GBTConfig(), config], [good, rows], [good, good], [[0], [0]])
         assert str(batch.value) == str(alone.value)
-    fit_gbt_batch(X, y, [GBTConfig(n_trees=2)], rows=[good])  # the NaN target is not a member
+    # the NaN target is not a member
+    assert_each_fit_predicts_as_alone(X, y, [GBTConfig(n_trees=2)], [good])

@@ -272,8 +272,9 @@ def test_multi_seed_mae_ordering_and_determinism():
     assert len(maes) == 3
     assert maes[0] == run_cv(ds, [], "median", CVPlan(seed=4)).mae
     assert maes == multi_seed_mae(ds, [], "median", seeds)
-    with pytest.raises(ValueError, match="distinct"):
-        multi_seed_mae(ds, [], "median", [1, 1])
+    for per_seed in (multi_seed_mae, run_cv_seeds):
+        with pytest.raises(ValueError, match="distinct"):
+            per_seed(ds, [], "median", [1, 1])
 
 
 def test_greedy_select_rejects_scale_candidates():
@@ -286,6 +287,14 @@ def test_greedy_select_needs_a_seed():
     ds = small_dataset(9)
     with pytest.raises(ValueError, match="at least one seed"):
         greedy_select(ds, ["pct_code"], CVPlan(), [GBTConfig(2, 0.3, 10)], [])
+
+
+def test_greedy_select_refuses_a_nan_tolerance():
+    # every improvement compares false against NaN, so it would add every
+    # candidate, the ones that raise the MAE too
+    ds = small_dataset(9)
+    with pytest.raises(ValueError, match="NaN"):
+        greedy_select(ds, ["pct_code"], CVPlan(), [GBTConfig(2, 0.3, 10)], [0], tol=np.nan)
 
 
 def test_greedy_select_finds_planted_feature():
