@@ -102,7 +102,7 @@ class TreeEnsemble:
     roots: np.ndarray  # each tree's root index (intp, so it indexes even when empty)
 
     def predict_row(self, x: np.ndarray, mask: np.ndarray | None = None) -> float:
-        return float(self.predict(np.reshape(x, (1, -1)), mask)[0])
+        return float(self._staged(np.reshape(fold_mask(x, mask), (1, -1)))[0, -1])
 
     def predict(self, X: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         return self._staged(fold_mask(X, mask))[:, -1]
@@ -173,15 +173,14 @@ def _leaf_values(nodes, X, rows, node, base=0) -> np.ndarray:
 def fold_mask(X, mask: np.ndarray | None) -> np.ndarray:
     """``X`` as floats, NaN wherever ``mask`` is set: NaN is the one
     missing-value marker below the public entries, and ``mask`` an optional
-    override folded in once."""
+    override of ``X``'s shape folded in once."""
     X = np.asarray(X, dtype=float)
+    if mask is not None and np.shape(mask) != X.shape:
+        raise ValueError(f"mask shape {np.shape(mask)} differs from X's {X.shape}")
     return X if mask is None else np.where(mask, np.nan, X)
 
 
 LEVEL_CELLS = 1 << 16  # (column, node, row) cells of one split search block
-# (fit, column, training row) cells of the grid-search fits of one nested-CV
-# batch: its seeds are as many as fit, and at least one
-BATCH_CELLS = 1 << 17
 
 
 def _search_plan(XT, sizes, min_leaf):
@@ -197,6 +196,13 @@ def _search_plan(XT, sizes, min_leaf):
     rows' positions grouped by missing count, each pair's last present
     position, its missing and present counts, and which (routing, pair,
     threshold) are inadmissible.
+
+    Threshold t sends t + 1 present rows left; routing 0 sends the missing
+    rows left too, routing 1 right (tried only if some pair has any). With
+    leaf size m, a side is short of m rows where t + 1 is below m - n_miss
+    or above n_present - m (routing 0), or below m or above n_present +
+    n_miss - m (routing 1); a threshold not between two distinct present
+    values is inadmissible too.
     """
     _, g, k = XT.shape
     # only a column with two distinct present values in a node can split it:
@@ -218,8 +224,10 @@ def _search_plan(XT, sizes, min_leaf):
              for u in np.flatnonzero(np.bincount(n_miss)).tolist() if u
              for at in [np.flatnonzero(n_miss == u)]]
     last = end - n_miss - (n_present > 0)
-    short = _side_counts(n_miss, n_present, k, 2 if tails else 1) < np.tile(min_leaf, c)[:, None]
-    bad = short[0] | short[1] | ~(V[..., :-1] < V[..., 1:]).reshape(c * g, k - 1)
+    m, kk = np.tile(min_leaf, c), np.arange(1, k)  # kk: present rows left of each threshold
+    lo = np.array([m - n_miss, m][:2 if tails else 1])[..., None]  # (routing, pair, 1)
+    hi = np.array([n_present - m, n_present + n_miss - m][:len(lo)])[..., None]
+    bad = (kk < lo) | (kk > hi) | ~(V[..., :-1] < V[..., 1:]).reshape(c * g, k - 1)
     return cols, V.reshape(-1), pos, tails, last, n_miss, n_present, bad
 
 
@@ -241,22 +249,6 @@ class _Scratch:
             self.buf = np.empty(sum(sizes))
         ends = np.cumsum(sizes).tolist()
         return [self.buf[e - n:e].reshape(shape) for shape, n, e in zip(shapes, sizes, ends)]
-
-
-def _side_counts(n_miss, n_present, k, routings, out=None):
-    """Each (side, routing, pair, threshold)'s row count, into ``out`` if
-    given. A threshold t has t + 1 present rows on its left; routing 0
-    sends the missing rows left, routing 1 right (tried only where rows are
-    missing), and the side that does not take them adds nothing to its
-    count or sums."""
-    kk = np.arange(1, k)
-    counts = np.empty((2, routings, len(n_miss), k - 1)) if out is None else out
-    np.add(kk, n_miss[:, None], out=counts[0, 0])
-    np.subtract(n_present[:, None], kk, out=counts[1, 0])
-    if routings == 2:
-        counts[0, 1] = kk
-        np.add(counts[1, 0], n_miss[:, None], out=counts[1, 1])
-    return counts
 
 
 def _best_splits(plan, Rn, scratch=None):
@@ -282,11 +274,10 @@ def _best_splits(plan, Rn, scratch=None):
     cols, V, pos, tails, last, n_miss, n_present, bad = plan
     routings, c = len(bad), len(cols)
     # residuals and their squares, their cumulative sums, and (below) the
-    # side counts and (statistic, side * routings + routing, pair,
-    # threshold) sums, filled in place
-    stack, cum, counts, sides = (scratch or _Scratch()).arrays(
-        (2,) + pos.shape, (2,) + pos.shape, (2, routings, c * g, k - 1),
-        (2, 2 * routings, c * g, k - 1))
+    # (statistic, side * routings + routing, pair, threshold) sums and one
+    # (pair, threshold) row count at a time, filled in place
+    stack, cum, sides, count = (scratch or _Scratch()).arrays(
+        (2,) + pos.shape, (2,) + pos.shape, (2, 2 * routings, c * g, k - 1), (c * g, k - 1))
     Rn.take(pos, out=stack[0])
     np.multiply(stack[0], stack[0], out=stack[1])
     # sums over the missing rows must equal 1-D np.sum bit for bit, whose
@@ -302,7 +293,6 @@ def _best_splits(plan, Rn, scratch=None):
     left = cum[..., :-1]
     total = cum.reshape(2, -1)[:, last, None]
 
-    _side_counts(n_miss, n_present, k, routings, counts)
     np.add(left, missing, out=sides[:, 0])
     np.subtract(total, left, out=sides[:, routings])
     if routings == 2:
@@ -310,7 +300,13 @@ def _best_splits(plan, Rn, scratch=None):
         np.add(sides[:, 2], missing, out=sides[:, 3])
     S, Q = sides.reshape(2, 2, routings, c * g, k - 1)
     S *= S
-    S /= counts
+    # divide by each (side, routing)'s row count, as ``_search_plan`` counts it
+    kk, n_miss, n_present = np.arange(1, k), n_miss[:, None], n_present[:, None]
+    S[0, 0] /= np.add(kk, n_miss, out=count)
+    S[1, 0] /= np.subtract(n_present, kk, out=count)
+    if routings == 2:
+        S[0, 1] /= kk
+        S[1, 1] /= np.add(count, n_miss, out=count)
     np.subtract(Q, S, out=S)
     sse = np.add(S[0], S[1], out=S[0])  # (routing, pair, threshold)
     np.copyto(sse, np.inf, where=bad)

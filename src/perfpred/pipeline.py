@@ -11,7 +11,7 @@ grid search fits every prototype config on every inner training split,
 and the refits fit each outer training split's winner. Neither keeps
 trees, only the predictions of its held-out rows. ``run_cv_seeds`` runs
 the CVs of many seeds in the same two batches, as many seeds as
-``gbtree.BATCH_CELLS`` admits, and each of its results is byte-equal to
+``BATCH_CELLS`` admits, and each of its results is byte-equal to
 ``run_cv`` of that seed alone.
 """
 
@@ -21,13 +21,14 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import baselines, gbtree
+from . import baselines
 from .gbtree import GBTConfig, TreeEnsemble, fit_gbt, staged_batch
 from .metrics import mae
 from .prng import PRNG_ID, CounterRng
 from .registry import Dataset, FeatureMatrix, encode_features
 
 PREDICTOR_KINDS = ("median", "log_linear", "power_law", "gbt")
+BATCH_CELLS = 1 << 17  # (fit, column, training row) cells of a batch's grid-search fits
 SCALING_FEATURES = ("total_params", "total_tokens_billions")
 
 
@@ -159,10 +160,11 @@ def run_cv_seeds(dataset: Dataset, feature_names, predictor_kind: str, seeds,
                  grid: list[GBTConfig] | None = None,
                  plan: CVPlan | None = None) -> list[CVResult]:
     """``run_cv`` under ``plan``'s fold counts (default ``CVPlan()``) for
-    each of ``seeds``, which must be distinct, in seed order.
+    each of ``seeds``, which must be distinct, in seed order. ``plan.seed``
+    is not read: ``seeds`` take its place.
 
     The gbt kind's nested CVs run as many seeds at once as
-    ``gbtree.BATCH_CELLS`` admits: one lockstep batch grid-searches every
+    ``BATCH_CELLS`` admits: one lockstep batch grid-searches every
     outer training split of those seeds, and one refits each split's
     winner. Both keep only the predictions of their held-out rows.
     """
@@ -190,7 +192,7 @@ def run_cv_seeds(dataset: Dataset, feature_names, predictor_kind: str, seeds,
         # (fit, column, training row) cells of one seed's grid-search fits
         cells = (len({replace(c, n_trees=0) for c in grid}) * X.values.shape[1]
                  * (plan.outer_folds - 1) * (plan.inner_folds - 1) * n)
-        step = max(1, gbtree.BATCH_CELLS // max(cells, 1))  # no columns: fitting refuses
+        step = max(1, BATCH_CELLS // max(cells, 1))  # no columns: fitting refuses
         for first in range(0, len(seeds), step):
             batch = [(k, train, test) for k in range(first, min(first + step, len(seeds)))
                      for train, test in splits[k]]
@@ -277,6 +279,7 @@ def greedy_select(dataset: Dataset, candidate_features, plan: CVPlan,
     Each step scores base + candidate by mean MAE over the selection seeds
     (full outer-CV protocol per seed) and keeps the best candidate while the
     improvement is at least ``tol``. Candidate ties break lexicographically.
+    ``plan.seed`` is not read: ``selection_seeds`` take its place.
     """
     if len(selection_seeds) == 0:
         raise ValueError("greedy selection needs at least one seed")

@@ -270,6 +270,24 @@ def test_input_validation():
         ens.staged_predict(np.zeros((2, 4)), np.zeros((2, 4), dtype=bool))
 
 
+MASK_ENTRIES = {
+    # a (3,) mask broadcasts over every row of a 10 x 3 X, a 0-d one over a row
+    "fit_gbt": lambda ens, X: fit_gbt(X, X[:, 0], GBTConfig(n_trees=2),
+                                      mask=np.array([True, False, False])),
+    "predict": lambda ens, X: ens.predict(X, np.array([True, False, False])),
+    "staged_predict": lambda ens, X: ens.staged_predict(X, np.array([True, False, False])),
+    "predict_row": lambda ens, X: ens.predict_row(X[0], np.array(True)),
+    "tree_shap": lambda ens, X: tree_shap(ens, X[0], np.array(True)),
+}
+
+
+@pytest.mark.parametrize("entry", MASK_ENTRIES)
+def test_a_mask_not_of_x_shape_is_refused(entry):
+    ens, X = random_fitted_ensemble(CounterRng(2), p=3, n_rows=10, missing_rate=0)
+    with pytest.raises(ValueError, match="mask shape"):
+        MASK_ENTRIES[entry](ens, X)
+
+
 def test_paper_grid_shape():
     grid = paper_grid()
     assert len(grid) == 18

@@ -241,7 +241,7 @@ def test_a_batch_of_seeds_equals_one_run_cv_per_seed(features):
     for seeds in ([0], [0, 1], [0, 1, 2, 3, 4], [3, 0, 7]):
         want = [json.dumps(run_cv(ds, features, "gbt", CVPlan(seed=s), grid).to_dict())
                 for s in seeds]
-        with mock.patch.object(gbtree, "BATCH_CELLS", 2 * per_seed), \
+        with mock.patch.object(pipeline, "BATCH_CELLS", 2 * per_seed), \
                 mock.patch.object(pipeline, "staged_batch", wraps=gbtree.staged_batch) as fits:
             got = run_cv_seeds(ds, features, "gbt", seeds, grid)
             maes = multi_seed_mae(ds, features, "gbt", seeds, grid)
