@@ -403,6 +403,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
+    if args.kind == "scaling_heatmap" and args.grid < 1:
+        raise RegistryError([f"--grid must be at least 1, not {args.grid}"])
     dataset = _task_dataset(args)
     if args.kind == "scaling_heatmap":
         points = scale_points(dataset)

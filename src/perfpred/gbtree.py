@@ -27,13 +27,13 @@ pass, and splits and leaves are written straight into each fit's ``NODE``
 table. The root level's residual-free part (the sort, the counts, which
 thresholds are inadmissible) is the same every round, so it is built once
 per set of live fits, and the searches of a batch reuse one scratch buffer
-for their large temporaries. A batch keeps no trees: each fit's held-out
-rows walk its tree after every round (the walk ``staged_predict`` uses)
-and add its leaf to their running predictions in cumsum's order, and the
-next round overwrites the tree, so a fit's region of the node pool holds
-one tree. A nested CV's grid search and its refits are two such batches.
-``fit_gbt`` boosts one config on all rows the same way and keeps its
-trees.
+for their large temporaries. One round loop serves every fit: a fit's
+region of the node pool holds one tree, which the next round overwrites.
+In ``staged_batch`` each fit's held-out rows walk its tree after every
+round (the walk ``staged_predict`` uses) and add its leaf to their running
+predictions in cumsum's order, so a batch keeps no trees; a nested CV's
+grid search and its refits are two such batches. ``fit_gbt`` is a batch of
+one config on all rows that copies each round's tree into its ensemble.
 
 Every number is bit-identical to fitting one config alone, one node and
 one column at a time. cumsum adds sequentially, so trailing padding leaves
@@ -157,15 +157,14 @@ class TreeEnsemble:
                    np.array(nodes, dtype=NODE), np.array(roots, dtype=np.intp))
 
 
-def _leaf_values(nodes, X, rows, node, base=0) -> np.ndarray:
+def _leaf_values(nodes, X, rows, node) -> np.ndarray:
     """The value of the leaf each walker reaches in the node table
     ``nodes``: walker (i, j) routes row ``rows[i]`` of ``X`` from node
-    ``node[i, j]``, and the child indices it meets count from ``base[i, j]``.
-    Every walker steps at once, one level per step."""
+    ``node[i, j]``. Every walker steps at once, one level per step."""
     at = nodes[node]
     while (split := at["feature"] >= 0).any():
         left = goes_left(X[rows, at["feature"]], at["threshold"], at["default_left"])
-        node = np.where(split, base + np.where(left, at["left"], at["right"]), node)
+        node = np.where(split, np.where(left, at["left"], at["right"]), node)
         at = nodes[node]
     return at["value"]
 
@@ -220,9 +219,9 @@ def _search_plan(XT, sizes, min_leaf):
     n_miss = (np.add.reduce(np.isnan(V), axis=2) - (k - sizes)).ravel()  # per (column, node)
     n_present = np.tile(sizes, c) - n_miss
     end = np.arange(c * g) * k + n_present + n_miss  # past each pair's last row
-    tails = [(at, end[at, None] - np.arange(u, 0, -1))
-             for u in np.flatnonzero(np.bincount(n_miss)).tolist() if u
-             for at in [np.flatnonzero(n_miss == u)]]
+    group, cut = n_miss.argsort(kind="stable"), np.cumsum(np.bincount(n_miss)).tolist()
+    tails = [(at, end[at, None] - np.arange(u, 0, -1)) for u in range(1, len(cut))
+             for at in [group[cut[u - 1]:cut[u]]] if len(at)]
     last = end - n_miss - (n_present > 0)
     m, kk = np.tile(min_leaf, c), np.arange(1, k)  # kk: present rows left of each threshold
     lo = np.array([m - n_miss, m][:2 if tails else 1])[..., None]  # (routing, pair, 1)
@@ -327,15 +326,15 @@ def _best_splits(plan, Rn, scratch=None):
     return value.reshape(-1)[pair], cols[best], threshold, ~right
 
 
-def _grow(XT, R, max_depth, min_leaf, rows, pool, free, start, root_plans=None, scratch=None):
+def _grow(XT, R, max_depth, min_leaf, rows, pool, start, root_plans=None, scratch=None):
     """One tree per residual vector (row) of ``R``, grown together one level
     at a time from the root rows ``rows`` (each ascending and padded with
     the padding row, ``XT``'s last column), limited by ``max_depth`` and
     ``min_leaf`` of that row. Tree ``i`` writes its ``NODE`` records into
-    ``pool`` from position ``free[i]`` on, breadth first, numbered from
-    ``start[i]``; ``free`` is advanced past them. Returns each row's
-    training-set predictions and the root level's search plans, which a
-    later round on the same roots passes back as ``root_plans``.
+    ``pool`` from position ``start[i]`` on, breadth first, with child
+    indices that are positions in ``pool``. Returns each row's training-set
+    predictions, the root level's search plans, which a later round on the
+    same roots passes back as ``root_plans``, and where each tree ends.
 
     Every frontier node of every tree is scored in one search per level;
     node means and SSEs are exact-length sums, one call per node size, so
@@ -345,6 +344,7 @@ def _grow(XT, R, max_depth, min_leaf, rows, pool, free, start, root_plans=None, 
     train_pred = np.zeros(R.shape)
     fit = np.arange(len(R))  # the frontier's trees, ascending
     sizes = (rows < pad).sum(axis=1)
+    free = start.copy()  # each tree's next node
     depth = 0
     while len(fit):
         at = free[fit] + np.arange(len(fit)) - np.searchsorted(fit, fit)
@@ -383,7 +383,7 @@ def _grow(XT, R, max_depth, min_leaf, rows, pool, free, start, root_plans=None, 
         train_pred[fit[leaf, None], rows[leaf]] = mean[leaf, None]  # the padding row takes any
         # a tree's children are its next level's nodes, left then right
         at, fit = at[split], fit[split]
-        children = free[fit] - start[fit] + 2 * (np.arange(len(fit)) - np.searchsorted(fit, fit))
+        children = free[fit] + 2 * (np.arange(len(fit)) - np.searchsorted(fit, fit))
         pool["feature"][at], pool["threshold"][at] = feature, threshold
         pool["default_left"][at], pool["value"][at] = default_left, np.nan
         pool["left"][at], pool["right"][at] = children, children + 1
@@ -399,7 +399,7 @@ def _grow(XT, R, max_depth, min_leaf, rows, pool, free, start, root_plans=None, 
         rows = rows.reshape(len(sizes), parent.shape[1])[:, :sizes.max(initial=0)]
         fit = fit.repeat(2)
         depth += 1
-    return train_pred, root_plans
+    return train_pred, root_plans, free
 
 
 def staged_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig], rows: list,
@@ -426,8 +426,31 @@ def staged_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig], rows: l
         raise ValueError("a stage outside 0..n_trees")
     held = np.concatenate([np.zeros(0, np.intp), *tests])
     owner = np.repeat(np.arange(len(configs)), [len(t) for t in tests])
+    ends = np.cumsum(np.bincount(owner, minlength=len(configs))).tolist()
+    at_stage: dict[int, list] = {}  # tree count -> (fit, column)s it fills
+    for f, ks in enumerate(stages):
+        for j, k in enumerate(ks):
+            at_stage.setdefault(k, []).append((f, j))
+    n_trees = np.array([c.n_trees for c in configs])
+    rates = np.array([c.learning_rate for c in configs])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _boost(XT, y, member, configs, None, held=(X, held, owner, stages))
+        rounds = _rounds(XT, y, member, configs)
+        acc = next(rounds)[owner]  # each held-out row's prediction so far
+        # every column starts at the base score, stage 0; the others are set below
+        out = [np.repeat(acc[b:e, None], len(ks), axis=1)
+               for b, e, ks in zip([0] + ends, ends, stages)]
+        for t, (pool, start, _) in enumerate(rounds):
+            if not t or (n_trees == t).any():  # a fit retired
+                walk = np.flatnonzero(n_trees[owner] > t)  # the live fits' held-out rows
+                walk_rows, walk_root = held[walk, None], start[owner[walk], None]
+                walk_rates = rates[owner[walk]]
+            # the held-out rows walk this round's trees (each rooted at its
+            # region's first node) and add leaf * rate as cumsum would
+            leaf = _leaf_values(pool, X, walk_rows, walk_root)[:, 0]
+            acc[walk] += leaf * walk_rates
+            for f, j in at_stage.get(t + 1, ()):
+                out[f][:, j] = acc[ends[f] - len(out[f]):ends[f]]
+    return out
 
 
 def _canonical(X, y, configs, rows):
@@ -464,16 +487,17 @@ def _canonical(X, y, configs, rows):
     return XT, y[order], member[:, order]
 
 
-def _boost(XT, y, member, configs, column_names, held=None):
-    """The boosting rounds of a batch over the canonical matrix
-    ``XT`` (transposed, with the padding row) and targets ``y``; fit ``f``
-    trains on the rows ``member[f]``. Returns the ensembles over the columns
-    ``column_names``; or, given ``held`` = (X, rows, owner, stages), the
-    predictions of row ``rows[i]`` of ``X`` by fit ``owner[i]`` (ascending)
-    after each of ``stages[f]`` trees, one array per fit, keeping one tree
-    per fit at a time."""
+def _rounds(XT, y, member, configs):
+    """The boosting rounds of a batch over the canonical matrix ``XT``
+    (transposed, with the padding row) and targets ``y``; fit ``f`` trains
+    on the rows ``member[f]`` and retires after its own ``n_trees``. Yields
+    each fit's base score, then after each round the node pool and each
+    fit's region ``start``, ``end``: ``pool[start[f]:end[f]]`` is the last
+    tree fit ``f`` grew, its child indices positions in ``pool``; the next
+    round overwrites it unless the fit has retired."""
     n, counts = len(y), member.sum(axis=1)
     base = np.array([y[m].mean() for m in member])
+    yield base
     max_depth = np.array([c.max_depth for c in configs])
     min_leaf = np.array([c.min_samples_leaf for c in configs])
     rates = np.array([[c.learning_rate] for c in configs])
@@ -482,31 +506,12 @@ def _boost(XT, y, member, configs, column_names, held=None):
     width = np.arange(counts.max(initial=0))
     roots = np.full((len(configs), len(width)), n)
     roots[width < counts[:, None]] = np.flatnonzero(member) % n
-    # each fit's nodes fill its own region of one pool, sized for its
-    # largest trees (or tree, when the trees are not kept): 2 ** (depth + 1)
-    # - 1 nodes, and 2 l - 1 for l leaves of min_samples_leaf rows or more
-    # (every child holds as many rows as the search counted). Below numpy's
-    # huge-page size (4 MB), pages never written take no memory
-    most = [(1 if held else c.n_trees)
-            * min(2 ** (c.max_depth + 1) - 1, 2 * (k // c.min_samples_leaf) - 1)
-            for c, k in zip(configs, counts.tolist())]
-    start = np.cumsum([0] + most)
-    pool, free = np.empty(start[-1], NODE), start[:-1].copy()
-    tree_roots = np.empty((len(configs), n_trees.max(initial=0)), np.intp)
-    if held:
-        X, held_rows, owner, stages = held
-        ends = np.cumsum(np.bincount(owner, minlength=len(configs))).tolist()
-        out = [np.empty((e - b, len(ks))) for b, e, ks in zip([0] + ends, ends, stages)]
-        at_stage: dict[int, list] = {}  # tree count -> (fit, column)s it fills
-        for f, ks in enumerate(stages):
-            for j, k in enumerate(ks):
-                at_stage.setdefault(k, []).append((f, j))
-        acc = base[owner]  # each held-out row's prediction so far
-
-        def keep(k):
-            for f, j in at_stage.get(k, ()):
-                out[f][:, j] = acc[ends[f] - len(out[f]):ends[f]]
-        keep(0)
+    # each fit's region of one pool is sized for its largest tree: 2 **
+    # (depth + 1) - 1 nodes, and 2 l - 1 for l leaves of min_samples_leaf
+    # rows or more (every child holds as many rows as the search counted)
+    start = np.cumsum([0] + [min(2 ** (c.max_depth + 1) - 1, 2 * (k // c.min_samples_leaf) - 1)
+                             for c, k in zip(configs, counts.tolist())])
+    pool, start, end = np.empty(start[-1], NODE), start[:-1], start[:-1].copy()
     yp = np.append(y, 0.0)
     pred = np.repeat(base[:, None], n + 1, axis=1)
     root_plans = None  # the live fits' roots are the same every round
@@ -515,29 +520,11 @@ def _boost(XT, y, member, configs, column_names, held=None):
         live = np.flatnonzero(n_trees > t)
         if len(live) < (n_trees > t - 1).sum():
             root_plans = None  # a fit retired
-        if held and root_plans is None:
-            walk = np.flatnonzero(n_trees[owner] > t)  # the live fits' held-out rows
-            walk_rows, walk_root = held_rows[walk, None], start[owner[walk], None]
-            walk_rates = rates[owner[walk], 0]
-        tree_roots[live, t] = free[live] - start[live]
-        live_free = free[live]
-        train_pred, root_plans = _grow(XT, yp - pred[live], max_depth[live], min_leaf[live],
-                                       roots[live], pool, live_free, start[live],
-                                       root_plans, scratch)
-        if held:
-            # the held-out rows walk this round's trees (each rooted at its
-            # region's first node) and add leaf * rate as cumsum would
-            leaf = _leaf_values(pool, X, walk_rows, walk_root, walk_root)[:, 0]
-            acc[walk] += leaf * walk_rates
-            keep(t + 1)
-        else:
-            free[live] = live_free
+        train_pred, root_plans, end[live] = _grow(XT, yp - pred[live], max_depth[live],
+                                                  min_leaf[live], roots[live], pool, start[live],
+                                                  root_plans, scratch)
         pred[live] += rates[live] * train_pred
-    if held:
-        return out
-    return [TreeEnsemble(float(b), c.learning_rate, tuple(column_names), pool[s:e],
-                         tree_roots[f, :c.n_trees])
-            for f, (c, b, s, e) in enumerate(zip(configs, base, start, free))]
+        yield pool, start, end
 
 
 def fit_gbt(X: np.ndarray, y: np.ndarray, config: GBTConfig,
@@ -553,4 +540,14 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GBTConfig,
     if column_names is None:
         column_names = tuple(f"f{j}" for j in range(X.shape[1]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _boost(XT, y, member, [config], column_names)[0]
+        rounds = _rounds(XT, y, member, [config])
+        (base,) = next(rounds)
+        # each round's tree, copied from its region (at 0) before the next overwrites it
+        trees = [pool[:e].copy() for pool, _, (e,) in rounds]
+    sizes = [len(tree) for tree in trees]
+    roots = np.cumsum([0, *sizes], dtype=np.intp)[:-1]
+    nodes = np.concatenate([np.empty(0, NODE), *trees])
+    shift = np.where(nodes["feature"] < 0, 0, np.repeat(roots, sizes))  # leaves keep -1
+    nodes["left"] += shift
+    nodes["right"] += shift
+    return TreeEnsemble(float(base), config.learning_rate, tuple(column_names), nodes, roots)

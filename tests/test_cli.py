@@ -321,25 +321,30 @@ KIND_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("command, kind, flag, value, reads", [
-    pytest.param(command, kind, flag, value, kind in kinds, id=f"{command}-{kind}{flag}")
-    for command, (all_kinds, flags) in KIND_FLAGS.items() for kind in all_kinds
-    for flag, (value, kinds) in flags.items()])
+@pytest.mark.parametrize("command, kind, flag, value, refused", [
+    *(pytest.param(command, kind, flag, value, () if kind in kinds else
+                   (f"VIOLATION: {flag} only applies to --kind ", f", not --kind {kind}"),
+                   id=f"{command}-{kind}{flag}")
+      for command, (all_kinds, flags) in KIND_FLAGS.items() for kind in all_kinds
+      for flag, (value, kinds) in flags.items()),
+    # a value out of range is refused before any input is read too
+    *(pytest.param("plot-data", "scaling_heatmap", "--grid", grid,
+                   (f"VIOLATION: --grid must be at least 1, not {grid}\n",),
+                   id=f"plot-data-scaling_heatmap--grid{grid}") for grid in ("0", "-3"))])
 def test_a_kind_flag_is_checked_before_any_input_is_read(tmp_path, capsys, command, kind, flag,
-                                                         value, reads):
+                                                         value, refused):
     code = main([command, "--registry", str(tmp_path / "absent.json"), "--scores",
                  str(tmp_path / "absent.csv"), "--task", "t", "--out", str(tmp_path / "out"),
                  "--kind", kind, flag, value])
     err = capsys.readouterr().err
     # a required kind flag left out is refused before any input is read too
     unmet = kind == "shap_dependence" and flag != "--feature"
-    if reads and not unmet:  # accepted: the missing registry is then an I/O error
+    if not refused and not unmet:  # accepted: the missing registry is then an I/O error
         assert code == 2 and "VIOLATION" not in err
     else:
         assert code == 1
-    if not reads:
-        assert f"VIOLATION: {flag} only applies to --kind " in err
-        assert f", not --kind {kind}" in err
+    assert err.count("VIOLATION: ") == bool(refused) + unmet
+    assert all(part in err for part in refused)
     assert ("VIOLATION: --kind shap_dependence requires --feature" in err) == unmet
     assert "Traceback" not in err
 

@@ -250,6 +250,19 @@ def test_staged_predict_walks_empty_and_one_leaf_ensembles_and_all_missing_rows(
         assert ens.staged_predict(X[:0]).shape == (0, len(ens.roots) + 1)
 
 
+def test_a_zero_tree_fit_predicts_its_base_score():
+    rng = np.random.default_rng(3)
+    X, y = rng.normal(size=(10, 2)), rng.normal(size=10)
+    X[rng.random(X.shape) < 0.3] = np.nan
+    config = GBTConfig(n_trees=0)
+    ens = fit_gbt(X, y, config)
+    assert len(ens.nodes) == len(ens.roots) == 0
+    assert ens.to_dict()["trees"] == []
+    assert ens.predict(X).tobytes() == np.full(10, ens.base_score).tobytes()
+    (held,) = staged_batch(X, y, [config], [np.arange(10)], [np.arange(10)], [[0]])
+    assert held.tobytes() == ens.staged_predict(X)[:, [0]].tobytes()
+
+
 def test_input_validation():
     with pytest.raises(ValueError, match="empty"):
         fit_gbt(np.empty((0, 2)), np.empty(0), GBTConfig())
@@ -549,9 +562,10 @@ def test_level_pass_sums_are_bit_equal_to_one_node_one_column_scoring():
     rows = np.full((len(sizes), k), 40)
     for i, size in enumerate(sizes.tolist()):
         rows[i, :size] = np.sort(rng.choice(40, size, replace=False))
-    pool, free = np.empty(len(sizes), gbtree.NODE), np.arange(len(sizes))
-    train_pred, _ = _grow(np.full((1, 41), np.nan), R, np.zeros(len(sizes), int), min_leaf,
-                          rows, pool, free, free.copy())
+    pool = np.empty(len(sizes), gbtree.NODE)
+    train_pred, _, end = _grow(np.full((1, 41), np.nan), R, np.zeros(len(sizes), int), min_leaf,
+                               rows, pool, np.arange(len(sizes)))
+    assert end.tolist() == list(range(1, len(sizes) + 1))  # one leaf each
     for i, size in enumerate(sizes.tolist()):
         mean = np.mean(R[i, rows[i, :size]])
         assert pool["value"][i].tobytes() == mean.tobytes()

@@ -265,6 +265,22 @@ def test_a_batch_of_seeds_keeps_no_grid_search_trees():
     assert peak <= 2 * 1024 * 1024
 
 
+def test_an_ensemble_keeps_only_its_own_nodes():
+    # a 1000-tree fit of a step on 92 rows keeps its 1,294 nodes (63 kB)
+    # and nothing of the node pool its trees were grown in; tracemalloc
+    # counts allocations, not time
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(92, 6))
+    y = (X[:, 0] > 0) + 0.0
+    tracemalloc.start()
+    try:
+        ens = fit_gbt(X, y, GBTConfig(6, 0.1, 1000))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 2 * ens.nodes.nbytes
+
+
 def test_multi_seed_mae_ordering_and_determinism():
     ds = small_dataset(9)
     seeds = [4, 0, 2]
