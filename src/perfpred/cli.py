@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Thin compositions of the library operations: every subcommand loads inputs,
-calls the corresponding API, and writes markdown/CSV/JSON artifacts. All
-randomness flows through recorded seeds, so outputs are byte-identical
-across runs with identical inputs and flags.
+Thin compositions of the library operations: every subcommand loads and
+joins its inputs through ``_datasets``, calls the corresponding API, and
+writes markdown/CSV/JSON artifacts. All randomness flows through recorded
+seeds, so outputs are byte-identical across runs with identical inputs and
+flags.
 
 Exit codes: 0 success, 1 validation/analysis failure, 2 I/O or config error.
 """
@@ -95,15 +96,36 @@ def _cache_key(paths, *parts) -> str:
     return h.hexdigest()[:16]
 
 
-def _load_inputs(args):
-    return load_registry(args.registry), *load_scores(args.scores)
+def _datasets(args, reads) -> dict:
+    """Load the registry and scores files and join each task that ``reads``
+    (a predicate on ``TaskSpec``) picks: task id -> ``Dataset``, in task-id
+    order.
+
+    Raises one ``RegistryError`` holding every violation of both files, or
+    else every violation of each joined task, in task-id order.
+    """
+    violations = []
+
+    def listed(load, *inputs):
+        try:
+            return load(*inputs)
+        except RegistryError as e:
+            violations.extend(e.violations)
+
+    registry = listed(load_registry, args.registry)
+    scores, tasks = listed(load_scores, args.scores) or ([], {})
+    datasets = {t: listed(join_scores, registry, scores, tasks[t])
+                for t in sorted(tasks) if registry is not None and reads(tasks[t])}
+    if violations:
+        raise RegistryError(violations)
+    return datasets
 
 
 def _task_dataset(args):
-    registry, scores, tasks = _load_inputs(args)
-    if args.task not in tasks:
+    datasets = _datasets(args, lambda task: task.task_id == args.task)
+    if not datasets:
         raise RegistryError([f"task {args.task!r} not present in scores file"])
-    return join_scores(registry, scores, tasks[args.task])
+    return datasets[args.task]
 
 
 def _feature_names(text, default=None):
@@ -175,7 +197,7 @@ def _cv_cached(args, dataset, features, kind, grid, seeds):
             if (isinstance(cached, dict) and cached.keys() == CV_RESULT_KEYS
                     and isinstance(cached["mae"], float)):
                 results[i] = cached
-        except (FileNotFoundError, ValueError):  # ValueError: not JSON, or not UTF-8
+        except (FileNotFoundError, ValueError, RecursionError):  # not JSON or UTF-8, too deep
             pass
     missed = [i for i, r in enumerate(results) if r is None]
     if missed:
@@ -211,13 +233,11 @@ def _compare_cached(args, dataset, features, seeds):
 
 
 def cmd_validate(args) -> int:
-    violations = []
-    for load, path in ((load_registry, args.registry), (load_scores, args.scores)):
-        try:
-            load(path)
-        except RegistryError as e:
-            violations.extend(e.violations)
-
+    try:
+        _datasets(args, lambda task: True)
+        violations = []
+    except RegistryError as e:
+        violations = e.violations
     report = {"violations": violations, "ok": not violations}
     if args.out:
         _atomic_write(os.path.join(args.out, "validate.json"), _json_text(report))
@@ -272,9 +292,8 @@ def cmd_select(args) -> int:
     dataset = _task_dataset(args)
     candidates = _feature_names(args.candidates,
                                 [f for f in all_feature_names() if f not in SCALING_FEATURES])
-    seeds = list(range(args.seeds))
     trace = greedy_select(dataset, candidates, CVPlan(), paper_grid(),
-                          seeds, tol=args.tol)
+                          list(range(args.seeds)), tol=args.tol)
     _atomic_write(os.path.join(args.out, f"select-{args.task}.json"),
                   _json_text(trace.to_dict()))
     print(f"{args.task}: selected {list(trace.final_features)}")
@@ -283,9 +302,8 @@ def cmd_select(args) -> int:
 
 def cmd_compare(args) -> int:
     seeds = _comparison_seeds(args)
-    dataset = _task_dataset(args)
     ((m1, hw1, scaling), (m2, hw2, allfeat)), (t, df, p) = _compare_cached(
-        args, dataset, _feature_names(args.features), seeds)
+        args, _task_dataset(args), _feature_names(args.features), seeds)
     out = {
         "task_id": args.task,
         "seeds": seeds,
@@ -319,21 +337,13 @@ def cmd_shap(args) -> int:
 
 
 def cmd_bias_audit(args) -> int:
-    registry, scores, tasks = _load_inputs(args)
-    acc_tasks = [t for t in sorted(tasks) if tasks[t].metric_kind in ("accuracy", "pass_at_1")]
-    if not acc_tasks:
+    datasets = _datasets(args, lambda task: task.metric_kind in ("accuracy", "pass_at_1"))
+    if not datasets:
         print("no accuracy tasks available")
         return 1
-    audited = ["positional_embeddings", "layer_norm", "attention_variant"]
-    weighted = []
-    for task_id in acc_tasks:
-        dataset = join_scores(registry, scores, tasks[task_id])
-        try:
-            weighted.append((dataset, metabias.precision_weights(dataset)))
-        except ValueError:
-            continue
+    weighted = [(dataset, metabias.precision_weights(dataset)) for dataset in datasets.values()]
     rows = []
-    for feature in audited:
+    for feature in ("positional_embeddings", "layer_norm", "attention_variant"):
         for level in ENUM_VOCAB[feature]:
             effects = []
             for dataset, weights in weighted:
@@ -341,13 +351,10 @@ def cmd_bias_audit(args) -> int:
                     effects.append(metabias.estimate_contrast(dataset, feature, level, weights))
                 except ValueError:
                     continue
-            if len(effects) < metabias.MIN_TASKS:
-                continue
             try:
-                result = metabias.pet_peese(effects)
-            except ValueError:
+                rows.append((feature, level, metabias.pet_peese(effects)))
+            except ValueError:  # fewer than metabias.MIN_TASKS effects, or a degenerate fit
                 continue
-            rows.append((feature, level, result))
 
     md = ["| Feature | Level | k | Chosen | Effect (pp) [95% CI] | Egger p |",
           "|---|---|---|---|---|---|"]
@@ -361,19 +368,18 @@ def cmd_bias_audit(args) -> int:
                         "weight_policy": "n_items_binomial_or_uniform"})
     _atomic_write(os.path.join(args.out, "bias-audit.md"), "\n".join(md) + "\n")
     _atomic_write(os.path.join(args.out, "bias-audit.json"), _json_text(payload))
-    print(f"audited {len(rows)} (feature, level) pairs over {len(acc_tasks)} accuracy tasks")
+    print(f"audited {len(rows)} (feature, level) pairs over {len(datasets)} accuracy tasks")
     return 0
 
 
 def cmd_report(args) -> int:
     seeds = _comparison_seeds(args)
-    registry, scores, tasks = _load_inputs(args)
+    datasets = _datasets(args, lambda task: True)
     features_all = _feature_names(args.features)
     header = ("| Benchmark | Baseline MAE | Log-Linear MAE | Scaling Laws MAE | "
               "All Features MAE | p-val (corrected) |")
     rows, pvals = [], []
-    for task_id in sorted(tasks):
-        dataset = join_scores(registry, scores, tasks[task_id])
+    for task_id, dataset in datasets.items():
         scale = 100.0  # accuracy in percent, Brier x100
         try:
             base = run_cv(dataset, [], "median", CVPlan()).mae
@@ -383,18 +389,17 @@ def cmd_report(args) -> int:
             rows.append((task_id, base * scale, loglin * scale,
                          (m1 * scale, hw1 * scale), (m2 * scale, hw2 * scale)))
             pvals.append(p)
-        except (ValueError, RegistryError) as e:
+        except ValueError as e:
             rows.append((task_id, None, str(e), None, None))
             pvals.append(None)
 
-    present = [p for p in pvals if p is not None]
-    adjusted_iter = iter(bh_fdr(present)[1] if present else [])
+    adjusted = iter(bh_fdr([p for p in pvals if p is not None])[1])
     md = [header, "|---|---|---|---|---|---|"]
     for (task_id, base, loglin, s, a), p in zip(rows, pvals):
         if base is None:
             md.append(f"| {task_id} | unavailable ({loglin}) | | | | |")
             continue
-        adj = next(adjusted_iter)
+        adj = next(adjusted)
         md.append(f"| {task_id} | {base:.2f} | {loglin:.2f} | "
                   f"{s[0]:.2f} ± {s[1]:.2f} | {a[0]:.2f} ± {a[1]:.2f} | {adj:.3g} |")
     _atomic_write(os.path.join(args.out, "report.md"), "\n".join(md) + "\n")
@@ -503,7 +508,7 @@ def main(argv=None) -> int:
     try:
         _kind_flags(args)  # before the command reads any input
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as e:
+    except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return 2
     except RegistryError as e:

@@ -278,17 +278,20 @@ def greedy_select(dataset: Dataset, candidate_features, plan: CVPlan,
 
     Each step scores base + candidate by mean MAE over the selection seeds
     (full outer-CV protocol per seed) and keeps the best candidate while the
-    improvement is at least ``tol``. Candidate ties break lexicographically.
-    ``plan.seed`` is not read: ``selection_seeds`` take its place.
+    improvement is at least ``tol``. Candidate ties break lexicographically,
+    and a candidate given twice is refused. ``plan.seed`` is not read:
+    ``selection_seeds`` take its place.
     """
     if len(selection_seeds) == 0:
         raise ValueError("greedy selection needs at least one seed")
     if np.isnan(tol):
         raise ValueError("tol must not be NaN")
-    candidates = list(candidate_features)
+    remaining = sorted(candidate_features)
     for f in SCALING_FEATURES:
-        if f in candidates:
+        if f in remaining:
             raise ValueError(f"candidates must exclude the scale feature {f!r}")
+    if len(set(remaining)) < len(remaining):
+        raise ValueError("candidates must not repeat a feature")
 
     def score(features) -> float:
         return float(np.mean(multi_seed_mae(dataset, features, "gbt", selection_seeds,
@@ -297,7 +300,6 @@ def greedy_select(dataset: Dataset, candidate_features, plan: CVPlan,
     selected = list(SCALING_FEATURES)
     current = score(selected)
     trace = SelectionTrace(tuple(selected), current)
-    remaining = sorted(candidates)
     while remaining:
         results = [(score(selected + [c]), c) for c in remaining]
         best_mae, best_feat = min(results)

@@ -374,23 +374,32 @@ def _text(path, what: str) -> io.StringIO:
 def _json_file(path, what: str):
     try:
         return json.load(_text(path, what or "registry "))
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not JSON, an integer too long, nested too deep
         raise RegistryError([f"{what}parse failure: {e}"]) from e
 
 
-def _csv_rows(reader: csv.DictReader, what: str, violations: list[str]):
-    """Yield ``(i, row)`` for each data row ``i`` with as many cells as the header."""
-    for i, row in enumerate(reader):
-        if None in row.values():  # DictReader fills a short row with None
-            violations.append(f"{what} row {i}: fewer cells than the header")
-        elif None in row:  # and files a long row's extra cells under None
-            violations.append(f"{what} row {i}: more cells than the header")
-        else:
-            yield i, row
+def _csv_rows(path, what: str, violations: list[str], header=frozenset()):
+    """Yield ``(i, row)`` for each data row ``i`` of the CSV file at ``path``
+    with as many cells as its header. A header without every name of
+    ``header`` raises, and so does text the CSV reader cannot parse, the
+    header included: with the violations found before it and one for it."""
+    reader = csv.DictReader(_text(path, f"{what} "))
+    try:
+        if not header <= set(reader.fieldnames or ()):
+            raise RegistryError([f"{what} file must have header {sorted(header)}"])
+        for i, row in enumerate(reader):
+            if None in row.values():  # DictReader fills a short row with None
+                violations.append(f"{what} row {i}: fewer cells than the header")
+            elif None in row:  # and files a long row's extra cells under None
+                violations.append(f"{what} row {i}: more cells than the header")
+            else:
+                yield i, row
+    except csv.Error as e:  # say, a cell beyond csv.field_size_limit()
+        raise RegistryError([*violations, f"{what} parse failure: {e}"]) from e
 
 
 def _rows_from_csv(path, mapping: dict[str, str], violations: list[str]):
-    for i, row in _csv_rows(csv.DictReader(_text(path, "registry ")), "registry", violations):
+    for i, row in _csv_rows(path, "registry", violations):
         obj: dict = {section: {} for section in SCHEMA}
         for external, canonical in mapping.items():
             cell = row.get(external, "")
@@ -435,11 +444,8 @@ def load_scores(path) -> tuple[list[ScoreRecord], dict[str, TaskSpec]]:
     scores: list[ScoreRecord] = []
     tasks: dict[str, TaskSpec] = {}
     violations: list[str] = []
-    reader = csv.DictReader(_text(path, "scores "))
-    required = {"model_id", "task_id", "shots", "metric_kind", "value"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise RegistryError([f"scores file must have header {sorted(required)}"])
-    for i, row in _csv_rows(reader, "scores", violations):
+    header = {"model_id", "task_id", "shots", "metric_kind", "value"}
+    for i, row in _csv_rows(path, "scores", violations, header):
         where = f"scores row {i}"
         kind = row["metric_kind"]
         if kind not in METRIC_KINDS:

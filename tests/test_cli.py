@@ -12,7 +12,9 @@ import pytest
 from perfpred import cli, gbtree, pipeline, shapley
 from perfpred.cli import CV_RESULT_KEYS, build_parser, main
 from perfpred.pipeline import CVPlan, run_cv, run_cv_seeds
-from perfpred.registry import join_scores, load_registry, load_scores
+from perfpred.prng import CounterRng
+from perfpred.registry import ENUM_VOCAB, join_scores, load_registry, load_scores
+from perfpred.stats import bh_fdr
 from perfpred.synthdata import GenSpec, gen_registry, write_registry, write_scores
 
 
@@ -27,6 +29,35 @@ def synth_files(tmp_path_factory):
     write_registry(registry, reg_path)
     write_scores(scores, task, scores_path)
     return str(reg_path), str(scores_path)
+
+
+SCORES_HEADER = "model_id,task_id,shots,metric_kind,value\n"
+
+
+def write_tasks(root, plans, n_models, seed=4):
+    """registry.json and scores.csv in ``root`` with one accuracy task per
+    ``(task_id, n_covered)`` of ``plans``; their paths.
+
+    Every task is drawn with the same seed, model count and missing rate, so
+    all share one registry; each keeps a seeded subset of ``n_covered``
+    models, and each shifts the levels of two architecture features by its
+    own amount.
+    """
+    rows = []
+    for k, (task_id, n_covered) in enumerate(plans):
+        registry, scores, task, _ = gen_registry(GenSpec(
+            n_models=n_models, task_id=task_id, noise_sigma=0.02, missing_rate=0.2,
+            level_effects={"positional_embeddings=rope": 0.01 * (k % 2),
+                           "attention_variant=gqa": 0.005 * (1 + k)}), seed)
+        ids = sorted(s.model_id for s in scores)
+        CounterRng(seed, stream=1000 + k).shuffle(ids)
+        covered = set(ids[:n_covered])
+        rows += [(s.model_id, task_id, task.shots, task.metric_kind, repr(s.value))
+                 for s in scores if s.model_id in covered]
+    write_registry(registry, root / "registry.json")
+    (root / "scores.csv").write_text(SCORES_HEADER + "".join(",".join(map(str, row)) + "\n"
+                                                             for row in rows))
+    return str(root / "registry.json"), str(root / "scores.csv")
 
 
 def test_validate_ok(synth_files, tmp_path, capsys):
@@ -72,6 +103,10 @@ def test_validate_lists_parse_failure_and_score_violations(tmp_path, capsys):
 
 GOOD_RECORD = {"model_id": "m", "arch": {"total_params": 1e9},
                "data": {"total_tokens_billions": 10.0}}
+# registry texts that are JSON only up to a limit of Python's decoder
+INTEGER_TOO_LONG = "[" + "1" * 4301 + "]"
+NESTED_TOO_DEEP = "[" * 100000
+CELL_TOO_LONG = "1" * (csv.field_size_limit() + 1)
 
 
 @pytest.mark.parametrize("records, row", [
@@ -79,16 +114,77 @@ GOOD_RECORD = {"model_id": "m", "arch": {"total_params": 1e9},
     ([{**GOOD_RECORD, "arch": [1]}], "m,t,0,accuracy,0.5"),
     ([{**GOOD_RECORD, "gen": "x"}], "m,t,0,accuracy,0.5"),
     ([GOOD_RECORD], "m,t,0,accuracy"),
-], ids=["record-not-object", "arch-not-object", "gen-not-object", "short-scores-row"])
+    (INTEGER_TOO_LONG, "m,t,0,accuracy,0.5"),
+    (NESTED_TOO_DEEP, "m,t,0,accuracy,0.5"),
+    ([GOOD_RECORD], f"m,t,0,accuracy,{CELL_TOO_LONG}"),
+], ids=["record-not-object", "arch-not-object", "gen-not-object", "short-scores-row",
+        "integer-too-long", "nested-too-deep", "scores-cell-too-long"])
 def test_validate_lists_a_malformed_shape_as_one_violation(tmp_path, capsys, records, row):
     registry, scores = tmp_path / "registry.json", tmp_path / "scores.csv"
-    registry.write_text(json.dumps(records))
+    registry.write_text(records if isinstance(records, str) else json.dumps(records))
     scores.write_text(f"model_id,task_id,shots,metric_kind,value\n{row}\n")
     code = main(["validate", "--registry", str(registry), "--scores", str(scores),
                  "--out", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().out.count("VIOLATION") == 1
     assert len(json.loads((tmp_path / "validate.json").read_text())["violations"]) == 1
+
+
+OUT_OF_RANGE = SCORES_HEADER + "m,t,0,accuracy,2.0\n"
+
+
+@pytest.mark.parametrize("registry_text, scores_text, violations", [
+    (INTEGER_TOO_LONG, OUT_OF_RANGE, ["parse failure: Exceeds the limit (4300 digits) ", "outside"]),
+    (NESTED_TOO_DEEP, OUT_OF_RANGE, ["parse failure: maximum recursion depth exceeded ", "outside"]),
+    ("[[1, 2]]", f"{SCORES_HEADER}m,t,0,accuracy,{CELL_TOO_LONG}\n",
+     ["record 0: must be a JSON object", "scores parse failure: field larger than field limit"]),
+    ("[[1, 2]]", f"model_id,{CELL_TOO_LONG}\n",
+     ["record 0: must be a JSON object", "scores parse failure: field larger than field limit"]),
+], ids=["integer-too-long", "nested-too-deep", "scores-cell-too-long", "scores-header-too-long"])
+def test_validate_lists_a_file_that_does_not_parse_beside_the_other_files_violations(
+        tmp_path, capsys, registry_text, scores_text, violations):
+    registry, scores = tmp_path / "registry.json", tmp_path / "scores.csv"
+    registry.write_text(registry_text)
+    scores.write_text(scores_text)
+    code = main(["validate", "--registry", str(registry), "--scores", str(scores),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and all(line.startswith("VIOLATION: ") for line in out)
+    listed = json.loads((tmp_path / "validate.json").read_text())["violations"]
+    assert listed[0].startswith(violations[0]) and violations[1] in listed[1]
+
+
+def test_validate_joins_every_task_and_lists_its_violations_in_task_order(tmp_path, capsys):
+    registry, scores = tmp_path / "registry.json", tmp_path / "scores.csv"
+    registry.write_text(json.dumps([GOOD_RECORD]))
+    scores.write_text(SCORES_HEADER + "ghost,u,0,accuracy,0.5\nm,u,0,accuracy,0.5\n"
+                      "m,t,0,accuracy,0.5\nm,t,0,accuracy,0.6\n")
+    code = main(["validate", "--registry", str(registry), "--scores", str(scores),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    violations = ["duplicate score for m/t", "score references unknown model 'ghost'"]
+    assert capsys.readouterr().out.splitlines() == [f"VIOLATION: {v}" for v in violations]
+    assert json.loads((tmp_path / "validate.json").read_text()) == {"ok": False,
+                                                                    "violations": violations}
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["encode", "--task", "t"], ["fit-scaling", "--task", "t"],
+    ["cv", "--task", "t"], ["select", "--task", "t"], ["compare", "--task", "t"],
+    ["shap", "--task", "t"], ["bias-audit"], ["report"],
+    ["plot-data", "--task", "t", "--kind", "scaling_heatmap"]], ids=lambda argv: argv[0])
+def test_every_command_lists_the_violations_of_both_files(tmp_path, capsys, argv):
+    registry, scores = tmp_path / "registry.json", tmp_path / "scores.csv"
+    registry.write_text("[[1, 2]]")
+    scores.write_text(OUT_OF_RANGE)
+    code = main([argv[0], "--registry", str(registry), "--scores", str(scores),
+                 "--out", str(tmp_path / "out"), *argv[1:]])
+    assert code == 1
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert lines == ["VIOLATION: record 0: must be a JSON object, got [1, 2]",
+                     "VIOLATION: scores row 0: m/t value 2.0 outside [0.0, 1.0]"]
 
 
 def test_missing_file_is_io_error(tmp_path):
@@ -191,7 +287,8 @@ MAE_NOT_A_FLOAT = json.dumps({**dict.fromkeys(sorted(CV_RESULT_KEYS)), "mae": "x
 
 
 @pytest.mark.parametrize("corrupt", ["{not json", "[1, 2]", "\udcff", "{}", '{"mae": "x"}',
-                                     pytest.param(MAE_NOT_A_FLOAT, id="every key")])
+                                     pytest.param(MAE_NOT_A_FLOAT, id="every key"),
+                                     pytest.param(NESTED_TOO_DEEP, id="nested-too-deep")])
 def test_cv_recomputes_corrupt_cache(synth_files, tmp_path, corrupt):
     reg, scores = synth_files
     argv = ["cv", "--registry", reg, "--scores", scores, "--task", "taskA",
@@ -427,6 +524,26 @@ def test_a_comparison_computes_only_the_seeds_its_cache_misses(tmp_path):
     assert run("warm", "compare", "--seeds", "3") == ([(chosen, [2])], warm)
 
 
+def test_select_writes_its_trace_and_a_rerun_writes_the_same_bytes(tmp_path, capsys):
+    registry, scores, task, _ = gen_registry(
+        GenSpec(n_models=12, task_id="taskA", missing_rate=0.2), seed=3)
+    write_registry(registry, tmp_path / "registry.json")
+    write_scores(scores, task, tmp_path / "scores.csv")
+    argv = ["select", "--registry", str(tmp_path / "registry.json"), "--scores",
+            str(tmp_path / "scores.csv"), "--task", "taskA", "--candidates", "pct_code",
+            "--seeds", "1", "--out", str(tmp_path)]
+    written = []
+    for _ in range(2):
+        assert main(argv) == 0
+        written.append((tmp_path / "select-taskA.json").read_bytes())
+    assert written[0] == written[1]
+    trace = json.loads(written[0])
+    assert trace["base_features"] == ["total_params", "total_tokens_billions"]
+    assert trace["final_features"] == \
+        trace["base_features"] + [step["added_feature"] for step in trace["steps"]]
+    assert capsys.readouterr().out == f"taskA: selected {trace['final_features']}\n" * 2
+
+
 def test_plot_data_heatmap_row_count(synth_files, tmp_path):
     reg, scores = synth_files
     code = main(["plot-data", "--registry", reg, "--scores", scores,
@@ -549,16 +666,41 @@ def test_validate_lists_a_file_that_is_not_utf8_beside_the_other_files_violation
     assert "outside" in violations[1]
 
 
-def test_bias_audit_runs(synth_files, tmp_path):
-    reg, scores = synth_files
+def test_bias_audit_runs(tmp_path, capsys):
+    reg, scores = write_tasks(tmp_path, [("acc0", 24), ("acc1", 20), ("acc2", 16)], 24)
     code = main(["bias-audit", "--registry", reg, "--scores", scores,
                  "--out", str(tmp_path)])
     assert code == 0
-    assert (tmp_path / "bias-audit.md").exists()
     payload = json.loads((tmp_path / "bias-audit.json").read_text())
+    assert payload, "no (feature, level) pair audited"
+    assert capsys.readouterr().out == \
+        f"audited {len(payload)} (feature, level) pairs over 3 accuracy tasks\n"
+    assert len((tmp_path / "bias-audit.md").read_text().splitlines()) == 2 + len(payload)
     for row in payload:
+        assert row["level"] in ENUM_VOCAB[row["feature"]]
         assert row["weight_policy"] == "n_items_binomial_or_uniform"
         assert row["method_chosen"] in ("PET", "PEESE")
+        assert row["k"] == 3 and row["ci95"][0] <= row["intercept"] <= row["ci95"][1]
+
+
+def test_report_marks_a_task_with_too_few_models_unavailable(tmp_path):
+    # the outer CV needs at least 9 models; the BH adjustment covers the
+    # tasks that have a p-value, and no other
+    reg, scores = write_tasks(tmp_path, [("acc0", 14), ("acc1", 12), ("tiny", 8)], 14)
+    common = ["--registry", reg, "--scores", scores, "--seeds", "2", "--out", str(tmp_path),
+              "--features", "total_params,total_tokens_billions,pct_code"]
+    assert main(["report", *common]) == 0
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in (tmp_path / "report.md").read_text().splitlines()[2:]]
+    assert [row[0] for row in rows] == ["acc0", "acc1", "tiny"]
+    assert rows[2] == ["tiny", "unavailable (too few rows for the outer fold count)",
+                       "", "", "", ""]
+    pvals = []
+    for task in ("acc0", "acc1"):  # the same cached CVs, so the same p-values
+        assert main(["compare", *common, "--task", task]) == 0
+        pvals.append(json.loads((tmp_path / f"compare-{task}.json").read_text())
+                     ["paired_t"]["p_two_sided"])
+    assert [row[5] for row in rows[:2]] == [f"{p:.3g}" for p in bh_fdr(pvals)[1]]
 
 
 def test_report_single_task(synth_files, tmp_path):

@@ -313,6 +313,15 @@ def test_greedy_select_refuses_a_nan_tolerance():
         greedy_select(ds, ["pct_code"], CVPlan(), [GBTConfig(2, 0.3, 10)], [0], tol=np.nan)
 
 
+def test_greedy_select_refuses_repeated_candidates():
+    # a repeated candidate would be scored, and with a negative tolerance
+    # selected, once per repeat
+    ds = small_dataset(14)
+    with pytest.raises(ValueError, match="repeat"):
+        greedy_select(ds, ["pct_code", "pct_code"], CVPlan(), [GBTConfig(2, 0.3, 4)], [0],
+                      tol=-1.0)
+
+
 def test_greedy_select_finds_planted_feature():
     spec = GenSpec(n_models=45, feature_effects={"pct_code": 0.004},
                    noise_sigma=0.0, missing_rate=0.0)

@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import math
@@ -233,13 +234,33 @@ def test_a_file_that_is_not_utf8_is_one_violation(tmp_path, name, label):
 
 
 @pytest.mark.parametrize("mapping_text", [
-    '["id", "model_id"]', '{"id": "model_id", "params": 5}', '"id"', "{not json"])
+    '["id", "model_id"]', '{"id": "model_id", "params": 5}', '"id"', "{not json",
+    pytest.param("[" * 100000, id="nested-too-deep"),
+    pytest.param('{"id": ' + "1" * 4301 + "}", id="integer-too-long")])
 def test_a_column_mapping_that_is_not_an_object_of_strings_is_one_violation(tmp_path,
                                                                            mapping_text):
     paths = _write_mapped_csv(tmp_path, ["m1,1000000000,300,gelu"], mapping_text)
     with pytest.raises(RegistryError) as err:
         load_registry(paths[0], format="csv_with_mapping", mapping_path=paths[1])
     assert len(err.value.violations) == 1
+
+
+@pytest.mark.parametrize("name, label", [("models.csv", "registry"), ("scores.csv", "scores")])
+@pytest.mark.parametrize("header", [True, False], ids=["in-header", "in-row"])
+def test_a_csv_cell_beyond_the_field_limit_is_one_violation(tmp_path, name, label, header):
+    csv_path, map_path = _write_mapped_csv(tmp_path, [])
+    scores_path = tmp_path / "scores.csv"
+    scores_path.write_text("model_id,task_id,shots,metric_kind,value\n")
+    path = tmp_path / name
+    cell = "1" * (csv.field_size_limit() + 1)
+    path.write_text(f"{cell}\n" if header else path.read_text() + f"m1,{cell},300,gelu\n")
+    with pytest.raises(RegistryError) as err:
+        if name == "scores.csv":
+            load_scores(scores_path)
+        else:
+            load_registry(csv_path, format="csv_with_mapping", mapping_path=map_path)
+    assert err.value.violations == [
+        f"{label} parse failure: field larger than field limit ({csv.field_size_limit()})"]
 
 
 def test_scores_load_and_range_check(tmp_path):
