@@ -3,7 +3,7 @@
 from .baselines import PowerLawParams, ScalePoint, eval_power_law, fit_log_linear, fit_power_law, median_predictor
 from .gbtree import GBTConfig, TreeEnsemble, fit_gbt, paper_grid
 from .metrics import accuracy, brier, mae, r_squared
-from .pipeline import CVPlan, CVResult, SelectionTrace, fit_tuned, greedy_select, grid_search, multi_seed_mae, run_cv, run_cv_seeds
+from .pipeline import CVPlan, CVResult, SelectionTrace, fit_tuned, greedy_select, grid_search, multi_seed_mae, run_cv, run_cv_requests, run_cv_seeds
 from .registry import (
     Dataset,
     FeatureMatrix,

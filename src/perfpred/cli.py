@@ -32,7 +32,7 @@ from .pipeline import (
     fit_tuned,
     greedy_select,
     run_cv,
-    run_cv_seeds,
+    run_cv_requests,
     scale_points,
 )
 from .prng import PRNG_ID
@@ -83,13 +83,20 @@ def _print_violations(violations, file=None) -> None:
         print("VIOLATION: " + "\\n".join(v.splitlines()), file=file)
 
 
-def _cache_key(paths, *parts) -> str:
-    """Digest of the contents of the files at ``paths`` and of ``parts``."""
+def _files_digest(paths):
+    """A SHA-256 fed the contents of the files at ``paths``, each followed by
+    a zero byte: the start of every cache key, hashed once per command."""
     h = hashlib.sha256()
     for path in paths:
         with open(path, "rb") as f:
             h.update(f.read())
         h.update(b"\x00")
+    return h
+
+
+def _cache_key(files, *parts) -> str:
+    """Digest of ``files`` (a ``_files_digest``, left as it is) and of ``parts``."""
+    h = files.copy()
     for part in parts:
         h.update(json.dumps(part, sort_keys=True, default=str).encode())
         h.update(b"\x00")
@@ -176,36 +183,50 @@ def _kind_flags(args) -> None:
 CV_RESULT_KEYS = {f.name for f in fields(CVResult)}  # those of CVResult.to_dict()
 
 
-def _cv_cached(args, dataset, features, kind, grid, seeds):
-    """One CV evaluation per seed of ``seeds``, each cached as JSON in the
-    out directory; the seeds that miss are computed together.
+def _cached(path):
+    """The ``CVResult.to_dict()`` in the cache file at ``path`` (its keys,
+    with a float ``mae``), or None."""
+    try:
+        with open(path) as f:
+            cached = json.load(f)
+    except (FileNotFoundError, ValueError, RecursionError):  # not JSON or UTF-8, too deep
+        return None
+    if (isinstance(cached, dict) and cached.keys() == CV_RESULT_KEYS
+            and isinstance(cached["mae"], float)):
+        return cached
+    return None
+
+
+def _cv_cached(args, kind, grid, requests):
+    """One CV evaluation per seed of each request ``(dataset, features,
+    seeds)``, each cached as JSON in the out directory; every file that
+    misses is computed once, all of them in one ``run_cv_requests`` call.
 
     The key takes ``features`` in the order given: a fit depends on its
-    column order. A cache file that is not a ``CVResult.to_dict()`` (its
-    keys, with a float ``mae``) is recomputed and overwritten.
+    column order. A cache file that is not a ``CVResult.to_dict()`` is
+    recomputed and overwritten.
     """
     plan = CVPlan()
-    paths = [os.path.join(args.out, "cache", "cv-" + _cache_key(
-        (args.registry, args.scores), __version__, PRNG_ID, dataset.task.task_id, features,
-        kind, seed, [vars(g) for g in (grid or [])], plan.outer_folds,
-        plan.inner_folds) + ".json") for seed in seeds]
-    results = [None] * len(seeds)
-    for i, path in enumerate(paths):
-        try:
-            with open(path) as f:
-                cached = json.load(f)
-            if (isinstance(cached, dict) and cached.keys() == CV_RESULT_KEYS
-                    and isinstance(cached["mae"], float)):
-                results[i] = cached
-        except (FileNotFoundError, ValueError, RecursionError):  # not JSON or UTF-8, too deep
-            pass
-    missed = [i for i, r in enumerate(results) if r is None]
+    files = _files_digest((args.registry, args.scores))
+    paths = [[os.path.join(args.out, "cache", "cv-" + _cache_key(
+        files, __version__, PRNG_ID, dataset.task.task_id, features, kind, seed,
+        [vars(g) for g in (grid or [])], plan.outer_folds, plan.inner_folds) + ".json")
+        for seed in seeds] for dataset, features, seeds in requests]
+    results = {path: _cached(path) for request_paths in paths for path in request_paths}
+    missed: dict[int, dict] = {}  # request -> {path: seed} of the misses it computes
+    for q, request_paths in enumerate(paths):
+        for seed, path in zip(requests[q][2], request_paths):
+            if results[path] is None:
+                missed.setdefault(q, {})[path] = seed
+                results[path] = False  # computed by this request
     if missed:
-        computed = run_cv_seeds(dataset, features, kind, [seeds[i] for i in missed], grid, plan)
-        for i, result in zip(missed, computed):
-            results[i] = result.to_dict()
-            _atomic_write(paths[i], _json_text(results[i]))
-    return results
+        computed = run_cv_requests([(*requests[q][:2], list(m.values()))
+                                    for q, m in missed.items()], kind, grid, plan)
+        for m, request_results in zip(missed.values(), computed):
+            for path, result in zip(m, request_results):
+                results[path] = result.to_dict()
+                _atomic_write(path, _json_text(results[path]))
+    return [[results[path] for path in request_paths] for request_paths in paths]
 
 
 def _comparison_seeds(args) -> list[int]:
@@ -216,16 +237,30 @@ def _comparison_seeds(args) -> list[int]:
     return list(range(args.seeds))
 
 
-def _compare_cached(args, dataset, features, seeds):
-    """Scale-only against ``features`` GBT MAE over ``seeds``, each CV cached.
+def _comparisons(args, datasets, features, seeds) -> dict:
+    """Scale-only against ``features`` GBT MAE over ``seeds`` on each of
+    ``datasets`` (task id -> ``Dataset``), each CV cached: task id ->
+    ((mean, ci95 half-width, per-seed MAEs) for scale-only and for
+    ``features``, (t, df, p) of the paired t-test), or the ``ValueError``
+    that the task's CVs raise.
 
-    Returns ((mean, ci95 half-width, per-seed MAEs) for scale-only and for
-    ``features``, (t, df, p) of the paired t-test).
+    The misses of every task are computed in one call; if it raises, each
+    task is computed alone, to tell which tasks raise.
     """
-    grid = paper_grid()
-    maes = [[float(r["mae"]) for r in _cv_cached(args, dataset, fs, "gbt", grid, seeds)]
-            for fs in (list(SCALING_FEATURES), features)]
-    return [(*mean_ci95(m), m) for m in maes], paired_t_test(*maes)
+    lists = (list(SCALING_FEATURES), features)
+    try:
+        results = iter(_cv_cached(args, "gbt", paper_grid(),
+                                  [(d, fs, seeds) for d in datasets.values() for fs in lists]))
+    except ValueError as e:
+        if len(datasets) == 1:
+            return dict.fromkeys(datasets, e)
+        return {t: c for t, d in datasets.items()
+                for c in _comparisons(args, {t: d}, features, seeds).values()}
+    compared = {}
+    for task_id in datasets:
+        maes = [[float(r["mae"]) for r in next(results)] for _ in lists]
+        compared[task_id] = [(*mean_ci95(m), m) for m in maes], paired_t_test(*maes)
+    return compared
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +316,7 @@ def cmd_cv(args) -> int:
     features, grid = [], None  # baseline predictors read no feature matrix
     if args.kind == "gbt":
         features, grid = _feature_names(args.features), paper_grid()
-    (result,) = _cv_cached(args, dataset, features, args.kind, grid, [args.seed])
+    ((result,),) = _cv_cached(args, args.kind, grid, [(dataset, features, [args.seed])])
     path = os.path.join(args.out, f"cv-{args.task}-{args.kind}-{args.seed}.json")
     _atomic_write(path, _json_text(result))
     print(f"{args.task} [{args.kind}] MAE = {result['mae']:.5f}")
@@ -302,8 +337,11 @@ def cmd_select(args) -> int:
 
 def cmd_compare(args) -> int:
     seeds = _comparison_seeds(args)
-    ((m1, hw1, scaling), (m2, hw2, allfeat)), (t, df, p) = _compare_cached(
-        args, _task_dataset(args), _feature_names(args.features), seeds)
+    (compared,) = _comparisons(args, {args.task: _task_dataset(args)},
+                               _feature_names(args.features), seeds).values()
+    if isinstance(compared, ValueError):
+        raise compared
+    ((m1, hw1, scaling), (m2, hw2, allfeat)), (t, df, p) = compared
     out = {
         "task_id": args.task,
         "seeds": seeds,
@@ -339,8 +377,7 @@ def cmd_shap(args) -> int:
 def cmd_bias_audit(args) -> int:
     datasets = _datasets(args, lambda task: task.metric_kind in ("accuracy", "pass_at_1"))
     if not datasets:
-        print("no accuracy tasks available")
-        return 1
+        raise RegistryError(["no accuracy tasks available"])
     weighted = [(dataset, metabias.precision_weights(dataset)) for dataset in datasets.values()]
     rows = []
     for feature in ("positional_embeddings", "layer_norm", "attention_variant"):
@@ -378,32 +415,28 @@ def cmd_report(args) -> int:
     features_all = _feature_names(args.features)
     header = ("| Benchmark | Baseline MAE | Log-Linear MAE | Scaling Laws MAE | "
               "All Features MAE | p-val (corrected) |")
-    rows, pvals = [], []
+    baseline, unavailable = {}, {}  # task id -> (median, log-linear MAE) | the ValueError raised
     for task_id, dataset in datasets.items():
-        scale = 100.0  # accuracy in percent, Brier x100
         try:
-            base = run_cv(dataset, [], "median", CVPlan()).mae
-            loglin = run_cv(dataset, [], "log_linear", CVPlan()).mae
-            ((m1, hw1, _), (m2, hw2, _)), (_, _, p) = _compare_cached(
-                args, dataset, features_all, seeds)
-            rows.append((task_id, base * scale, loglin * scale,
-                         (m1 * scale, hw1 * scale), (m2 * scale, hw2 * scale)))
-            pvals.append(p)
+            baseline[task_id] = (run_cv(dataset, [], "median", CVPlan()).mae,
+                                 run_cv(dataset, [], "log_linear", CVPlan()).mae)
         except ValueError as e:
-            rows.append((task_id, None, str(e), None, None))
-            pvals.append(None)
-
-    adjusted = iter(bh_fdr([p for p in pvals if p is not None])[1])
+            unavailable[task_id] = e
+    compared = _comparisons(args, {t: datasets[t] for t in baseline}, features_all, seeds)
+    unavailable |= {t: c for t, c in compared.items() if isinstance(c, ValueError)}
+    adjusted = iter(bh_fdr([c[1][2] for t, c in compared.items() if t not in unavailable])[1])
+    scale = 100.0  # accuracy in percent, Brier x100
     md = [header, "|---|---|---|---|---|---|"]
-    for (task_id, base, loglin, s, a), p in zip(rows, pvals):
-        if base is None:
-            md.append(f"| {task_id} | unavailable ({loglin}) | | | | |")
+    for task_id in datasets:
+        if task_id in unavailable:
+            md.append(f"| {task_id} | unavailable ({unavailable[task_id]}) | | | | |")
             continue
-        adj = next(adjusted)
-        md.append(f"| {task_id} | {base:.2f} | {loglin:.2f} | "
-                  f"{s[0]:.2f} ± {s[1]:.2f} | {a[0]:.2f} ± {a[1]:.2f} | {adj:.3g} |")
+        (base, loglin), (((m1, hw1, _), (m2, hw2, _)), _) = baseline[task_id], compared[task_id]
+        md.append(f"| {task_id} | {base * scale:.2f} | {loglin * scale:.2f} | "
+                  f"{m1 * scale:.2f} ± {hw1 * scale:.2f} | "
+                  f"{m2 * scale:.2f} ± {hw2 * scale:.2f} | {next(adjusted):.3g} |")
     _atomic_write(os.path.join(args.out, "report.md"), "\n".join(md) + "\n")
-    print(f"wrote report for {len(rows)} tasks")
+    print(f"wrote report for {len(datasets)} tasks")
     return 0
 
 

@@ -31,9 +31,11 @@ for their large temporaries. One round loop serves every fit: a fit's
 region of the node pool holds one tree, which the next round overwrites.
 In ``staged_batch`` each fit's held-out rows walk its tree after every
 round (the walk ``staged_predict`` uses) and add its leaf to their running
-predictions in cumsum's order, so a batch keeps no trees; a nested CV's
-grid search and its refits are two such batches. ``fit_gbt`` is a batch of
-one config on all rows that copies each round's tree into its ensemble.
+predictions in cumsum's order, so a batch keeps no trees. A nested CV's
+grid search is one such batch per request (a dataset, a feature list and
+seeds), and the refits of every request share one batch over a stacked
+matrix (``pipeline.run_cv_requests``). ``fit_gbt`` is a batch of one
+config on all rows that copies each round's tree into its ensemble.
 
 Every number is bit-identical to fitting one config alone, one node and
 one column at a time. cumsum adds sequentially, so trailing padding leaves
@@ -219,7 +221,9 @@ def _search_plan(XT, sizes, min_leaf):
     n_miss = (np.add.reduce(np.isnan(V), axis=2) - (k - sizes)).ravel()  # per (column, node)
     n_present = np.tile(sizes, c) - n_miss
     end = np.arange(c * g) * k + n_present + n_miss  # past each pair's last row
-    group, cut = n_miss.argsort(kind="stable"), np.cumsum(np.bincount(n_miss)).tolist()
+    # n_miss <= k: a key of that width sorts by radix, to the same permutation
+    group = n_miss.astype(np.min_scalar_type(k)).argsort(kind="stable")
+    cut = np.cumsum(np.bincount(n_miss)).tolist()
     tails = [(at, end[at, None] - np.arange(u, 0, -1)) for u in range(1, len(cut))
              for at in [group[cut[u - 1]:cut[u]]] if len(at)]
     last = end - n_miss - (n_present > 0)

@@ -6,13 +6,16 @@ ids are shuffled with the package's counter-based generator and dealt
 round-robin, so any two runs (or implementations honoring the same PRNG)
 produce identical splits.
 
-A GBT nested CV is two lockstep batches of ``gbtree.staged_batch``: the
-grid search fits every prototype config on every inner training split,
-and the refits fit each outer training split's winner. Neither keeps
-trees, only the predictions of its held-out rows. ``run_cv_seeds`` runs
-the CVs of many seeds in the same two batches, as many seeds as
-``BATCH_CELLS`` admits, and each of its results is byte-equal to
-``run_cv`` of that seed alone.
+A GBT nested CV runs through ``gbtree.staged_batch`` in lockstep batches
+that keep no trees, only the predictions of their held-out rows.
+``run_cv_requests`` takes many requests, each a (dataset, feature list,
+seeds). It grid-searches each request on its own, as many of its seeds
+per batch as ``BATCH_CELLS`` admits, fitting every prototype config on
+every inner training split. Then it refits the winner of every outer
+split of every request together, in one shared batch whenever
+``BATCH_CELLS`` admits it. ``run_cv_seeds`` and ``run_cv`` are its
+one-request cases, and each result is byte-equal to ``run_cv`` of that
+request and seed alone.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from .prng import PRNG_ID, CounterRng
 from .registry import Dataset, FeatureMatrix, encode_features
 
 PREDICTOR_KINDS = ("median", "log_linear", "power_law", "gbt")
-BATCH_CELLS = 1 << 17  # (fit, column, training row) cells of a batch's grid-search fits
+# cells of a batch: (fit, column, training row) of grid-search fits, (fit, stacked row) of refits
+BATCH_CELLS = 1 << 17
 SCALING_FEATURES = ("total_params", "total_tokens_billions")
 
 
@@ -161,76 +165,149 @@ def run_cv_seeds(dataset: Dataset, feature_names, predictor_kind: str, seeds,
                  plan: CVPlan | None = None) -> list[CVResult]:
     """``run_cv`` under ``plan``'s fold counts (default ``CVPlan()``) for
     each of ``seeds``, which must be distinct, in seed order. ``plan.seed``
-    is not read: ``seeds`` take its place.
+    is not read: ``seeds`` take its place. The one-request case of
+    ``run_cv_requests``.
+    """
+    return run_cv_requests([(dataset, feature_names, seeds)], predictor_kind, grid, plan)[0]
 
-    The gbt kind's nested CVs run as many seeds at once as
-    ``BATCH_CELLS`` admits: one lockstep batch grid-searches every
-    outer training split of those seeds, and one refits each split's
-    winner. Both keep only the predictions of their held-out rows.
+
+def run_cv_requests(requests, predictor_kind: str, grid: list[GBTConfig] | None = None,
+                    plan: CVPlan | None = None) -> list[list[CVResult]]:
+    """``run_cv_seeds`` of each request ``(dataset, feature_names, seeds)``,
+    in request order.
+
+    The gbt kind grid-searches each request on its own, as many of its
+    seeds in one lockstep batch as ``BATCH_CELLS`` admits. The winners of
+    every outer split of every request are then refitted together, in as
+    few batches as ``BATCH_CELLS`` admits. A refit batch runs over one
+    stacked matrix: a row block per request and a column block per
+    distinct column list, NaN elsewhere. Restricted to one request's rows,
+    the canonical order is that request's own, because the other blocks'
+    NaN keys tie; no column of another block has two present values in
+    one of its nodes, so none is ever admissible; and its columns keep
+    their relative order, so the lowest-feature-index tie-break holds.
+    Every result is byte-equal to ``run_cv`` of its request and seed.
     """
     if predictor_kind not in PREDICTOR_KINDS:
         raise ValueError(f"unknown predictor kind: {predictor_kind}")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be distinct")
     plan = plan or CVPlan()
-    n = len(dataset)
-    if n < 3 * plan.outer_folds:
-        raise ValueError("too few rows for the outer fold count")
+    for dataset, _, seeds in requests:
+        if len(set(seeds)) != len(seeds):
+            raise ValueError("seeds must be distinct")
+        if len(dataset) < 3 * plan.outer_folds:
+            raise ValueError("too few rows for the outer fold count")
     if predictor_kind == "gbt" and not grid:
         raise ValueError("gbt requires a nonempty grid")
 
+    outer = [_outer_splits(dataset, seeds, plan) for dataset, _, seeds in requests]
+    splits = [request_splits for _, request_splits in outer]
+    preds = [np.empty((len(seeds), len(dataset))) for dataset, _, seeds in requests]
+    fold_configs = [[[] for _ in seeds] for _, _, seeds in requests]
+    if predictor_kind == "gbt":
+        _nested_gbt(requests, splits, grid, plan, preds, fold_configs)
+    else:
+        for (dataset, _, _), request_splits, pred in zip(requests, splits, preds):
+            _baseline_cv(dataset, predictor_kind, request_splits, pred)
+
+    results = []
+    for (dataset, feature_names, seeds), (assigns, _), *per_seed in zip(requests, outer, preds,
+                                                                         fold_configs):
+        results.append([CVResult(
+            task_id=dataset.task.task_id,
+            feature_names=tuple(feature_names),
+            predictor_kind=predictor_kind,
+            seed=seed,
+            predictions={m: float(p) for m, p in zip(dataset.model_ids, pred.tolist())},
+            mae=mae(pred, dataset.values),
+            fold_assignment=assign,
+            fold_configs=configs,
+        ) for seed, assign, pred, configs in zip(seeds, assigns, *per_seed)])
+    return results
+
+
+def _outer_splits(dataset: Dataset, seeds, plan: CVPlan):
+    """Each seed's outer fold assignment, and its (training rows, test rows)
+    per outer fold."""
     assigns = [fold_assignment(dataset.model_ids, s, plan.outer_folds) for s in seeds]
-    # each seed's (training rows, test rows) per outer fold
     splits = [[(np.flatnonzero(folds != f), np.flatnonzero(folds == f))
                for f in range(plan.outer_folds)]
               for folds in (np.array([a[m] for m in dataset.model_ids]) for a in assigns)]
-    preds = np.empty((len(seeds), n))
-    fold_configs: list[list[dict]] = [[] for _ in seeds]
+    return assigns, splits
+
+
+def _baseline_cv(dataset: Dataset, predictor_kind: str, splits, preds) -> None:
+    """Fill ``preds[k]`` with the out-of-fold predictions of the baseline
+    kind fitted on each outer training split of seed ``k``."""
     y = dataset.values
-    if predictor_kind == "gbt":
-        X = encode_features(dataset, list(feature_names))
+    points = scale_points(dataset)
+    for k, seed_splits in enumerate(splits):
+        for train_idx, test_idx in seed_splits:
+            if predictor_kind == "median":
+                preds[k, test_idx] = baselines.median_predictor(y[train_idx])
+            elif predictor_kind == "log_linear":
+                a, b, c = baselines.fit_log_linear([points[i] for i in train_idx])
+                for i in test_idx:
+                    preds[k, i] = a + b * np.log10(points[i].N) + c * np.log10(points[i].D)
+            else:
+                params, _ = baselines.fit_power_law([points[i] for i in train_idx],
+                                                    dataset.task.polarity)
+                for i in test_idx:
+                    preds[k, i] = baselines.predict_power_law_score(
+                        params, points[i].N, points[i].D, dataset.task.polarity)
+
+
+def _nested_gbt(requests, splits, grid, plan, preds, fold_configs) -> None:
+    """Fill ``preds[r][k]`` and ``fold_configs[r][k]`` with the nested CV of
+    request ``r`` under its seed ``k``: grid searches per request, then the
+    refits of every request's winners, stacked."""
+    matrices = []  # each request's encoded features
+    refits = []  # (request, seed, training rows, test rows, winning config)
+    for r, ((dataset, features, seeds), request_splits) in enumerate(zip(requests, splits)):
+        X = encode_features(dataset, list(features))
+        matrices.append(X)
         # (fit, column, training row) cells of one seed's grid-search fits
         cells = (len({replace(c, n_trees=0) for c in grid}) * X.values.shape[1]
-                 * (plan.outer_folds - 1) * (plan.inner_folds - 1) * n)
+                 * (plan.outer_folds - 1) * (plan.inner_folds - 1) * len(dataset))
         step = max(1, BATCH_CELLS // max(cells, 1))  # no columns: fitting refuses
         for first in range(0, len(seeds), step):
             batch = [(k, train, test) for k in range(first, min(first + step, len(seeds)))
-                     for train, test in splits[k]]
-            _, trains, tests = zip(*batch)
-            best = _grid_search_batch(X, y, list(trains), grid, plan.inner_folds,
-                                      [seeds[k] for k, _, _ in batch])
-            staged = staged_batch(X.values, y, best, list(trains), list(tests),
-                                  [[c.n_trees] for c in best])
-            for (k, _, test), config, st in zip(batch, best, staged):
-                preds[k, test] = st[:, 0]
-                fold_configs[k].append(asdict(config))
-    else:
-        points = scale_points(dataset)
-        for k, seed_splits in enumerate(splits):
-            for train_idx, test_idx in seed_splits:
-                if predictor_kind == "median":
-                    preds[k, test_idx] = baselines.median_predictor(y[train_idx])
-                elif predictor_kind == "log_linear":
-                    a, b, c = baselines.fit_log_linear([points[i] for i in train_idx])
-                    for i in test_idx:
-                        preds[k, i] = a + b * np.log10(points[i].N) + c * np.log10(points[i].D)
-                else:
-                    params, _ = baselines.fit_power_law([points[i] for i in train_idx],
-                                                        dataset.task.polarity)
-                    for i in test_idx:
-                        preds[k, i] = baselines.predict_power_law_score(
-                            params, points[i].N, points[i].D, dataset.task.polarity)
+                     for train, test in request_splits[k]]
+            best = _grid_search_batch(X, dataset.values, [train for _, train, _ in batch], grid,
+                                      plan.inner_folds, [seeds[k] for k, _, _ in batch])
+            for (k, train, test), config in zip(batch, best):
+                fold_configs[r][k].append(asdict(config))
+                refits.append((r, k, train, test, config))
 
-    return [CVResult(
-        task_id=dataset.task.task_id,
-        feature_names=tuple(feature_names),
-        predictor_kind=predictor_kind,
-        seed=seed,
-        predictions={m: float(p) for m, p in zip(dataset.model_ids, pred.tolist())},
-        mae=mae(pred, y),
-        fold_assignment=assign,
-        fold_configs=configs,
-    ) for seed, pred, assign, configs in zip(seeds, preds, assigns, fold_configs)]
+    # a refit batch's dense (fit, stacked row) arrays hold its fits times
+    # the rows of its requests: pack the refits in order under BATCH_CELLS
+    packs, members, n_rows = [], set(), 0
+    for refit in refits:
+        r = refit[0]
+        grown = n_rows + (r not in members) * len(requests[r][0])
+        if not packs or (len(packs[-1]) + 1) * grown > BATCH_CELLS:
+            packs.append([])
+            members, grown = set(), len(requests[r][0])
+        packs[-1].append(refit)
+        members.add(r)
+        n_rows = grown
+    for pack in packs:
+        row_at, col_at = {}, {}  # each request's first stacked row, each column list's first column
+        for r, *_ in pack:
+            if r not in row_at:
+                row_at[r] = sum(len(requests[q][0]) for q in row_at)
+                col_at.setdefault(matrices[r].column_names, sum(map(len, col_at)))
+        stacked = np.full((sum(len(requests[r][0]) for r in row_at), sum(map(len, col_at))),
+                          np.nan)
+        for r, at in row_at.items():
+            X, c = matrices[r].values, col_at[matrices[r].column_names]
+            stacked[at:at + len(X), c:c + X.shape[1]] = X
+        y = np.concatenate([requests[r][0].values for r in row_at])
+        staged = staged_batch(stacked, y, [c for *_, c in pack],
+                              [train + row_at[r] for r, _, train, _, _ in pack],
+                              [test + row_at[r] for r, _, _, test, _ in pack],
+                              [[c.n_trees] for *_, c in pack])
+        for (r, k, _, test, _), st in zip(pack, staged):
+            preds[r][k, test] = st[:, 0]
 
 
 def multi_seed_mae(dataset: Dataset, feature_names, predictor_kind: str, seeds,

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from unittest import mock
@@ -9,10 +11,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import perfpred
 from perfpred import cli, gbtree, pipeline, shapley
 from perfpred.cli import CV_RESULT_KEYS, build_parser, main
-from perfpred.pipeline import CVPlan, run_cv, run_cv_seeds
-from perfpred.prng import CounterRng
+from perfpred.pipeline import CVPlan, run_cv, run_cv_requests
+from perfpred.prng import PRNG_ID, CounterRng
 from perfpred.registry import ENUM_VOCAB, join_scores, load_registry, load_scores
 from perfpred.stats import bh_fdr
 from perfpred.synthdata import GenSpec, gen_registry, write_registry, write_scores
@@ -499,20 +502,22 @@ def test_a_comparison_computes_only_the_seeds_its_cache_misses(tmp_path):
     features = "total_params,total_tokens_billions,pct_code"
 
     def run(out, *argv):
-        with mock.patch("perfpred.cli.run_cv_seeds", wraps=run_cv_seeds) as computed:
+        with mock.patch("perfpred.cli.run_cv_requests", wraps=run_cv_requests) as computed:
             assert main([*argv, "--registry", str(tmp_path / "registry.json"),
                          "--scores", str(tmp_path / "scores.csv"), "--task", task.task_id,
                          "--features", features, "--out", str(tmp_path / out)]) == 0
         cache = {p.name: p.read_bytes() for p in (tmp_path / out / "cache").iterdir()}
-        return [(c.args[1], c.args[3]) for c in computed.call_args_list], cache
+        # each call's (features, seeds) per request
+        return [[(fs, seeds) for _, fs, seeds in c.args[0]] for c in computed.call_args_list], \
+            cache
 
     scale = ["total_params", "total_tokens_billions"]
     chosen = features.split(",")
-    assert run("warm", "cv", "--seed", "1")[0] == [(chosen, [1])]
+    assert run("warm", "cv", "--seed", "1")[0] == [[(chosen, [1])]]
     calls, warm = run("warm", "compare", "--seeds", "3")
-    assert calls == [(scale, [0, 1, 2]), (chosen, [0, 2])]
-    assert run("cold", "compare", "--seeds", "3") == ([(scale, [0, 1, 2]), (chosen, [0, 1, 2])],
-                                                       warm)
+    assert calls == [[(scale, [0, 1, 2]), (chosen, [0, 2])]]
+    assert run("cold", "compare", "--seeds", "3") == (
+        [[(scale, [0, 1, 2]), (chosen, [0, 1, 2])]], warm)
     assert len(warm) == 6
     assert (tmp_path / "warm" / f"compare-{task.task_id}.json").read_bytes() == \
         (tmp_path / "cold" / f"compare-{task.task_id}.json").read_bytes()
@@ -521,7 +526,7 @@ def test_a_comparison_computes_only_the_seeds_its_cache_misses(tmp_path):
     (name,) = [n for n, text in warm.items()
                if (json.loads(text)["seed"], json.loads(text)["feature_names"]) == (2, chosen)]
     (tmp_path / "warm" / "cache" / name).write_text("{not json")
-    assert run("warm", "compare", "--seeds", "3") == ([(chosen, [2])], warm)
+    assert run("warm", "compare", "--seeds", "3") == ([[(chosen, [2])]], warm)
 
 
 def test_select_writes_its_trace_and_a_rerun_writes_the_same_bytes(tmp_path, capsys):
@@ -685,11 +690,18 @@ def test_bias_audit_runs(tmp_path, capsys):
 
 def test_report_marks_a_task_with_too_few_models_unavailable(tmp_path):
     # the outer CV needs at least 9 models; the BH adjustment covers the
-    # tasks that have a p-value, and no other
+    # tasks that have a p-value, and no other. Every miss of the other tasks
+    # is computed once, in one call, and the comparisons then hit the cache
     reg, scores = write_tasks(tmp_path, [("acc0", 14), ("acc1", 12), ("tiny", 8)], 14)
+    chosen = ["total_params", "total_tokens_billions", "pct_code"]
     common = ["--registry", reg, "--scores", scores, "--seeds", "2", "--out", str(tmp_path),
-              "--features", "total_params,total_tokens_billions,pct_code"]
-    assert main(["report", *common]) == 0
+              "--features", ",".join(chosen)]
+    with mock.patch("perfpred.cli.run_cv_requests", wraps=run_cv_requests) as computed:
+        assert main(["report", *common]) == 0
+    assert [[(d.task.task_id, fs, seeds) for d, fs, seeds in c.args[0]]
+            for c in computed.call_args_list] == \
+        [[(t, fs, [0, 1]) for t in ("acc0", "acc1") for fs in (chosen[:2], chosen)]]
+    assert len(os.listdir(tmp_path / "cache")) == 8
     rows = [[cell.strip() for cell in line.strip("|").split("|")]
             for line in (tmp_path / "report.md").read_text().splitlines()[2:]]
     assert [row[0] for row in rows] == ["acc0", "acc1", "tiny"]
@@ -697,10 +709,74 @@ def test_report_marks_a_task_with_too_few_models_unavailable(tmp_path):
                        "", "", "", ""]
     pvals = []
     for task in ("acc0", "acc1"):  # the same cached CVs, so the same p-values
-        assert main(["compare", *common, "--task", task]) == 0
+        with mock.patch("perfpred.cli.run_cv_requests") as computed:
+            assert main(["compare", *common, "--task", task]) == 0
+        assert not computed.called
         pvals.append(json.loads((tmp_path / f"compare-{task}.json").read_text())
                      ["paired_t"]["p_two_sided"])
     assert [row[5] for row in rows[:2]] == [f"{p:.3g}" for p in bh_fdr(pvals)[1]]
+
+
+def test_a_report_whose_gbt_cv_raises_on_one_task_reports_that_task_unavailable(tmp_path):
+    # pct_code is missing for every model of "few" alone, so its GBT CV over
+    # pct_code raises: the call shared by both tasks fails, and each task is
+    # then computed alone
+    reg, scores = write_tasks(tmp_path, [("acc0", 24), ("few", 10)], 24)
+    few = {row[0] for row in csv.reader(pathlib.Path(scores).read_text().splitlines())
+           if row[1] == "few"}
+    records = json.loads((tmp_path / "registry.json").read_text())
+    for record in records:
+        if record["model_id"] in few:
+            record["data"].pop("pct_code", None)
+    (tmp_path / "registry.json").write_text(json.dumps(records))
+    common = ["--registry", reg, "--scores", scores, "--seeds", "2", "--out", str(tmp_path),
+              "--features", "pct_code"]
+    assert main(["report", *common]) == 0
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in (tmp_path / "report.md").read_text().splitlines()[2:]]
+    assert rows[1] == ["few", "unavailable (all feature values missing)", "", "", "", ""]
+    assert main(["compare", *common, "--task", "acc0"]) == 0
+    compared = json.loads((tmp_path / "compare-acc0.json").read_text())
+    assert rows[0][3:] == [f"{100 * m['mean']:.2f} ± {100 * m['ci95_halfwidth']:.2f}"
+                           for m in (compared["scaling_mae"], compared["all_features_mae"])] + \
+        [f"{compared['paired_t']['p_two_sided']:.3g}"]  # one p-value: BH leaves it
+
+
+def test_a_command_hashes_its_input_files_once(tmp_path):
+    # one read to load each file and one to key every cache file, whose names
+    # keep the formula sha256(registry, 0, scores, 0, each part as JSON, 0)
+    reg, scores = write_tasks(tmp_path, [("acc0", 12), ("acc1", 10)], 12)
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.path.abspath(file) if isinstance(file, str) else file)
+        return real_open(file, *args, **kwargs)
+
+    with mock.patch("builtins.open", counting_open):
+        assert main(["report", "--registry", reg, "--scores", scores, "--seeds", "2",
+                     "--out", str(tmp_path / "out"),
+                     "--features", "total_params,total_tokens_billions,pct_code"]) == 0
+    assert (opened.count(reg), opened.count(scores)) == (2, 2)
+    h = hashlib.sha256()
+    for path in (reg, scores):
+        h.update(pathlib.Path(path).read_bytes() + b"\x00")
+    for part in (perfpred.__version__, PRNG_ID, "acc1", ["total_params", "total_tokens_billions"],
+                 "gbt", 1, [vars(g) for g in gbtree.paper_grid()], 3, 3):
+        h.update(json.dumps(part, sort_keys=True).encode() + b"\x00")
+    name = f"cv-{h.hexdigest()[:16]}.json"
+    assert json.loads((tmp_path / "out" / "cache" / name).read_text())["seed"] == 1
+
+
+def test_a_bias_audit_without_accuracy_tasks_lists_a_violation(tmp_path, capsys):
+    registry, scores, task, _ = gen_registry(GenSpec(n_models=12, metric_kind="brier"), seed=0)
+    write_registry(registry, tmp_path / "registry.json")
+    write_scores(scores, task, tmp_path / "scores.csv")
+    assert main(["bias-audit", "--registry", str(tmp_path / "registry.json"),
+                 "--scores", str(tmp_path / "scores.csv"), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "VIOLATION: no accuracy tasks available\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_single_task(synth_files, tmp_path):

@@ -232,8 +232,8 @@ def test_run_cv_equals_a_nested_cv_of_single_fits(problem):
                                       ["total_params", "total_tokens_billions", "pct_code",
                                        "entropy_mean"]])
 def test_a_batch_of_seeds_equals_one_run_cv_per_seed(features):
-    # a cap of two seeds per batch, so five seeds take three batches, each a
-    # grid-search call and a refit call of staged_batch
+    # a cap of two seeds per grid-search batch, so five seeds take three
+    # grid-search calls of staged_batch, and one refit call for them all
     ds, _ = synth_dataset(GenSpec(n_models=14, noise_sigma=0.02, missing_rate=0.3,
                                   feature_effects={"pct_code": 0.002}), seed=5)
     grid = [GBTConfig(2, 0.3, 4), GBTConfig(2, 0.3, 8), GBTConfig(3, 0.1, 8)]
@@ -247,7 +247,38 @@ def test_a_batch_of_seeds_equals_one_run_cv_per_seed(features):
             maes = multi_seed_mae(ds, features, "gbt", seeds, grid)
         assert [json.dumps(r.to_dict()) for r in got] == want
         assert maes == [json.loads(w)["mae"] for w in want]
-        assert fits.call_count == 2 * 2 * -(-len(seeds) // 2)  # run_cv_seeds, multi_seed_mae
+        assert fits.call_count == 2 * (-(-len(seeds) // 2) + 1)  # run_cv_seeds, multi_seed_mae
+
+
+def test_requests_of_two_datasets_and_two_feature_lists_share_their_refits():
+    # grid searches stay one per request; the refits of every request run in
+    # one stacked batch, or in more under a small BATCH_CELLS, and every
+    # result is byte-equal to run_cv of its request and seed alone
+    spec = dict(noise_sigma=0.02, missing_rate=0.3, feature_effects={"pct_code": 0.002})
+    big, _ = synth_dataset(GenSpec(n_models=16, **spec), seed=5)
+    small, _ = synth_dataset(GenSpec(n_models=11, **spec), seed=6)
+    four = ["total_params", "total_tokens_billions", "pct_code", "entropy_mean"]
+    assert np.isnan(encode_features(big, four).values).any()
+    requests = [(big, list(SCALING_FEATURES), [0, 3]), (big, four, [1]),
+                (small, list(SCALING_FEATURES), [2, 0, 5]), (small, four, [4, 0])]
+    grid = [GBTConfig(2, 0.3, 4), GBTConfig(2, 0.3, 8), GBTConfig(3, 0.1, 8)]
+    assert pipeline.run_cv_requests([], "gbt", grid) == []
+    want = [[json.dumps(run_cv(ds, fs, "gbt", CVPlan(seed=s), grid).to_dict()) for s in seeds]
+            for ds, fs, seeds in requests]
+    for cap, refit_calls in ((pipeline.BATCH_CELLS, 1), (200, None)):
+        with mock.patch.object(pipeline, "BATCH_CELLS", cap), \
+                mock.patch.object(pipeline, "staged_batch", wraps=gbtree.staged_batch) as fits, \
+                mock.patch.object(pipeline, "_grid_search_batch",
+                                  wraps=pipeline._grid_search_batch) as searches:
+            got = pipeline.run_cv_requests(requests, "gbt", grid)
+        assert [[json.dumps(r.to_dict()) for r in results] for results in got] == want
+        refits = fits.call_args_list[searches.call_count:]
+        if refit_calls:
+            assert (searches.call_count, len(refits)) == (len(requests), refit_calls)
+        else:  # each batch holds at most cap (fit, stacked row) cells, some two requests
+            assert len(refits) > 1
+            assert all(len(c.args[2]) * len(c.args[0]) <= cap for c in refits)
+            assert any(len(c.args[0]) > len(big) for c in refits)
 
 
 def test_a_batch_of_seeds_keeps_no_grid_search_trees():
