@@ -201,6 +201,9 @@ def _cv_cached(args, kind, grid, requests):
     """One CV evaluation per seed of each request ``(dataset, features,
     seeds)``, each cached as JSON in the out directory; every file that
     misses is computed once, all of them in one ``run_cv_requests`` call.
+    A request gets its ``ValueError`` in place of its results if it raises,
+    or if a request whose cache paths it shares raises; the files of the
+    others are written.
 
     The key takes ``features`` in the order given: a fit depends on its
     column order. A cache file that is not a ``CVResult.to_dict()`` is
@@ -223,10 +226,19 @@ def _cv_cached(args, kind, grid, requests):
         computed = run_cv_requests([(*requests[q][:2], list(m.values()))
                                     for q, m in missed.items()], kind, grid, plan)
         for m, request_results in zip(missed.values(), computed):
+            if isinstance(request_results, ValueError):
+                results |= dict.fromkeys(m, request_results)
+                continue
             for path, result in zip(m, request_results):
                 results[path] = result.to_dict()
                 _atomic_write(path, _json_text(results[path]))
-    return [[results[path] for path in request_paths] for request_paths in paths]
+    found = [[results[path] for path in request_paths] for request_paths in paths]
+    return [_raised(rs) or rs for rs in found]
+
+
+def _raised(results):
+    """The first ``ValueError`` among ``results``, or None."""
+    return next((r for r in results if isinstance(r, ValueError)), None)
 
 
 def _comparison_seeds(args) -> list[int]:
@@ -241,25 +253,20 @@ def _comparisons(args, datasets, features, seeds) -> dict:
     """Scale-only against ``features`` GBT MAE over ``seeds`` on each of
     ``datasets`` (task id -> ``Dataset``), each CV cached: task id ->
     ((mean, ci95 half-width, per-seed MAEs) for scale-only and for
-    ``features``, (t, df, p) of the paired t-test), or the ``ValueError``
-    that the task's CVs raise.
-
-    The misses of every task are computed in one call; if it raises, each
-    task is computed alone, to tell which tasks raise.
+    ``features``, (t, df, p) of the paired t-test), or the first
+    ``ValueError`` of the task's two CVs. The misses of every task are
+    computed in one call; a task that raises costs the others nothing.
     """
     lists = (list(SCALING_FEATURES), features)
-    try:
-        results = iter(_cv_cached(args, "gbt", paper_grid(),
-                                  [(d, fs, seeds) for d in datasets.values() for fs in lists]))
-    except ValueError as e:
-        if len(datasets) == 1:
-            return dict.fromkeys(datasets, e)
-        return {t: c for t, d in datasets.items()
-                for c in _comparisons(args, {t: d}, features, seeds).values()}
+    results = iter(_cv_cached(args, "gbt", paper_grid(),
+                              [(d, fs, seeds) for d in datasets.values() for fs in lists]))
     compared = {}
     for task_id in datasets:
-        maes = [[float(r["mae"]) for r in next(results)] for _ in lists]
-        compared[task_id] = [(*mean_ci95(m), m) for m in maes], paired_t_test(*maes)
+        pair = [next(results) for _ in lists]
+        compared[task_id] = _raised(pair)
+        if compared[task_id] is None:
+            maes = [[float(r["mae"]) for r in rs] for rs in pair]
+            compared[task_id] = [(*mean_ci95(m), m) for m in maes], paired_t_test(*maes)
     return compared
 
 
@@ -316,7 +323,10 @@ def cmd_cv(args) -> int:
     features, grid = [], None  # baseline predictors read no feature matrix
     if args.kind == "gbt":
         features, grid = _feature_names(args.features), paper_grid()
-    ((result,),) = _cv_cached(args, args.kind, grid, [(dataset, features, [args.seed])])
+    (results,) = _cv_cached(args, args.kind, grid, [(dataset, features, [args.seed])])
+    if isinstance(results, ValueError):
+        raise results
+    (result,) = results
     path = os.path.join(args.out, f"cv-{args.task}-{args.kind}-{args.seed}.json")
     _atomic_write(path, _json_text(result))
     print(f"{args.task} [{args.kind}] MAE = {result['mae']:.5f}")
@@ -354,9 +364,12 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _encode_and_fit(args, dataset):
-    """The encoded ``--features`` and an ensemble tuned and fitted on all rows."""
+def _encode_and_fit(args, dataset, explained=None):
+    """The encoded ``--features`` and an ensemble tuned and fitted on all rows;
+    a column ``explained`` that is not encoded is refused before any fit."""
     X = encode_features(dataset, _feature_names(args.features))
+    if explained is not None and explained not in X.column_names:
+        raise ValueError(f"unknown feature: {explained}")
     return X, fit_tuned(X, dataset.values, paper_grid(), CVPlan().inner_folds, args.seed)[1]
 
 
@@ -464,7 +477,7 @@ def cmd_plot_data(args) -> int:
         rows += [[e.feature, e.mean_abs_phi, v, phi] for e in entries for v, phi in e.points]
         _atomic_write(os.path.join(args.out, f"beeswarm-{args.task}.csv"), _csv_text(rows))
     elif args.kind == "shap_dependence":
-        X, ensemble = _encode_and_fit(args, dataset)
+        X, ensemble = _encode_and_fit(args, dataset, args.feature)
         points, n_missing = shapley.shap_dependence(ensemble, X, args.feature)
         rows = [[f"# missing_rows={n_missing}"], ["feature_value", "phi"], *points]
         _atomic_write(os.path.join(args.out, f"dependence-{args.task}-{args.feature}.csv"),

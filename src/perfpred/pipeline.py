@@ -13,9 +13,10 @@ seeds). It grid-searches each request on its own, as many of its seeds
 per batch as ``BATCH_CELLS`` admits, fitting every prototype config on
 every inner training split. Then it refits the winner of every outer
 split of every request together, in one shared batch whenever
-``BATCH_CELLS`` admits it. ``run_cv_seeds`` and ``run_cv`` are its
-one-request cases, and each result is byte-equal to ``run_cv`` of that
-request and seed alone.
+``BATCH_CELLS`` admits it. A request that raises a ``ValueError`` gets it
+in its result slot and no refits; the others go on. ``run_cv_seeds`` and
+``run_cv`` are its one-request cases, which raise that error, and each
+result is byte-equal to ``run_cv`` of that request and seed alone.
 """
 
 from __future__ import annotations
@@ -166,15 +167,20 @@ def run_cv_seeds(dataset: Dataset, feature_names, predictor_kind: str, seeds,
     """``run_cv`` under ``plan``'s fold counts (default ``CVPlan()``) for
     each of ``seeds``, which must be distinct, in seed order. ``plan.seed``
     is not read: ``seeds`` take its place. The one-request case of
-    ``run_cv_requests``.
+    ``run_cv_requests``, raising its request's ``ValueError``.
     """
-    return run_cv_requests([(dataset, feature_names, seeds)], predictor_kind, grid, plan)[0]
+    (results,) = run_cv_requests([(dataset, feature_names, seeds)], predictor_kind, grid, plan)
+    if isinstance(results, ValueError):
+        raise results
+    return results
 
 
 def run_cv_requests(requests, predictor_kind: str, grid: list[GBTConfig] | None = None,
-                    plan: CVPlan | None = None) -> list[list[CVResult]]:
+                    plan: CVPlan | None = None) -> list[list[CVResult] | ValueError]:
     """``run_cv_seeds`` of each request ``(dataset, feature_names, seeds)``,
-    in request order.
+    in request order; a request that raises gets its ``ValueError`` in its
+    place, and no refits. An unknown kind, or gbt without a grid, raises
+    for the call.
 
     The gbt kind grid-searches each request on its own, as many of its
     seeds in one lockstep batch as ``BATCH_CELLS`` admits. The winners of
@@ -185,34 +191,43 @@ def run_cv_requests(requests, predictor_kind: str, grid: list[GBTConfig] | None 
     the canonical order is that request's own, because the other blocks'
     NaN keys tie; no column of another block has two present values in
     one of its nodes, so none is ever admissible; and its columns keep
-    their relative order, so the lowest-feature-index tie-break holds.
+    their relative order, so the lowest-feature-index tie-break holds. A
+    refit trains on an outer training split, which holds each of its inner
+    training splits, so it passes every check its grid-search fits passed.
     Every result is byte-equal to ``run_cv`` of its request and seed.
     """
     if predictor_kind not in PREDICTOR_KINDS:
         raise ValueError(f"unknown predictor kind: {predictor_kind}")
-    plan = plan or CVPlan()
-    for dataset, _, seeds in requests:
-        if len(set(seeds)) != len(seeds):
-            raise ValueError("seeds must be distinct")
-        if len(dataset) < 3 * plan.outer_folds:
-            raise ValueError("too few rows for the outer fold count")
     if predictor_kind == "gbt" and not grid:
         raise ValueError("gbt requires a nonempty grid")
-
-    outer = [_outer_splits(dataset, seeds, plan) for dataset, _, seeds in requests]
-    splits = [request_splits for _, request_splits in outer]
+    plan = plan or CVPlan()
     preds = [np.empty((len(seeds), len(dataset))) for dataset, _, seeds in requests]
     fold_configs = [[[] for _ in seeds] for _, _, seeds in requests]
-    if predictor_kind == "gbt":
-        _nested_gbt(requests, splits, grid, plan, preds, fold_configs)
-    else:
-        for (dataset, _, _), request_splits, pred in zip(requests, splits, preds):
-            _baseline_cv(dataset, predictor_kind, request_splits, pred)
+    outcomes = []  # each request's outer fold assignments, or the ValueError it raised
+    matrices, refits = {}, []  # each gbt request's encoded features; its winners to refit
+    for r, (dataset, features, seeds) in enumerate(requests):
+        try:
+            if len(set(seeds)) != len(seeds):
+                raise ValueError("seeds must be distinct")
+            if len(dataset) < 3 * plan.outer_folds:
+                raise ValueError("too few rows for the outer fold count")
+            assigns, splits = _outer_splits(dataset, seeds, plan)
+            if predictor_kind == "gbt":
+                matrices[r] = encode_features(dataset, list(features))
+                refits += _grid_searches(r, matrices[r], dataset.values, seeds, splits, grid,
+                                         plan, fold_configs[r])
+            else:
+                _baseline_cv(dataset, predictor_kind, splits, preds[r])
+        except ValueError as e:
+            outcomes.append(e)
+        else:
+            outcomes.append(assigns)
+    _refit(requests, matrices, refits, preds)
 
     results = []
-    for (dataset, feature_names, seeds), (assigns, _), *per_seed in zip(requests, outer, preds,
-                                                                         fold_configs):
-        results.append([CVResult(
+    for (dataset, feature_names, seeds), assigns, *per_seed in zip(requests, outcomes, preds,
+                                                                    fold_configs):
+        results.append(assigns if isinstance(assigns, ValueError) else [CVResult(
             task_id=dataset.task.task_id,
             feature_names=tuple(feature_names),
             predictor_kind=predictor_kind,
@@ -256,28 +271,31 @@ def _baseline_cv(dataset: Dataset, predictor_kind: str, splits, preds) -> None:
                         params, points[i].N, points[i].D, dataset.task.polarity)
 
 
-def _nested_gbt(requests, splits, grid, plan, preds, fold_configs) -> None:
-    """Fill ``preds[r][k]`` and ``fold_configs[r][k]`` with the nested CV of
-    request ``r`` under its seed ``k``: grid searches per request, then the
-    refits of every request's winners, stacked."""
-    matrices = []  # each request's encoded features
-    refits = []  # (request, seed, training rows, test rows, winning config)
-    for r, ((dataset, features, seeds), request_splits) in enumerate(zip(requests, splits)):
-        X = encode_features(dataset, list(features))
-        matrices.append(X)
-        # (fit, column, training row) cells of one seed's grid-search fits
-        cells = (len({replace(c, n_trees=0) for c in grid}) * X.values.shape[1]
-                 * (plan.outer_folds - 1) * (plan.inner_folds - 1) * len(dataset))
-        step = max(1, BATCH_CELLS // max(cells, 1))  # no columns: fitting refuses
-        for first in range(0, len(seeds), step):
-            batch = [(k, train, test) for k in range(first, min(first + step, len(seeds)))
-                     for train, test in request_splits[k]]
-            best = _grid_search_batch(X, dataset.values, [train for _, train, _ in batch], grid,
-                                      plan.inner_folds, [seeds[k] for k, _, _ in batch])
-            for (k, train, test), config in zip(batch, best):
-                fold_configs[r][k].append(asdict(config))
-                refits.append((r, k, train, test, config))
+def _grid_searches(r, X, y, seeds, splits, grid, plan, fold_configs):
+    """Grid-search every outer training split of request ``r`` (encoded
+    features ``X``, targets ``y``) under each of its ``seeds``, appending
+    each winner to ``fold_configs[k]``: the refits ``(r, k, training rows,
+    test rows, winning config)`` of seed ``k``."""
+    # (fit, column, training row) cells of one seed's grid-search fits
+    cells = (len({replace(c, n_trees=0) for c in grid}) * X.values.shape[1]
+             * (plan.outer_folds - 1) * (plan.inner_folds - 1) * len(y))
+    step = max(1, BATCH_CELLS // max(cells, 1))  # no columns: fitting refuses
+    refits = []
+    for first in range(0, len(seeds), step):
+        batch = [(k, train, test) for k in range(first, min(first + step, len(seeds)))
+                 for train, test in splits[k]]
+        best = _grid_search_batch(X, y, [train for _, train, _ in batch], grid,
+                                  plan.inner_folds, [seeds[k] for k, _, _ in batch])
+        for (k, train, test), config in zip(batch, best):
+            fold_configs[k].append(asdict(config))
+            refits.append((r, k, train, test, config))
+    return refits
 
+
+def _refit(requests, matrices, refits, preds) -> None:
+    """Fill ``preds[r][k, test]`` of each refit ``(r, k, train, test,
+    config)`` with its outer test predictions, the refits of every request
+    stacked: request ``r``'s encoded features are ``matrices[r]``."""
     # a refit batch's dense (fit, stacked row) arrays hold its fits times
     # the rows of its requests: pack the refits in order under BATCH_CELLS
     packs, members, n_rows = [], set(), 0

@@ -560,7 +560,7 @@ def test_plot_data_heatmap_row_count(synth_files, tmp_path):
     assert sum(1 for l in lines if l.startswith("model,")) == 24
 
 
-def test_plot_data_dependence_and_errors(synth_files, tmp_path):
+def test_plot_data_dependence_and_errors(synth_files, tmp_path, capsys):
     reg, scores = synth_files
     code = main(["plot-data", "--registry", reg, "--scores", scores,
                  "--task", "taskA", "--kind", "shap_dependence",
@@ -577,6 +577,18 @@ def test_plot_data_dependence_and_errors(synth_files, tmp_path):
                  "--features", "total_params,total_tokens_billions",
                  "--out", str(tmp_path)])
     assert code == 1
+    capsys.readouterr()
+
+    # a --feature that is not an encoded column is refused before any fit
+    for feature in ("no_such_feature", "pct_code", "positional_embeddings"):
+        with mock.patch("perfpred.cli.fit_tuned") as fitted:
+            code = main(["plot-data", "--registry", reg, "--scores", scores,
+                         "--task", "taskA", "--kind", "shap_dependence",
+                         "--feature", feature,
+                         "--features", "total_params,total_tokens_billions,positional_embeddings",
+                         "--out", str(tmp_path)])
+        assert code == 1 and not fitted.called
+        assert capsys.readouterr().err == f"error: unknown feature: {feature}\n"
 
     code = main(["plot-data", "--registry", reg, "--scores", scores,
                  "--task", "taskA", "--kind", "shap_dependence",
@@ -719,8 +731,8 @@ def test_report_marks_a_task_with_too_few_models_unavailable(tmp_path):
 
 def test_a_report_whose_gbt_cv_raises_on_one_task_reports_that_task_unavailable(tmp_path):
     # pct_code is missing for every model of "few" alone, so its GBT CV over
-    # pct_code raises: the call shared by both tasks fails, and each task is
-    # then computed alone
+    # pct_code raises: that request fails alone, in the one call shared by
+    # both tasks, and every other request's files are written
     reg, scores = write_tasks(tmp_path, [("acc0", 24), ("few", 10)], 24)
     few = {row[0] for row in csv.reader(pathlib.Path(scores).read_text().splitlines())
            if row[1] == "few"}
@@ -731,15 +743,44 @@ def test_a_report_whose_gbt_cv_raises_on_one_task_reports_that_task_unavailable(
     (tmp_path / "registry.json").write_text(json.dumps(records))
     common = ["--registry", reg, "--scores", scores, "--seeds", "2", "--out", str(tmp_path),
               "--features", "pct_code"]
-    assert main(["report", *common]) == 0
+    scale = ["total_params", "total_tokens_billions"]
+    reports = []
+    for computes in ([(t, fs, [0, 1]) for t in ("acc0", "few") for fs in (scale, ["pct_code"])],
+                     [("few", ["pct_code"], [0, 1])]):  # cold, then warm
+        with mock.patch("perfpred.cli.run_cv_requests", wraps=run_cv_requests) as computed:
+            assert main(["report", *common]) == 0
+        assert [[(d.task.task_id, fs, seeds) for d, fs, seeds in c.args[0]]
+                for c in computed.call_args_list] == [computes]
+        assert len(os.listdir(tmp_path / "cache")) == 6
+        reports.append((tmp_path / "report.md").read_bytes())
+    assert reports[0] == reports[1]
     rows = [[cell.strip() for cell in line.strip("|").split("|")]
-            for line in (tmp_path / "report.md").read_text().splitlines()[2:]]
+            for line in reports[0].decode().splitlines()[2:]]
     assert rows[1] == ["few", "unavailable (all feature values missing)", "", "", "", ""]
     assert main(["compare", *common, "--task", "acc0"]) == 0
     compared = json.loads((tmp_path / "compare-acc0.json").read_text())
     assert rows[0][3:] == [f"{100 * m['mean']:.2f} ± {100 * m['ci95_halfwidth']:.2f}"
                            for m in (compared["scaling_mae"], compared["all_features_mae"])] + \
         [f"{compared['paired_t']['p_two_sided']:.3g}"]  # one p-value: BH leaves it
+
+
+def test_a_report_of_the_scale_features_computes_each_file_once(tmp_path):
+    # --features naming the two scale features gives both requests of a task
+    # the same cache paths: one request computes them, both read them
+    reg, scores = write_tasks(tmp_path, [("acc0", 12), ("acc1", 10)], 12)
+    scale = ["total_params", "total_tokens_billions"]
+    with mock.patch("perfpred.cli.run_cv_requests", wraps=run_cv_requests) as computed:
+        assert main(["report", "--registry", reg, "--scores", scores, "--seeds", "2",
+                     "--out", str(tmp_path), "--features", ",".join(scale)]) == 0
+    assert [[(d.task.task_id, fs, seeds) for d, fs, seeds in c.args[0]]
+            for c in computed.call_args_list] == [[("acc0", scale, [0, 1]),
+                                                    ("acc1", scale, [0, 1])]]
+    assert len(os.listdir(tmp_path / "cache")) == 4
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in (tmp_path / "report.md").read_text().splitlines()[2:]]
+    assert [row[0] for row in rows] == ["acc0", "acc1"]
+    for row in rows:
+        assert row[3] == row[4]
 
 
 def test_a_command_hashes_its_input_files_once(tmp_path):

@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +23,13 @@ from perfpred.pipeline import (
     run_cv_seeds,
 )
 from perfpred.prng import PRNG_ID, CounterRng
-from perfpred.registry import Column, FeatureMatrix, all_feature_names, encode_features
+from perfpred.registry import (
+    Column,
+    Dataset,
+    FeatureMatrix,
+    all_feature_names,
+    encode_features,
+)
 from perfpred.synthdata import GenSpec, synth_dataset
 
 
@@ -279,6 +285,43 @@ def test_requests_of_two_datasets_and_two_feature_lists_share_their_refits():
             assert len(refits) > 1
             assert all(len(c.args[2]) * len(c.args[0]) <= cap for c in refits)
             assert any(len(c.args[0]) > len(big) for c in refits)
+
+
+def test_a_request_that_raises_fails_alone():
+    # the failing request gets the ValueError run_cv raises for it alone and
+    # no refits; the other requests' results and their one shared refit
+    # batch are as they would be without it, and run_cv_seeds raises
+    spec = dict(noise_sigma=0.02, missing_rate=0.3, feature_effects={"pct_code": 0.002})
+    big, _ = synth_dataset(GenSpec(n_models=16, **spec), seed=5)
+    small, _ = synth_dataset(GenSpec(n_models=11, **spec), seed=6)
+    tiny, _ = synth_dataset(GenSpec(n_models=8, **spec), seed=7)
+    blank = Dataset(small.task, tuple(replace(r, data=replace(r.data, pct_code=None))
+                                      for r in small.records), small.values)
+    four = ["total_params", "total_tokens_billions", "pct_code", "entropy_mean"]
+    grid = [GBTConfig(2, 0.3, 4), GBTConfig(2, 0.3, 8), GBTConfig(3, 0.1, 8)]
+    good = [(big, list(SCALING_FEATURES), [0, 3]), (small, list(SCALING_FEATURES), [2, 0]),
+            (big, four, [1])]
+    want = [[json.dumps(run_cv(ds, fs, "gbt", CVPlan(seed=s), grid).to_dict()) for s in seeds]
+            for ds, fs, seeds in good]
+    for bad, message in (((blank, ["pct_code"], [1, 2]), "all feature values missing"),
+                         ((tiny, four, [0]), "too few rows for the outer fold count")):
+        ds, fs, seeds = bad
+        with pytest.raises(ValueError, match=message):
+            run_cv(ds, fs, "gbt", CVPlan(seed=seeds[0]), grid)
+        with mock.patch.object(pipeline, "staged_batch", wraps=gbtree.staged_batch) as fits, \
+                mock.patch.object(pipeline, "_grid_search_batch",
+                                  wraps=pipeline._grid_search_batch) as searches:
+            got = pipeline.run_cv_requests([good[0], bad, *good[1:]], "gbt", grid)
+        assert isinstance(got[1], ValueError) and str(got[1]) == message
+        assert [[json.dumps(r.to_dict()) for r in results]
+                for results in got[:1] + got[2:]] == want
+        # one refit batch: a row block and the 3 outer folds of each seed of
+        # the good requests alone
+        (refit,) = fits.call_args_list[searches.call_count:]
+        assert len(refit.args[0]) == sum(len(ds) for ds, *_ in good)
+        assert len(refit.args[2]) == 3 * sum(len(seeds) for *_, seeds in good)
+        with pytest.raises(ValueError, match=message):
+            run_cv_seeds(ds, fs, "gbt", seeds, grid)
 
 
 def test_a_batch_of_seeds_keeps_no_grid_search_trees():
