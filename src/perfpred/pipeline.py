@@ -12,15 +12,26 @@ that keep no trees, only the predictions of their held-out rows.
 seeds). It grid-searches each request on its own, as many of its seeds
 per batch as ``BATCH_CELLS`` admits, fitting every prototype config on
 every inner training split. Then it refits the winner of every outer
-split of every request together, in one shared batch whenever
-``BATCH_CELLS`` admits it. A request that raises a ``ValueError`` gets it
-in its result slot and no refits; the others go on. ``run_cv_seeds`` and
-``run_cv`` are its one-request cases, which raise that error, and each
-result is byte-equal to ``run_cv`` of that request and seed alone.
+split of every request, those of one feature list together, in one
+shared batch per feature list whenever ``BATCH_CELLS`` admits it. A
+request that raises a ``ValueError`` gets it in its result slot and no
+refits; the others go on. ``run_cv_seeds`` and ``run_cv`` are its
+one-request cases, which raise that error, and each result is byte-equal
+to ``run_cv`` of that request and seed alone.
+
+The batches of a call are independent, so they run on a pool of forked
+workers: first every grid-search batch, then every refit batch, each
+phase largest first. There is one worker per CPU in the process's
+affinity mask (``taskset`` limits it), up to the batch count of the
+first phase that has more than one; a phase of one batch, or a mask of
+one CPU, runs in the calling process.
+No worker outlives the call, and the output bytes do not depend on the
+worker count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -184,17 +195,16 @@ def run_cv_requests(requests, predictor_kind: str, grid: list[GBTConfig] | None 
 
     The gbt kind grid-searches each request on its own, as many of its
     seeds in one lockstep batch as ``BATCH_CELLS`` admits. The winners of
-    every outer split of every request are then refitted together, in as
-    few batches as ``BATCH_CELLS`` admits. A refit batch runs over one
-    stacked matrix: a row block per request and a column block per
-    distinct column list, NaN elsewhere. Restricted to one request's rows,
-    the canonical order is that request's own, because the other blocks'
-    NaN keys tie; no column of another block has two present values in
-    one of its nodes, so none is ever admissible; and its columns keep
-    their relative order, so the lowest-feature-index tie-break holds. A
-    refit trains on an outer training split, which holds each of its inner
-    training splits, so it passes every check its grid-search fits passed.
-    Every result is byte-equal to ``run_cv`` of its request and seed.
+    every outer split of every request are then refitted, those of one
+    column list together, in as few batches as ``BATCH_CELLS`` admits. A
+    refit batch stacks the rows of its requests, and a fit reads only its
+    own request's block, so by ``staged_batch``'s contract it is the fit
+    of that request alone. A refit trains on an outer training split,
+    which holds each of its inner training splits, so it passes every
+    check its grid-search fits passed. The grid-search batches, then the
+    refit batches, run on one fork pool (``_Units``). Every result is
+    byte-equal to ``run_cv`` of its request and seed, whatever the worker
+    count.
     """
     if predictor_kind not in PREDICTOR_KINDS:
         raise ValueError(f"unknown predictor kind: {predictor_kind}")
@@ -204,7 +214,7 @@ def run_cv_requests(requests, predictor_kind: str, grid: list[GBTConfig] | None 
     preds = [np.empty((len(seeds), len(dataset))) for dataset, _, seeds in requests]
     fold_configs = [[[] for _ in seeds] for _, _, seeds in requests]
     outcomes = []  # each request's outer fold assignments, or the ValueError it raised
-    matrices, refits = {}, []  # each gbt request's encoded features; its winners to refit
+    matrices, searches = {}, []  # each gbt request's encoded features; its grid-search batches
     for r, (dataset, features, seeds) in enumerate(requests):
         try:
             if len(set(seeds)) != len(seeds):
@@ -214,15 +224,15 @@ def run_cv_requests(requests, predictor_kind: str, grid: list[GBTConfig] | None 
             assigns, splits = _outer_splits(dataset, seeds, plan)
             if predictor_kind == "gbt":
                 matrices[r] = encode_features(dataset, list(features))
-                refits += _grid_searches(r, matrices[r], dataset.values, seeds, splits, grid,
-                                         plan, fold_configs[r])
+                searches += [(r, batch) for batch in _seed_batches(matrices[r], splits, grid,
+                                                                   plan)]
             else:
                 _baseline_cv(dataset, predictor_kind, splits, preds[r])
         except ValueError as e:
             outcomes.append(e)
         else:
             outcomes.append(assigns)
-    _refit(requests, matrices, refits, preds)
+    _nested_gbt(requests, matrices, searches, grid, plan, outcomes, preds, fold_configs)
 
     results = []
     for (dataset, feature_names, seeds), assigns, *per_seed in zip(requests, outcomes, preds,
@@ -271,61 +281,137 @@ def _baseline_cv(dataset: Dataset, predictor_kind: str, splits, preds) -> None:
                         params, points[i].N, points[i].D, dataset.task.polarity)
 
 
-def _grid_searches(r, X, y, seeds, splits, grid, plan, fold_configs):
-    """Grid-search every outer training split of request ``r`` (encoded
-    features ``X``, targets ``y``) under each of its ``seeds``, appending
-    each winner to ``fold_configs[k]``: the refits ``(r, k, training rows,
-    test rows, winning config)`` of seed ``k``."""
+def _seed_batches(X, splits, grid, plan):
+    """The seeds ``k`` of a request (encoded features ``X``, outer splits
+    ``splits[k]``) cut into grid-search batches under ``BATCH_CELLS``: each
+    batch its ``(k, training rows, test rows)``, seed by seed."""
     # (fit, column, training row) cells of one seed's grid-search fits
     cells = (len({replace(c, n_trees=0) for c in grid}) * X.values.shape[1]
-             * (plan.outer_folds - 1) * (plan.inner_folds - 1) * len(y))
+             * (plan.outer_folds - 1) * (plan.inner_folds - 1) * len(X.model_ids))
     step = max(1, BATCH_CELLS // max(cells, 1))  # no columns: fitting refuses
-    refits = []
-    for first in range(0, len(seeds), step):
-        batch = [(k, train, test) for k in range(first, min(first + step, len(seeds)))
-                 for train, test in splits[k]]
-        best = _grid_search_batch(X, y, [train for _, train, _ in batch], grid,
-                                  plan.inner_folds, [seeds[k] for k, _, _ in batch])
-        for (k, train, test), config in zip(batch, best):
-            fold_configs[k].append(asdict(config))
-            refits.append((r, k, train, test, config))
-    return refits
+    return [[(k, train, test) for k in range(first, min(first + step, len(splits)))
+             for train, test in splits[k]] for first in range(0, len(splits), step)]
 
 
-def _refit(requests, matrices, refits, preds) -> None:
-    """Fill ``preds[r][k, test]`` of each refit ``(r, k, train, test,
-    config)`` with its outer test predictions, the refits of every request
-    stacked: request ``r``'s encoded features are ``matrices[r]``."""
-    # a refit batch's dense (fit, stacked row) arrays hold its fits times
-    # the rows of its requests: pack the refits in order under BATCH_CELLS
-    packs, members, n_rows = [], set(), 0
-    for refit in refits:
-        r = refit[0]
-        grown = n_rows + (r not in members) * len(requests[r][0])
-        if not packs or (len(packs[-1]) + 1) * grown > BATCH_CELLS:
-            packs.append([])
-            members, grown = set(), len(requests[r][0])
-        packs[-1].append(refit)
-        members.add(r)
-        n_rows = grown
-    for pack in packs:
-        row_at, col_at = {}, {}  # each request's first stacked row, each column list's first column
-        for r, *_ in pack:
-            if r not in row_at:
-                row_at[r] = sum(len(requests[q][0]) for q in row_at)
-                col_at.setdefault(matrices[r].column_names, sum(map(len, col_at)))
-        stacked = np.full((sum(len(requests[r][0]) for r in row_at), sum(map(len, col_at))),
-                          np.nan)
-        for r, at in row_at.items():
-            X, c = matrices[r].values, col_at[matrices[r].column_names]
-            stacked[at:at + len(X), c:c + X.shape[1]] = X
-        y = np.concatenate([requests[r][0].values for r in row_at])
-        staged = staged_batch(stacked, y, [c for *_, c in pack],
-                              [train + row_at[r] for r, _, train, _, _ in pack],
-                              [test + row_at[r] for r, _, _, test, _ in pack],
-                              [[c.n_trees] for *_, c in pack])
-        for (r, k, _, test, _), st in zip(pack, staged):
+def _nested_gbt(requests, matrices, searches, grid, plan, outcomes, preds,
+                fold_configs) -> None:
+    """Run the grid-search batches ``(r, batch)`` of ``searches``, then the
+    refits of their winners, on one ``_Units``. A request whose batch
+    raises gets the first such ``ValueError`` in ``outcomes[r]`` and no
+    refits; each other request gets its winners in ``fold_configs[r][k]``
+    and its outer test predictions in ``preds[r][k]``."""
+    with _Units() as units:
+        # a batch's cost is its columns times its training rows: its (fit,
+        # column, training row) cells times rounds, less the grid's factor
+        found = units.run([(matrices[r].values.shape[1] * sum(len(t) for _, t, _ in batch),
+                            _grid_search_batch,
+                            (matrices[r], requests[r][0].values, [t for _, t, _ in batch], grid,
+                             plan.inner_folds, [requests[r][2][k] for k, _, _ in batch]))
+                           for r, batch in searches], ValueError)
+        for (r, _), best in zip(searches, found):
+            if isinstance(best, ValueError) and not isinstance(outcomes[r], ValueError):
+                outcomes[r] = best
+        refits = [(r, k, train, test, config) for (r, batch), best in zip(searches, found)
+                  if not isinstance(outcomes[r], ValueError)
+                  for (k, train, test), config in zip(batch, best)]
+        packs = _refit_packs(requests, matrices, refits)
+        staged = units.run([_refit_unit(requests, matrices, pack) for pack in packs])
+    for r, k, *_, config in refits:
+        fold_configs[r][k].append(asdict(config))
+    for pack, pack_staged in zip(packs, staged):
+        for (r, k, _, test, _), st in zip(pack, pack_staged):
             preds[r][k, test] = st[:, 0]
+
+
+def _refit_packs(requests, matrices, refits):
+    """The refits ``(r, k, training rows, test rows, config)`` in batches:
+    those of each column list (``matrices[r]``'s) packed in order, each
+    batch holding at most ``BATCH_CELLS`` (fit, stacked row) cells, the
+    size of its dense arrays."""
+    lists: dict[tuple, list] = {}
+    for refit in refits:
+        lists.setdefault(matrices[refit[0]].column_names, []).append(refit)
+    packs = []
+    for same in lists.values():
+        members, n_rows = set(), 0
+        for refit in same:
+            r = refit[0]
+            grown = n_rows + (r not in members) * len(requests[r][0])
+            if not members or (len(packs[-1]) + 1) * grown > BATCH_CELLS:
+                packs.append([])
+                members, grown = set(), len(requests[r][0])
+            packs[-1].append(refit)
+            members.add(r)
+            n_rows = grown
+    return packs
+
+
+def _refit_unit(requests, matrices, pack):
+    """The ``staged_batch`` unit ``(cost, fn, args)`` of a refit pack: the
+    row blocks of its requests stacked, each refit's rows shifted to its
+    block."""
+    row_at = {}  # each request's first stacked row
+    for r, *_ in pack:
+        row_at.setdefault(r, sum(len(requests[q][0]) for q in row_at))
+    stacked = np.concatenate([matrices[r].values for r in row_at])
+    y = np.concatenate([requests[r][0].values for r in row_at])
+    return (stacked.shape[1] * sum(len(train) * c.n_trees for _, _, train, _, c in pack),
+            staged_batch,
+            (stacked, y, [c for *_, c in pack],
+             [train + row_at[r] for r, _, train, _, _ in pack],
+             [test + row_at[r] for r, _, _, test, _ in pack],
+             [[c.n_trees] for *_, c in pack]))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask."""
+    return len(os.sched_getaffinity(0))
+
+
+class _Units:
+    """Runs lists of independent units ``(cost, fn, args)``.
+
+    A list of two or more units, on two or more CPUs, runs on a fork pool,
+    largest cost first; otherwise its units run here, in order. The pool
+    is made for the first such list, with one worker per CPU up to that
+    list's length, serves every later list, and is shut down on exit,
+    every worker joined. A unit's ``fn(*args)`` reads only its arguments,
+    so its result does not depend on where it ran.
+    """
+
+    def __init__(self):
+        self.pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+
+    def run(self, units, caught=()) -> list:
+        """Each unit's result, or the ``caught`` exception it raised, in unit
+        order; any other exception propagates."""
+        workers = min(_cpus(), len(units))
+        if workers < 2:
+            return [_outcome(caught, fn, *args) for _, fn, args in units]
+        if self.pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            self.pool = ProcessPoolExecutor(workers,
+                                            mp_context=multiprocessing.get_context("fork"))
+        futures = {u: self.pool.submit(units[u][1], *units[u][2])
+                   for u in sorted(range(len(units)), key=lambda u: units[u][0], reverse=True)}
+        return [_outcome(caught, futures[u].result) for u in range(len(units))]
+
+
+def _outcome(caught, call, *args):
+    """``call(*args)``, or the ``caught`` exception it raised."""
+    try:
+        return call(*args)
+    except caught as e:
+        return e
 
 
 def multi_seed_mae(dataset: Dataset, feature_names, predictor_kind: str, seeds,
@@ -375,7 +461,8 @@ def greedy_select(dataset: Dataset, candidate_features, plan: CVPlan,
     (full outer-CV protocol per seed) and keeps the best candidate while the
     improvement is at least ``tol``. Candidate ties break lexicographically,
     and a candidate given twice is refused. ``plan.seed`` is not read:
-    ``selection_seeds`` take its place.
+    ``selection_seeds`` take its place. A step scores all its candidates in
+    one ``run_cv_requests`` call and raises the first candidate's error.
     """
     if len(selection_seeds) == 0:
         raise ValueError("greedy selection needs at least one seed")
@@ -388,15 +475,20 @@ def greedy_select(dataset: Dataset, candidate_features, plan: CVPlan,
     if len(set(remaining)) < len(remaining):
         raise ValueError("candidates must not repeat a feature")
 
-    def score(features) -> float:
-        return float(np.mean(multi_seed_mae(dataset, features, "gbt", selection_seeds,
-                                            grid, plan)))
+    def scores(feature_lists) -> list[float]:
+        """Mean MAE over the selection seeds of each feature list."""
+        results = run_cv_requests([(dataset, fs, selection_seeds) for fs in feature_lists],
+                                  "gbt", grid, plan)
+        for result in results:
+            if isinstance(result, ValueError):
+                raise result
+        return [float(np.mean([r.mae for r in result])) for result in results]
 
     selected = list(SCALING_FEATURES)
-    current = score(selected)
+    (current,) = scores([selected])
     trace = SelectionTrace(tuple(selected), current)
     while remaining:
-        results = [(score(selected + [c]), c) for c in remaining]
+        results = list(zip(scores([selected + [c] for c in remaining]), remaining))
         best_mae, best_feat = min(results)
         improvement = current - best_mae
         if improvement < tol:

@@ -332,6 +332,18 @@ def test_parser_takes_only_flags_a_subcommand_uses():
     assert parser.parse_args(["select", *io, "--task", "t", "--seeds", "3"]).seeds == 3
 
 
+@pytest.mark.parametrize("argv", [["report"], ["cv", "--task", "t"], ["compare", "--task", "t"],
+                                  ["select", "--task", "t"]], ids=lambda argv: argv[0])
+def test_a_cv_command_takes_no_worker_count(tmp_path, capsys, argv):
+    # a CV command forks one worker per CPU it may run on; there is no flag
+    with pytest.raises(SystemExit) as exited:
+        main([argv[0], "--registry", "r.json", "--scores", "s.csv", "--out", str(tmp_path),
+              *argv[1:], "--jobs", "2"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 # every subcommand that reads a feature list, ending in the flag that takes it
 FEATURE_LIST_ARGVS = [
     ["encode", "--task", "taskA", "--features"],

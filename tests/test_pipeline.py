@@ -1,6 +1,10 @@
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import tracemalloc
 from dataclasses import asdict, replace
+from concurrent.futures.process import BrokenProcessPool
 from unittest import mock
 
 import numpy as np
@@ -239,7 +243,8 @@ def test_run_cv_equals_a_nested_cv_of_single_fits(problem):
                                        "entropy_mean"]])
 def test_a_batch_of_seeds_equals_one_run_cv_per_seed(features):
     # a cap of two seeds per grid-search batch, so five seeds take three
-    # grid-search calls of staged_batch, and one refit call for them all
+    # grid-search calls of staged_batch, and one refit call for them all;
+    # on one CPU, for mock counts no call made in a forked worker
     ds, _ = synth_dataset(GenSpec(n_models=14, noise_sigma=0.02, missing_rate=0.3,
                                   feature_effects={"pct_code": 0.002}), seed=5)
     grid = [GBTConfig(2, 0.3, 4), GBTConfig(2, 0.3, 8), GBTConfig(3, 0.1, 8)]
@@ -248,6 +253,7 @@ def test_a_batch_of_seeds_equals_one_run_cv_per_seed(features):
         want = [json.dumps(run_cv(ds, features, "gbt", CVPlan(seed=s), grid).to_dict())
                 for s in seeds]
         with mock.patch.object(pipeline, "BATCH_CELLS", 2 * per_seed), \
+                mock.patch.object(pipeline, "_cpus", return_value=1), \
                 mock.patch.object(pipeline, "staged_batch", wraps=gbtree.staged_batch) as fits:
             got = run_cv_seeds(ds, features, "gbt", seeds, grid)
             maes = multi_seed_mae(ds, features, "gbt", seeds, grid)
@@ -257,9 +263,10 @@ def test_a_batch_of_seeds_equals_one_run_cv_per_seed(features):
 
 
 def test_requests_of_two_datasets_and_two_feature_lists_share_their_refits():
-    # grid searches stay one per request; the refits of every request run in
-    # one stacked batch, or in more under a small BATCH_CELLS, and every
-    # result is byte-equal to run_cv of its request and seed alone
+    # grid searches stay one per request; the refits of the requests of one
+    # feature list run in one stacked batch, or in more under a small
+    # BATCH_CELLS, and every result is byte-equal to run_cv of its request
+    # and seed alone; on one CPU, for mock counts no call made in a worker
     spec = dict(noise_sigma=0.02, missing_rate=0.3, feature_effects={"pct_code": 0.002})
     big, _ = synth_dataset(GenSpec(n_models=16, **spec), seed=5)
     small, _ = synth_dataset(GenSpec(n_models=11, **spec), seed=6)
@@ -271,26 +278,31 @@ def test_requests_of_two_datasets_and_two_feature_lists_share_their_refits():
     assert pipeline.run_cv_requests([], "gbt", grid) == []
     want = [[json.dumps(run_cv(ds, fs, "gbt", CVPlan(seed=s), grid).to_dict()) for s in seeds]
             for ds, fs, seeds in requests]
-    for cap, refit_calls in ((pipeline.BATCH_CELLS, 1), (200, None)):
+    widths = {encode_features(big, fs).values.shape[1] for fs in (SCALING_FEATURES, four)}
+    for cap, refit_calls in ((pipeline.BATCH_CELLS, 2), (200, None)):
         with mock.patch.object(pipeline, "BATCH_CELLS", cap), \
+                mock.patch.object(pipeline, "_cpus", return_value=1), \
                 mock.patch.object(pipeline, "staged_batch", wraps=gbtree.staged_batch) as fits, \
                 mock.patch.object(pipeline, "_grid_search_batch",
                                   wraps=pipeline._grid_search_batch) as searches:
             got = pipeline.run_cv_requests(requests, "gbt", grid)
         assert [[json.dumps(r.to_dict()) for r in results] for results in got] == want
         refits = fits.call_args_list[searches.call_count:]
+        # a refit batch stacks rows only: its matrix is one feature list's width
+        assert {c.args[0].shape[1] for c in refits} == widths
         if refit_calls:
             assert (searches.call_count, len(refits)) == (len(requests), refit_calls)
         else:  # each batch holds at most cap (fit, stacked row) cells, some two requests
-            assert len(refits) > 1
+            assert len(refits) > 2
             assert all(len(c.args[2]) * len(c.args[0]) <= cap for c in refits)
             assert any(len(c.args[0]) > len(big) for c in refits)
 
 
 def test_a_request_that_raises_fails_alone():
     # the failing request gets the ValueError run_cv raises for it alone and
-    # no refits; the other requests' results and their one shared refit
-    # batch are as they would be without it, and run_cv_seeds raises
+    # no refits; the other requests' results and their shared refit batches,
+    # one per feature list, are as they would be without it, and
+    # run_cv_seeds raises; on one CPU, for mock counts no call made in a worker
     spec = dict(noise_sigma=0.02, missing_rate=0.3, feature_effects={"pct_code": 0.002})
     big, _ = synth_dataset(GenSpec(n_models=16, **spec), seed=5)
     small, _ = synth_dataset(GenSpec(n_models=11, **spec), seed=6)
@@ -308,20 +320,73 @@ def test_a_request_that_raises_fails_alone():
         ds, fs, seeds = bad
         with pytest.raises(ValueError, match=message):
             run_cv(ds, fs, "gbt", CVPlan(seed=seeds[0]), grid)
-        with mock.patch.object(pipeline, "staged_batch", wraps=gbtree.staged_batch) as fits, \
+        with mock.patch.object(pipeline, "_cpus", return_value=1), \
+                mock.patch.object(pipeline, "staged_batch", wraps=gbtree.staged_batch) as fits, \
                 mock.patch.object(pipeline, "_grid_search_batch",
                                   wraps=pipeline._grid_search_batch) as searches:
             got = pipeline.run_cv_requests([good[0], bad, *good[1:]], "gbt", grid)
         assert isinstance(got[1], ValueError) and str(got[1]) == message
         assert [[json.dumps(r.to_dict()) for r in results]
                 for results in got[:1] + got[2:]] == want
-        # one refit batch: a row block and the 3 outer folds of each seed of
-        # the good requests alone
-        (refit,) = fits.call_args_list[searches.call_count:]
-        assert len(refit.args[0]) == sum(len(ds) for ds, *_ in good)
-        assert len(refit.args[2]) == 3 * sum(len(seeds) for *_, seeds in good)
+        # one refit batch per feature list: a row block and the 3 outer folds
+        # of each seed of its good requests alone
+        scale, wide = fits.call_args_list[searches.call_count:]
+        for refit, requests in ((scale, good[:2]), (wide, good[2:])):
+            assert len(refit.args[0]) == sum(len(ds) for ds, *_ in requests)
+            assert len(refit.args[2]) == 3 * sum(len(seeds) for *_, seeds in requests)
         with pytest.raises(ValueError, match=message):
             run_cv_seeds(ds, fs, "gbt", seeds, grid)
+
+
+def test_results_do_not_depend_on_the_worker_count():
+    # five grid-search batches (one per request) and two refit batches (one
+    # per feature list) on 1, 2 and at most 5 forked workers: every result,
+    # the failing request's error too, is byte-equal, the pool never has more
+    # workers than CPUs or batches, and no worker outlives the call
+    spec = dict(noise_sigma=0.02, missing_rate=0.3, feature_effects={"pct_code": 0.002})
+    big, _ = synth_dataset(GenSpec(n_models=16, **spec), seed=5)
+    small, _ = synth_dataset(GenSpec(n_models=11, **spec), seed=6)
+    blank = Dataset(small.task, tuple(replace(r, data=replace(r.data, pct_code=None))
+                                      for r in small.records), small.values)
+    four = ["total_params", "total_tokens_billions", "pct_code", "entropy_mean"]
+    requests = [(big, list(SCALING_FEATURES), [0, 3]), (small, four, [4, 0]),
+                (blank, ["pct_code"], [1, 2]), (small, list(SCALING_FEATURES), [2, 0, 5]),
+                (big, four, [1])]
+    grid = [GBTConfig(2, 0.3, 4), GBTConfig(2, 0.3, 8), GBTConfig(3, 0.1, 8)]
+    pool = concurrent.futures.ProcessPoolExecutor
+    got = {}
+    for cpus in (1, 2, 64):
+        made = []
+
+        def counted(workers, **kwargs):
+            made.append(workers)
+            return pool(workers, **kwargs)
+
+        with mock.patch.object(pipeline, "_cpus", return_value=cpus), \
+                mock.patch.object(concurrent.futures, "ProcessPoolExecutor", counted):
+            results = pipeline.run_cv_requests(requests, "gbt", grid)
+        assert multiprocessing.active_children() == []
+        assert made == ([] if cpus == 1 else [min(cpus, len(requests))])
+        got[cpus] = [repr(r) if isinstance(r, ValueError) else
+                     [json.dumps(x.to_dict()) for x in r] for r in results]
+    assert got[1][2] == repr(ValueError("all feature values missing"))
+    assert got[1] == got[2] == got[64]
+
+
+def _killed(*args, caller=os.getpid()):
+    if os.getpid() == caller:
+        raise AssertionError("a unit of a pool ran in the calling process")
+    os._exit(3)
+
+
+def test_a_killed_worker_raises_and_leaves_no_process():
+    ds, _ = synth_dataset(GenSpec(n_models=12, noise_sigma=0.02, missing_rate=0.2), seed=1)
+    requests = [(ds, list(SCALING_FEATURES), [0]), (ds, ["total_params"], [1])]
+    with mock.patch.object(pipeline, "_cpus", return_value=2), \
+            mock.patch.object(pipeline, "_grid_search_batch", _killed), \
+            pytest.raises(BrokenProcessPool):
+        pipeline.run_cv_requests(requests, "gbt", [GBTConfig(2, 0.3, 4)])
+    assert multiprocessing.active_children() == []
 
 
 def test_a_batch_of_seeds_keeps_no_grid_search_trees():
@@ -412,3 +477,56 @@ def test_greedy_select_finds_planted_feature():
     payload = trace.to_dict()
     assert payload["prng"] == PRNG_ID
     assert payload["final_features"][2] == "pct_code"
+
+
+def per_candidate_select(dataset, candidates, plan, grid, seeds, tol):
+    """The reference ``greedy_select``: one ``multi_seed_mae`` per
+    candidate."""
+    def score(features):
+        return float(np.mean(multi_seed_mae(dataset, features, "gbt", seeds, grid, plan)))
+
+    remaining, selected = sorted(candidates), list(SCALING_FEATURES)
+    current = score(selected)
+    trace = pipeline.SelectionTrace(tuple(selected), current)
+    while remaining:
+        best_mae, best_feat = min((score(selected + [c]), c) for c in remaining)
+        if current - best_mae < tol:
+            break
+        trace.steps.append(pipeline.SelectionStep(best_feat, best_mae, current - best_mae))
+        selected.append(best_feat)
+        remaining.remove(best_feat)
+        current = best_mae
+    return trace
+
+
+def test_greedy_select_scores_a_step_in_one_call_byte_equal_to_one_call_per_candidate():
+    ds, _ = synth_dataset(GenSpec(n_models=18, noise_sigma=0.01, missing_rate=0.2,
+                                  feature_effects={"pct_code": 0.004}), seed=3)
+    candidates = ["pct_code", "entropy_mean", "activation", "num_heads"]
+    grid = [GBTConfig(2, 0.3, 6), GBTConfig(3, 0.3, 6)]
+    want = json.dumps(per_candidate_select(ds, candidates, CVPlan(), grid, [0, 1],
+                                           -1.0).to_dict())
+    for cpus in (1, 2):
+        with mock.patch.object(pipeline, "_cpus", return_value=cpus), \
+                mock.patch.object(pipeline, "run_cv_requests",
+                                  wraps=pipeline.run_cv_requests) as calls:
+            trace = greedy_select(ds, candidates, CVPlan(), grid, [0, 1], tol=-1.0)
+        assert json.dumps(trace.to_dict()) == want
+        # the base, then one call per step, each with every candidate left
+        assert [len(c.args[0]) for c in calls.call_args_list] == [1, 4, 3, 2, 1]
+
+
+def test_greedy_select_raises_the_first_candidates_error():
+    # candidates are scored in sorted order: num_heads, pct_code, pct_web
+    ds = small_dataset(14)
+    run = pipeline.run_cv_requests
+    candidates = ["pct_web", "num_heads", "pct_code"]
+    for bad, first in (({"pct_web", "pct_code"}, "pct_code"), ({"pct_web", "num_heads"},
+                                                               "num_heads")):
+        def failing(requests, *args):  # a feature list ending in a bad name fails
+            return [ValueError(f"bad {fs[-1]}") if fs[-1] in bad else results
+                    for (_, fs, _), results in zip(requests, run(requests, *args))]
+
+        with mock.patch.object(pipeline, "run_cv_requests", failing), \
+                pytest.raises(ValueError, match=f"^bad {first}$"):
+            greedy_select(ds, candidates, CVPlan(), [GBTConfig(2, 0.3, 4)], [0])
