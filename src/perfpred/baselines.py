@@ -65,11 +65,15 @@ def target_to_score(target: float, polarity: str) -> float:
     return 1.0 - target if polarity == "higher_better" else 2.0 * target
 
 
-def _residuals(logp: np.ndarray, logN: np.ndarray, logD: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _residuals(logp, logN: np.ndarray, logD: np.ndarray, t: np.ndarray) -> np.ndarray:
     # log-parameterization keeps Nc, Dc, alphas positive; distant starts can
     # overflow to inf, which just makes them lose the multi-start comparison
-    # (fit_power_law runs this under one np.errstate for the whole fit)
-    return _block_residuals(logp[None, :3], logp[3], logN, logD, t)[0]
+    # (fit_power_law runs this under one np.errstate for the whole fit).
+    # logp is four numpy scalars, or a block's three columns and its alpha_D
+    lNc, lDc, laN, laD = logp
+    aD = np.exp(laD)
+    inner = np.exp((lNc - logN) * (np.exp(laN) / aD)) + np.exp(lDc - logD)
+    return inner ** aD - t
 
 
 def _block_residuals(P: np.ndarray, laD, logN, logD, t) -> np.ndarray:
@@ -77,10 +81,7 @@ def _block_residuals(P: np.ndarray, laD, logN, logD, t) -> np.ndarray:
     exponent ``laD``: one row of residuals per row of ``P``. numpy raises to
     a scalar 0.5 by ``sqrt`` and to an array of exponents by ``pow``, whose
     bits differ, so a block never mixes exponents."""
-    lNc, lDc, laN = P.T[:, :, None]
-    aD = np.exp(laD)
-    inner = np.exp((lNc - logN) * (np.exp(laN) / aD)) + np.exp(lDc - logD)
-    return inner ** aD - t
+    return _residuals((*P.T[:, :, None], laD), logN, logD, t)
 
 
 _REL_STEP = np.finfo(float).eps ** 0.5
@@ -113,7 +114,7 @@ class _LastResiduals:
         np.fill_diagonal(P, stepped[:3])
         J = np.empty((len(logp), len(f0)))
         np.subtract(_block_residuals(P, logp[3], logN, logD, t), f0, out=J[:3])
-        np.subtract(_block_residuals(logp[None, :3], stepped[3], logN, logD, t), f0, out=J[3:])
+        np.subtract(_residuals((*logp[:3], stepped[3]), logN, logD, t), f0, out=J[3])
         J /= (stepped - logp)[:, None]
         return J.T
 

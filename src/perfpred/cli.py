@@ -380,7 +380,7 @@ def cmd_shap(args) -> int:
     rows += [[mid, name, X.values[i, j], sm.values[i, j]]
              for i, mid in enumerate(sm.model_ids) for j, name in enumerate(sm.feature_names)]
     _atomic_write(os.path.join(args.out, f"shap-{args.task}.csv"), _csv_text(rows))
-    ranking = shapley._summary(sm, X, aggregate_categoricals=True)
+    ranking = shapley.shap_summary(ensemble, X, aggregate_categoricals=True)
     rows = [["feature", "mean_abs_phi"], *([e.feature, e.mean_abs_phi] for e in ranking)]
     _atomic_write(os.path.join(args.out, f"shap-ranking-{args.task}.csv"), _csv_text(rows))
     print(f"{args.task}: top features " + ", ".join(e.feature for e in ranking[:3]))

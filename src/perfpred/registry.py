@@ -378,31 +378,38 @@ def _json_file(path, what: str):
         raise RegistryError([f"{what}parse failure: {e}"]) from e
 
 
-def _csv_rows(path, what: str, violations: list[str], header=frozenset()):
-    """Yield ``(i, row)`` for each data row ``i`` of the CSV file at ``path``
-    with as many cells as its header. A header without every name of
-    ``header`` raises, and so does text the CSV reader cannot parse, the
-    header included: with the violations found before it and one for it."""
-    reader = csv.DictReader(_text(path, f"{what} "))
+def _csv_rows(path, what: str, violations: list[str], names: tuple[str, ...], required=False):
+    """Yield ``(i, cells)`` for each data row ``i`` of the CSV file at ``path``
+    with as many cells as its header: the row's cells under ``names``, in
+    that order ("" under a name the header lacks, the last cell under a
+    repeated one). Blank lines are skipped and not counted. A ``required``
+    header without every name raises, and so does text the CSV reader cannot
+    parse, the header included: with the violations found before it and one
+    for it."""
+    reader = csv.reader(_text(path, f"{what} "))
     try:
-        if not header <= set(reader.fieldnames or ()):
-            raise RegistryError([f"{what} file must have header {sorted(header)}"])
-        for i, row in enumerate(reader):
-            if None in row.values():  # DictReader fills a short row with None
+        head = next(reader, [])
+        at = {name: j for j, name in enumerate(head)}
+        if required and not at.keys() >= set(names):
+            raise RegistryError([f"{what} file must have header {sorted(names)}"])
+        width = len(head)
+        pick = [at.get(name, width) for name in names]  # a lacking name reads the "" appended
+        for i, row in enumerate(filter(None, reader)):  # a blank line reads as []
+            if len(row) < width:
                 violations.append(f"{what} row {i}: fewer cells than the header")
-            elif None in row:  # and files a long row's extra cells under None
+            elif len(row) > width:
                 violations.append(f"{what} row {i}: more cells than the header")
             else:
-                yield i, row
+                row.append("")
+                yield i, [row[j] for j in pick]
     except csv.Error as e:  # say, a cell beyond csv.field_size_limit()
         raise RegistryError([*violations, f"{what} parse failure: {e}"]) from e
 
 
 def _rows_from_csv(path, mapping: dict[str, str], violations: list[str]):
-    for i, row in _csv_rows(path, "registry", violations):
+    for i, cells in _csv_rows(path, "registry", violations, tuple(mapping)):
         obj: dict = {section: {} for section in SCHEMA}
-        for external, canonical in mapping.items():
-            cell = row.get(external, "")
+        for canonical, cell in zip(mapping.values(), cells):
             if cell == "":
                 continue
             if canonical in ("model_id", "organization", "provenance"):
@@ -444,32 +451,31 @@ def load_scores(path) -> tuple[list[ScoreRecord], dict[str, TaskSpec]]:
     scores: list[ScoreRecord] = []
     tasks: dict[str, TaskSpec] = {}
     violations: list[str] = []
-    header = {"model_id", "task_id", "shots", "metric_kind", "value"}
-    for i, row in _csv_rows(path, "scores", violations, header):
+    header = ("model_id", "task_id", "shots", "metric_kind", "value")
+    for i, (model_id, task_id, shots, kind, value) in _csv_rows(path, "scores", violations,
+                                                                 header, required=True):
         where = f"scores row {i}"
-        kind = row["metric_kind"]
         if kind not in METRIC_KINDS:
             violations.append(f"{where}: unknown metric kind {kind!r}")
             continue
         try:
-            value = float(row["value"])
-            shots = int(row["shots"])
+            value = float(value)
+            shots = int(shots)
         except ValueError:
             violations.append(f"{where}: non-numeric shots or value")
             continue
         lo, hi = score_range(kind)
         if not (lo <= value <= hi):
-            violations.append(f"{where}: {row['model_id']}/{row['task_id']} value {value} "
+            violations.append(f"{where}: {model_id}/{task_id} value {value} "
                               f"outside [{lo}, {hi}]")
             continue
-        task_id = row["task_id"]
         if task_id in tasks:
             if tasks[task_id].metric_kind != kind or tasks[task_id].shots != shots:
                 violations.append(f"{where}: inconsistent metric/shots for task {task_id}")
                 continue
         else:
             tasks[task_id] = TaskSpec.for_metric(task_id, shots, kind)
-        scores.append(ScoreRecord(row["model_id"], task_id, value))
+        scores.append(ScoreRecord(model_id, task_id, value))
     if violations:
         raise RegistryError(violations)
     return scores, tasks

@@ -36,10 +36,19 @@ instead of the leaf's path. A tree's contributions are placed by rank and
 added into the attributions one slot after another, as the recursion adds
 them. Adding a zero changes nothing (an attribution starts at +0.0, so it
 is never -0.0), so a leaf may add zeros for the features off its path.
+
+``shap_matrix`` keeps its last result under a SHA-256 digest of all it
+reads: the ensemble's node table, roots, base score, learning rate and
+column names, and the explained rows' values (bytes, dtype and shape),
+model ids and column names. ``shap_summary`` and ``shap_dependence`` call
+it, so a summary and any number of dependence plots of one (ensemble, rows)
+share one pass. A hit returns a copy of the kept values, which the caller
+may write; no reference to the caller's ensemble or rows is kept.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -305,10 +314,32 @@ class ShapMatrix:
     base_value: float
 
 
+def _digest(ensemble: TreeEnsemble, X: FeatureMatrix) -> bytes:
+    """The memo key: SHA-256 of everything ``shap_matrix(ensemble, X)`` reads."""
+    h = hashlib.sha256()
+    for a in (ensemble.nodes, ensemble.roots, X.values):
+        a = np.ascontiguousarray(a)
+        h.update(repr((a.dtype.descr, a.shape)).encode())
+        h.update(a.data)
+    h.update(np.array([ensemble.base_score, ensemble.learning_rate], float).tobytes())
+    h.update(repr((ensemble.column_names, X.model_ids, X.column_names)).encode())
+    return h.digest()
+
+
+# the last explained (ensemble, rows): (digest, attributions, base value)
+_last: tuple[bytes, np.ndarray, float] | None = None
+
+
 def shap_matrix(ensemble: TreeEnsemble, X: FeatureMatrix) -> ShapMatrix:
+    """The attributions of every row of ``X``; the same (ensemble, rows) as
+    the last call's makes no new pass. Each call gets its own values."""
+    global _last
     if X.column_names != ensemble.column_names:
         raise ValueError("column mismatch")
-    return ShapMatrix(X.model_ids, X.column_names, *_shap_rows(ensemble, X.values))
+    key, last = _digest(ensemble, X), _last
+    if last is None or last[0] != key:
+        last = _last = (key, *_shap_rows(ensemble, X.values))
+    return ShapMatrix(X.model_ids, X.column_names, last[1].copy(), last[2])
 
 
 @dataclass(frozen=True)
@@ -332,11 +363,7 @@ def shap_summary(ensemble: TreeEnsemble, X: FeatureMatrix,
     """
     if len(X.model_ids) == 0:
         raise ValueError("empty feature matrix")
-    return _summary(shap_matrix(ensemble, X), X, aggregate_categoricals)
-
-
-def _summary(sm: ShapMatrix, X: FeatureMatrix, aggregate_categoricals: bool) -> list[SummaryEntry]:
-    """``shap_summary`` of the attributions ``sm`` already computed for ``X``."""
+    sm = shap_matrix(ensemble, X)
     if aggregate_categoricals:
         by_base: dict[str, list[int]] = {}
         for j, name in enumerate(sm.feature_names):

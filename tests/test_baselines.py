@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import least_squares
 
 from perfpred import baselines
@@ -169,6 +170,27 @@ def test_fit_power_law_is_byte_equal_to_least_squares_oracle():
     # start's exact alpha
     assert {0.3, 0.5} <= winners
     assert {len(_oracle_points(s)[0]) for s in (0, 59)} == {8, 92}
+
+
+_LOG_SCALE = st.floats(np.log(1e3), np.log(1e18))
+_LOG_ALPHA = st.one_of(st.sampled_from(np.log([0.05, 0.1, 0.3, 0.5]).tolist()),
+                       st.floats(np.log(0.01), np.log(3.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.tuples(_LOG_SCALE, _LOG_SCALE, _LOG_ALPHA, _LOG_ALPHA),
+       st.lists(st.tuples(st.floats(np.log(1e6), np.log(1e13)), st.floats(np.log(1e8), np.log(1e14)),
+                          st.floats(0.0, 1.0)), min_size=1, max_size=30))
+def test_one_point_residuals_are_bit_equal_to_a_one_row_block(logp, points):
+    # the fit's residuals and the Jacobian's alpha_D column take four scalars;
+    # the starts and the other Jacobian columns are blocks of rows
+    logp = np.array(logp)
+    logN, logD, t = (np.array(c) for c in zip(*points))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scalar = baselines._residuals(logp, logN, logD, t)
+        block = baselines._block_residuals(logp[None, :3], logp[3], logN, logD, t)
+    assert scalar.shape == t.shape
+    assert scalar.tobytes() == block[0].tobytes()
 
 
 def test_fit_power_law_rejects_points_where_every_start_overflows():

@@ -611,8 +611,9 @@ def test_plot_data_dependence_and_errors(synth_files, tmp_path, capsys):
 def test_shap_export(synth_files, tmp_path, monkeypatch):
     reg, scores = synth_files
     explained = []
-    monkeypatch.setattr(shapley, "shap_matrix",
-                        lambda *a, f=shapley.shap_matrix: explained.append(1) or f(*a))
+    monkeypatch.setattr(shapley, "_last", None)
+    monkeypatch.setattr(shapley, "_shap_rows",
+                        lambda *a, f=shapley._shap_rows: explained.append(1) or f(*a))
     code = main(["shap", "--registry", reg, "--scores", scores,
                  "--task", "taskA", "--out", str(tmp_path),
                  "--features", "total_params,total_tokens_billions,activation"])
@@ -623,7 +624,7 @@ def test_shap_export(synth_files, tmp_path, monkeypatch):
     ranking = (tmp_path / "shap-ranking-taskA.csv").read_text().strip().split("\n")
     assert ranking[0] == "feature,mean_abs_phi"
     assert len(ranking) == 4  # aggregated: two scale features + activation
-    assert len(explained) == 1  # the ranking reuses the exported matrix
+    assert len(explained) == 1  # the ranking reuses the exported matrix's TreeSHAP pass
 
 
 def test_csv_exports_hold_plain_numbers(synth_files, tmp_path):

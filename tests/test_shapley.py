@@ -1,4 +1,8 @@
+import dataclasses
+import gc
 import tracemalloc
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from conftest import brute_shapley, random_fitted_ensemble, recursive_shap, small_dataset
+from perfpred import shapley
 from perfpred.gbtree import GBTConfig, TreeEnsemble, fit_gbt
 from perfpred.prng import CounterRng
 from perfpred.registry import Column, FeatureMatrix, all_feature_names, encode_features
@@ -311,9 +316,10 @@ def test_one_leaf_trees_stumps_and_deep_trees_mix():
     assert not phi.any() and base == 0.25 + 0.3 * 0.7 + 0.3 * 0.1
 
 
-def test_shap_matrix_memory_stays_within_two_megabytes():
+def test_shap_matrix_memory_stays_within_two_megabytes(monkeypatch):
     # the explain benchmark's ensemble: 92 models, every encoded column, a
     # depth-4 100-tree fit; tracemalloc counts allocations, not time
+    monkeypatch.setattr(shapley, "_last", None)  # a cold pass, memo included
     dataset, _ = synth_dataset(GenSpec(n_models=92, noise_sigma=0.02, missing_rate=0.2), 0)
     X = encode_features(dataset, all_feature_names())
     ens = fit_gbt(X.values, dataset.values, GBTConfig(4, 0.1, 100), X.missing_mask,
@@ -325,3 +331,69 @@ def test_shap_matrix_memory_stays_within_two_megabytes():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 1024 * 1024
+
+
+def _explained():
+    X, y = _planted_matrix(n=30, seed=5)
+    ens = fit_gbt(X.values, y, GBTConfig(max_depth=3, learning_rate=0.3, n_trees=20),
+                  column_names=X.column_names)
+    return ens, X
+
+
+def _counting_passes():
+    return mock.patch.object(shapley, "_shap_rows", wraps=shapley._shap_rows)
+
+
+def test_a_summary_and_two_dependence_plots_share_one_pass(monkeypatch):
+    ens, X = _explained()
+    monkeypatch.setattr(shapley, "_last", None)
+    with _counting_passes() as passes:
+        shap_summary(ens, X, aggregate_categoricals=True)
+        shap_dependence(ens, X, "big")
+        shap_dependence(ens, X, "small")
+        # an equal copy of each input is the same (ensemble, rows)
+        shap_matrix(dataclasses.replace(ens, nodes=ens.nodes.copy()),
+                    FeatureMatrix(X.model_ids, X.columns, X.values.copy()))
+    assert passes.call_count == 1
+
+
+def _changed_inputs(ens, X):
+    nodes = ens.nodes.copy()
+    nodes["value"][np.flatnonzero(nodes["feature"] < 0)[0]] += 0.125
+    cell = X.values.copy()
+    cell[3, 1] += 0.5
+    order = np.r_[1, 0, 2:len(X.model_ids)]
+    yield "node value", dataclasses.replace(ens, nodes=nodes), X
+    yield "X cell", ens, FeatureMatrix(X.model_ids, X.columns, cell)
+    yield "row order", ens, FeatureMatrix(tuple(np.array(X.model_ids)[order]), X.columns,
+                                          X.values[order])
+    yield "learning rate", dataclasses.replace(ens, learning_rate=0.25), X
+
+
+def test_the_memo_misses_on_any_change_of_what_the_pass_reads(monkeypatch):
+    ens, X = _explained()
+    for what, ens2, X2 in _changed_inputs(ens, X):
+        monkeypatch.setattr(shapley, "_last", None)
+        shap_matrix(ens, X)
+        with _counting_passes() as passes:
+            got = shap_matrix(ens2, X2)
+        assert passes.call_count == 1, what
+        cold, base = shapley._shap_rows(ens2, X2.values)
+        assert got.values.tobytes() == cold.tobytes() and got.base_value == base, what
+
+
+def test_a_hit_returns_a_copy_and_keeps_no_reference_to_the_inputs(monkeypatch):
+    ens, X = _explained()
+    monkeypatch.setattr(shapley, "_last", None)
+    cold, base = shapley._shap_rows(ens, X.values)
+    for _ in range(2):
+        sm = shap_matrix(ens, X)
+        assert sm.values.tobytes() == cold.tobytes() and sm.base_value == base
+        sm.values[:] = 7.0
+    with _counting_passes() as passes:
+        assert shap_matrix(ens, X).values.tobytes() == cold.tobytes()
+    assert passes.call_count == 0
+    refs = weakref.ref(ens), weakref.ref(X)
+    del ens, X
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
