@@ -50,12 +50,17 @@ from .stats import bh_fdr, mean_ci95, paired_t_test
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in its directory,
+    given the mode ``open(path, "w")`` would give: 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
+    umask = os.umask(0)  # the only way to read it sets it: put it back at once
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -136,10 +141,10 @@ def _task_dataset(args):
 
 
 def _feature_names(text, default=None):
-    """The comma-separated names in ``text`` (if none, ``default`` or every
-    feature); every undocumented name, empty ones too, and every repeated
-    name is a violation."""
-    if not text:
+    """The comma-separated names in ``text`` (if not given, ``default`` or
+    every feature); every undocumented name, empty ones too (``""`` is one
+    empty name), and every repeated name is a violation."""
+    if text is None:
         return all_feature_names() if default is None else default
     names = [f.strip() for f in text.split(",")]
     violations = [f"unknown feature name: {n!r}" for n in names if n not in FEATURE_SECTIONS]

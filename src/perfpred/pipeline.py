@@ -211,53 +211,55 @@ def run_cv_requests(requests, predictor_kind: str, grid: list[GBTConfig] | None 
     if predictor_kind == "gbt" and not grid:
         raise ValueError("gbt requires a nonempty grid")
     plan = plan or CVPlan()
-    preds = [np.empty((len(seeds), len(dataset))) for dataset, _, seeds in requests]
-    fold_configs = [[[] for _ in seeds] for _, _, seeds in requests]
-    outcomes = []  # each request's outer fold assignments, or the ValueError it raised
-    matrices, searches = {}, []  # each gbt request's encoded features; its grid-search batches
-    for r, (dataset, features, seeds) in enumerate(requests):
+    records = [_Request(dataset, features, seeds, np.empty((len(seeds), len(dataset))),
+                        [[] for _ in seeds]) for dataset, features, seeds in requests]
+    for rec in records:
         try:
-            if len(set(seeds)) != len(seeds):
+            if len(set(rec.seeds)) != len(rec.seeds):
                 raise ValueError("seeds must be distinct")
-            if len(dataset) < 3 * plan.outer_folds:
+            if len(rec.dataset) < 3 * plan.outer_folds:
                 raise ValueError("too few rows for the outer fold count")
-            assigns, splits = _outer_splits(dataset, seeds, plan)
+            ids = rec.dataset.model_ids
+            rec.assigns = [fold_assignment(ids, s, plan.outer_folds) for s in rec.seeds]
+            rec.splits = [[(np.flatnonzero(folds != f), np.flatnonzero(folds == f))
+                           for f in range(plan.outer_folds)]
+                          for folds in (np.array([a[m] for m in ids]) for a in rec.assigns)]
             if predictor_kind == "gbt":
-                matrices[r] = encode_features(dataset, list(features))
-                searches += [(r, batch) for batch in _seed_batches(matrices[r], splits, grid,
-                                                                   plan)]
+                rec.X = encode_features(rec.dataset, list(rec.features))
             else:
-                _baseline_cv(dataset, predictor_kind, splits, preds[r])
+                _baseline_cv(rec.dataset, predictor_kind, rec.splits, rec.preds)
         except ValueError as e:
-            outcomes.append(e)
-        else:
-            outcomes.append(assigns)
-    _nested_gbt(requests, matrices, searches, grid, plan, outcomes, preds, fold_configs)
-
-    results = []
-    for (dataset, feature_names, seeds), assigns, *per_seed in zip(requests, outcomes, preds,
-                                                                    fold_configs):
-        results.append(assigns if isinstance(assigns, ValueError) else [CVResult(
-            task_id=dataset.task.task_id,
-            feature_names=tuple(feature_names),
-            predictor_kind=predictor_kind,
-            seed=seed,
-            predictions={m: float(p) for m, p in zip(dataset.model_ids, pred.tolist())},
-            mae=mae(pred, dataset.values),
-            fold_assignment=assign,
-            fold_configs=configs,
-        ) for seed, assign, pred, configs in zip(seeds, assigns, *per_seed)])
-    return results
+            rec.error = e
+    if predictor_kind == "gbt":
+        _nested_gbt([rec for rec in records if rec.error is None], grid, plan)
+    return [rec.error or [CVResult(
+        task_id=rec.dataset.task.task_id,
+        feature_names=tuple(rec.features),
+        predictor_kind=predictor_kind,
+        seed=seed,
+        predictions={m: float(p) for m, p in zip(rec.dataset.model_ids, pred.tolist())},
+        mae=mae(pred, rec.dataset.values),
+        fold_assignment=assign,
+        fold_configs=configs,
+    ) for seed, assign, pred, configs in zip(rec.seeds, rec.assigns, rec.preds, rec.configs)]
+        for rec in records]
 
 
-def _outer_splits(dataset: Dataset, seeds, plan: CVPlan):
-    """Each seed's outer fold assignment, and its (training rows, test rows)
-    per outer fold."""
-    assigns = [fold_assignment(dataset.model_ids, s, plan.outer_folds) for s in seeds]
-    splits = [[(np.flatnonzero(folds != f), np.flatnonzero(folds == f))
-               for f in range(plan.outer_folds)]
-              for folds in (np.array([a[m] for m in dataset.model_ids]) for a in assigns)]
-    return assigns, splits
+@dataclass(eq=False)
+class _Request:
+    """One request of ``run_cv_requests`` and what its CV makes of it: each
+    seed's outer fold assignment and (training rows, test rows) per outer
+    fold, the encoded features (gbt), each seed's out-of-fold predictions
+    and fold winners, or the first ``ValueError`` it raised."""
+    dataset: Dataset
+    features: list | tuple  # as given
+    seeds: list | tuple
+    preds: np.ndarray
+    configs: list[list[dict]]
+    assigns: list[dict[str, int]] | None = None
+    splits: list[list[tuple[np.ndarray, np.ndarray]]] | None = None
+    X: FeatureMatrix | None = None
+    error: ValueError | None = None
 
 
 def _baseline_cv(dataset: Dataset, predictor_kind: str, splits, preds) -> None:
@@ -281,85 +283,71 @@ def _baseline_cv(dataset: Dataset, predictor_kind: str, splits, preds) -> None:
                         params, points[i].N, points[i].D, dataset.task.polarity)
 
 
-def _seed_batches(X, splits, grid, plan):
-    """The seeds ``k`` of a request (encoded features ``X``, outer splits
-    ``splits[k]``) cut into grid-search batches under ``BATCH_CELLS``: each
-    batch its ``(k, training rows, test rows)``, seed by seed."""
-    # (fit, column, training row) cells of one seed's grid-search fits
-    cells = (len({replace(c, n_trees=0) for c in grid}) * X.values.shape[1]
-             * (plan.outer_folds - 1) * (plan.inner_folds - 1) * len(X.model_ids))
-    step = max(1, BATCH_CELLS // max(cells, 1))  # no columns: fitting refuses
-    return [[(k, train, test) for k in range(first, min(first + step, len(splits)))
-             for train, test in splits[k]] for first in range(0, len(splits), step)]
-
-
-def _nested_gbt(requests, matrices, searches, grid, plan, outcomes, preds,
-                fold_configs) -> None:
-    """Run the grid-search batches ``(r, batch)`` of ``searches``, then the
-    refits of their winners, on one ``_Units``. A request whose batch
-    raises gets the first such ``ValueError`` in ``outcomes[r]`` and no
-    refits; each other request gets its winners in ``fold_configs[r][k]``
-    and its outer test predictions in ``preds[r][k]``."""
-    with _Units() as units:
-        # a batch's cost is its columns times its training rows: its (fit,
-        # column, training row) cells times rounds, less the grid's factor
-        found = units.run([(matrices[r].values.shape[1] * sum(len(t) for _, t, _ in batch),
-                            _grid_search_batch,
-                            (matrices[r], requests[r][0].values, [t for _, t, _ in batch], grid,
-                             plan.inner_folds, [requests[r][2][k] for k, _, _ in batch]))
-                           for r, batch in searches], ValueError)
-        for (r, _), best in zip(searches, found):
-            if isinstance(best, ValueError) and not isinstance(outcomes[r], ValueError):
-                outcomes[r] = best
-        refits = [(r, k, train, test, config) for (r, batch), best in zip(searches, found)
-                  if not isinstance(outcomes[r], ValueError)
-                  for (k, train, test), config in zip(batch, best)]
-        packs = _refit_packs(requests, matrices, refits)
-        staged = units.run([_refit_unit(requests, matrices, pack) for pack in packs])
-    for r, k, *_, config in refits:
-        fold_configs[r][k].append(asdict(config))
-    for pack, pack_staged in zip(packs, staged):
-        for (r, k, _, test, _), st in zip(pack, pack_staged):
-            preds[r][k, test] = st[:, 0]
-
-
-def _refit_packs(requests, matrices, refits):
-    """The refits ``(r, k, training rows, test rows, config)`` in batches:
-    those of each column list (``matrices[r]``'s) packed in order, each
-    batch holding at most ``BATCH_CELLS`` (fit, stacked row) cells, the
-    size of its dense arrays."""
-    lists: dict[tuple, list] = {}
-    for refit in refits:
-        lists.setdefault(matrices[refit[0]].column_names, []).append(refit)
+def _packs(items, cells) -> list[list]:
+    """``items`` cut, in order, into packs of at most ``BATCH_CELLS`` cells,
+    ``cells(pack)`` a pack's count; an item that fills more makes a pack
+    alone."""
     packs = []
-    for same in lists.values():
-        members, n_rows = set(), 0
-        for refit in same:
-            r = refit[0]
-            grown = n_rows + (r not in members) * len(requests[r][0])
-            if not members or (len(packs[-1]) + 1) * grown > BATCH_CELLS:
-                packs.append([])
-                members, grown = set(), len(requests[r][0])
-            packs[-1].append(refit)
-            members.add(r)
-            n_rows = grown
+    for item in items:
+        if not packs or cells(packs[-1] + [item]) > BATCH_CELLS:
+            packs.append([])
+        packs[-1].append(item)
     return packs
 
 
-def _refit_unit(requests, matrices, pack):
+def _nested_gbt(records, grid, plan) -> None:
+    """Grid-search the ``_Request``s, as many seeds of one per batch as
+    ``BATCH_CELLS`` admits, then refit their winners, on one ``_Units``. A
+    request whose batch raises gets the first such ``ValueError`` and no
+    refits; each other gets its winners and its outer test predictions."""
+    protos = len({replace(c, n_trees=0) for c in grid})
+    searches = []  # (request, its (seed k, training rows, test rows) of one batch)
+    for rec in records:
+        # (fit, column, training row) cells of one seed's grid-search fits
+        cells = (protos * rec.X.values.shape[1] * (plan.outer_folds - 1)
+                 * (plan.inner_folds - 1) * len(rec.dataset))
+        searches += [(rec, [(k, train, test) for k in ks for train, test in rec.splits[k]])
+                     for ks in _packs(range(len(rec.seeds)), lambda ks: len(ks) * cells)]
+    with _Units() as units:
+        # a batch's cost is its columns times its training rows: its (fit,
+        # column, training row) cells times rounds, less the grid's factor
+        found = units.run([(rec.X.values.shape[1] * sum(len(t) for _, t, _ in batch),
+                            _grid_search_batch,
+                            (rec.X, rec.dataset.values, [t for _, t, _ in batch], grid,
+                             plan.inner_folds, [rec.seeds[k] for k, _, _ in batch]))
+                           for rec, batch in searches], ValueError)
+        for (rec, _), best in zip(searches, found):
+            if isinstance(best, ValueError) and rec.error is None:
+                rec.error = best
+        lists: dict[tuple, list] = {}  # each column list's (request, k, train, test, config)
+        for (rec, batch), best in zip(searches, found):
+            if rec.error is None:
+                lists.setdefault(rec.X.column_names, []).extend(
+                    (rec, *split, config) for split, config in zip(batch, best))
+        # a refit pack's (fit, stacked row) cells: the size of its dense arrays
+        packs = [pack for same in lists.values() for pack in _packs(
+            same, lambda pack: len(pack) * sum(len(r.dataset) for r in {r for r, *_ in pack}))]
+        staged = units.run([_refit_unit(pack) for pack in packs])
+    for pack, pack_staged in zip(packs, staged):
+        for (rec, k, _, test, config), st in zip(pack, pack_staged):
+            rec.configs[k].append(asdict(config))
+            rec.preds[k, test] = st[:, 0]
+
+
+def _refit_unit(pack):
     """The ``staged_batch`` unit ``(cost, fn, args)`` of a refit pack: the
     row blocks of its requests stacked, each refit's rows shifted to its
     block."""
     row_at = {}  # each request's first stacked row
-    for r, *_ in pack:
-        row_at.setdefault(r, sum(len(requests[q][0]) for q in row_at))
-    stacked = np.concatenate([matrices[r].values for r in row_at])
-    y = np.concatenate([requests[r][0].values for r in row_at])
+    for rec, *_ in pack:
+        row_at.setdefault(rec, sum(len(r.dataset) for r in row_at))
+    stacked = np.concatenate([rec.X.values for rec in row_at])
+    y = np.concatenate([rec.dataset.values for rec in row_at])
     return (stacked.shape[1] * sum(len(train) * c.n_trees for _, _, train, _, c in pack),
             staged_batch,
             (stacked, y, [c for *_, c in pack],
-             [train + row_at[r] for r, _, train, _, _ in pack],
-             [test + row_at[r] for r, _, _, test, _ in pack],
+             [train + row_at[rec] for rec, _, train, _, _ in pack],
+             [test + row_at[rec] for rec, _, _, test, _ in pack],
              [[c.n_trees] for *_, c in pack]))
 
 

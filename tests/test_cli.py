@@ -1,9 +1,11 @@
+import argparse
 import csv
 import hashlib
 import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -256,6 +258,23 @@ def test_cv_output_byte_identical_across_runs(synth_files, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+def test_an_artifact_and_its_cache_file_take_the_mode_of_the_umask(synth_files, tmp_path,
+                                                                   umask):
+    # as open(path, "w") would make them, not mkstemp's 0600
+    reg, scores = synth_files
+    old = os.umask(umask)
+    try:
+        assert main(["cv", "--registry", reg, "--scores", scores, "--task", "taskA",
+                     "--kind", "median", "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    (cache_file,) = (tmp_path / "cache").iterdir()
+    for path in (tmp_path / "cv-taskA-median-0.json", cache_file):
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask, path.name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "cv-taskA-median-0.json"]
+
+
 def test_cv_cache_keeps_feature_orders_apart(tmp_path):
     # a fit depends on its column order, so one order's cached result must not
     # answer a request in another order
@@ -332,6 +351,26 @@ def test_parser_takes_only_flags_a_subcommand_uses():
     assert parser.parse_args(["select", *io, "--task", "t", "--seeds", "3"]).seeds == 3
 
 
+def test_the_readme_flag_table_lists_each_subcommands_flags():
+    # each row of README's "Subcommand | Further flags" table names, in
+    # backticks, exactly the flags the parser gives that subcommand beyond
+    # the ones every subcommand takes
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| Subcommand | Further flags |\n|---|---|\n", 1)[1].split("\n\n")[0]
+    listed = {}
+    for row in table.splitlines():
+        name, flags = row.strip("|").split("|", 1)
+        if name.strip() != "(by `--kind`)":
+            listed[name.strip().strip("`")] = set(re.findall(r"`(--[a-z-]+)`", flags))
+    (commands,) = (a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    taken = {name: {flag for action in p._actions for flag in action.option_strings
+                    if flag.startswith("--")} - {"--registry", "--scores", "--out", "--help"}
+             for name, p in commands.items()}
+    assert len(taken) == 10
+    assert listed == taken
+
+
 @pytest.mark.parametrize("argv", [["report"], ["cv", "--task", "t"], ["compare", "--task", "t"],
                                   ["select", "--task", "t"]], ids=lambda argv: argv[0])
 def test_a_cv_command_takes_no_worker_count(tmp_path, capsys, argv):
@@ -374,6 +413,16 @@ def test_unknown_feature_names_are_all_reported(synth_files, tmp_path, capsys, a
     assert "pct_code" not in err and "Traceback" not in err
     assert not (tmp_path / "cache").exists()
 
+
+@pytest.mark.parametrize("argv", FEATURE_LIST_ARGVS, ids=argv_id)
+def test_an_empty_feature_list_is_one_empty_name(synth_files, tmp_path, capsys, argv):
+    # "" is given, so it is not the default list: it names one empty feature
+    reg, scores = synth_files
+    code = main([argv[0], "--registry", reg, "--scores", scores, "--out", str(tmp_path),
+                 *argv[1:], ""])
+    assert code == 1
+    assert capsys.readouterr().err == "VIOLATION: unknown feature name: ''\n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", FEATURE_LIST_ARGVS, ids=argv_id)

@@ -265,8 +265,9 @@ def test_a_batch_of_seeds_equals_one_run_cv_per_seed(features):
 def test_requests_of_two_datasets_and_two_feature_lists_share_their_refits():
     # grid searches stay one per request; the refits of the requests of one
     # feature list run in one stacked batch, or in more under a small
-    # BATCH_CELLS, and every result is byte-equal to run_cv of its request
-    # and seed alone; on one CPU, for mock counts no call made in a worker
+    # BATCH_CELLS, in either request order, and every result is byte-equal
+    # to run_cv of its request and seed alone; on one CPU, for mock counts
+    # no call made in a worker
     spec = dict(noise_sigma=0.02, missing_rate=0.3, feature_effects={"pct_code": 0.002})
     big, _ = synth_dataset(GenSpec(n_models=16, **spec), seed=5)
     small, _ = synth_dataset(GenSpec(n_models=11, **spec), seed=6)
@@ -279,14 +280,16 @@ def test_requests_of_two_datasets_and_two_feature_lists_share_their_refits():
     want = [[json.dumps(run_cv(ds, fs, "gbt", CVPlan(seed=s), grid).to_dict()) for s in seeds]
             for ds, fs, seeds in requests]
     widths = {encode_features(big, fs).values.shape[1] for fs in (SCALING_FEATURES, four)}
-    for cap, refit_calls in ((pipeline.BATCH_CELLS, 2), (200, None)):
+    packs = []  # each capped call's refit batches: (stacked rows, fits)
+    for order, cap, refit_calls in ((1, pipeline.BATCH_CELLS, 2), (1, 200, None),
+                                    (-1, 200, None)):
         with mock.patch.object(pipeline, "BATCH_CELLS", cap), \
                 mock.patch.object(pipeline, "_cpus", return_value=1), \
                 mock.patch.object(pipeline, "staged_batch", wraps=gbtree.staged_batch) as fits, \
                 mock.patch.object(pipeline, "_grid_search_batch",
                                   wraps=pipeline._grid_search_batch) as searches:
-            got = pipeline.run_cv_requests(requests, "gbt", grid)
-        assert [[json.dumps(r.to_dict()) for r in results] for results in got] == want
+            got = pipeline.run_cv_requests(requests[::order], "gbt", grid)
+        assert [[json.dumps(r.to_dict()) for r in results] for results in got] == want[::order]
         refits = fits.call_args_list[searches.call_count:]
         # a refit batch stacks rows only: its matrix is one feature list's width
         assert {c.args[0].shape[1] for c in refits} == widths
@@ -296,6 +299,8 @@ def test_requests_of_two_datasets_and_two_feature_lists_share_their_refits():
             assert len(refits) > 2
             assert all(len(c.args[2]) * len(c.args[0]) <= cap for c in refits)
             assert any(len(c.args[0]) > len(big) for c in refits)
+            packs.append(sorted((len(c.args[0]), len(c.args[2])) for c in refits))
+    assert packs[0] != packs[1]  # the reversed order packs its refits otherwise
 
 
 def test_a_request_that_raises_fails_alone():
