@@ -23,7 +23,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import __version__, baselines, metabias, shapley
+from . import baselines, metabias, shapley
 from .gbtree import fit_gbt, paper_grid  # noqa: F401 (perfbench checks tracing wraps fit_gbt here)
 from .pipeline import (
     SCALING_FEATURES,
@@ -42,6 +42,7 @@ from .registry import (
     RegistryError,
     all_feature_names,
     encode_features,
+    feature_value,
     join_scores,
     load_registry,
     load_scores,
@@ -88,24 +89,36 @@ def _print_violations(violations, file=None) -> None:
         print("VIOLATION: " + "\\n".join(v.splitlines()), file=file)
 
 
-def _files_digest(paths):
-    """A SHA-256 fed the contents of the files at ``paths``, each followed by
-    a zero byte: the start of every cache key, hashed once per command."""
+# the version of every result's numerics in the cache key: each declared change
+# of the goldens bumps it, so no cache file written before the change hits after it
+NUMERICS_VERSION = 1
+
+
+def _cache_key(*parts) -> str:
+    """The first 16 hex digits of a SHA-256 fed each of ``parts`` (plain JSON)
+    and a zero byte."""
     h = hashlib.sha256()
-    for path in paths:
-        with open(path, "rb") as f:
-            h.update(f.read())
-        h.update(b"\x00")
-    return h
-
-
-def _cache_key(files, *parts) -> str:
-    """Digest of ``files`` (a ``_files_digest``, left as it is) and of ``parts``."""
-    h = files.copy()
     for part in parts:
-        h.update(json.dumps(part, sort_keys=True, default=str).encode())
+        h.update(json.dumps(part, sort_keys=True).encode())
         h.update(b"\x00")
     return h.hexdigest()[:16]
+
+
+def _cache_paths(out, kind, grid, plan, dataset, features, seeds) -> list[str]:
+    """The cache file of the CV of each of ``seeds``. Its key holds
+    ``NUMERICS_VERSION``, ``PRNG_ID`` and what the CV reads of ``dataset``:
+    the task, the model ids, the targets and each record's values of the
+    features it encodes (for a baseline kind the ``SCALING_FEATURES`` that
+    ``scale_points`` reads). Then it holds ``features`` in the order given (a
+    fit depends on its column order), the kind, the seed, the grid and the
+    fold counts."""
+    read = features if kind == "gbt" else SCALING_FEATURES
+    inputs = (NUMERICS_VERSION, PRNG_ID, vars(dataset.task), dataset.model_ids,
+              dataset.values.tolist(), [[feature_value(r, f) for f in read]
+                                        for r in dataset.records])
+    return [os.path.join(out, "cache", "cv-" + _cache_key(
+        *inputs, features, kind, seed, [vars(g) for g in grid or []],
+        plan.outer_folds, plan.inner_folds) + ".json") for seed in seeds]
 
 
 def _datasets(args, reads) -> dict:
@@ -177,7 +190,7 @@ def _kind_flags(args) -> None:
                for flag, (kinds, _) in flags if args.kind not in kinds
                and getattr(args, flag) is not None]
     refused += [f"--kind {args.kind} requires --{flag}" for flag, (kinds, default) in flags
-                if args.kind in kinds and default is REQUIRED and not getattr(args, flag)]
+                if args.kind in kinds and default is REQUIRED and getattr(args, flag) is None]
     if refused:
         raise RegistryError(refused)
     for flag, (kinds, default) in flags:
@@ -210,16 +223,11 @@ def _cv_cached(args, kind, grid, requests):
     or if a request whose cache paths it shares raises; the files of the
     others are written.
 
-    The key takes ``features`` in the order given: a fit depends on its
-    column order. A cache file that is not a ``CVResult.to_dict()`` is
-    recomputed and overwritten.
+    A cache file that is not a ``CVResult.to_dict()`` is recomputed and
+    overwritten.
     """
     plan = CVPlan()
-    files = _files_digest((args.registry, args.scores))
-    paths = [[os.path.join(args.out, "cache", "cv-" + _cache_key(
-        files, __version__, PRNG_ID, dataset.task.task_id, features, kind, seed,
-        [vars(g) for g in (grid or [])], plan.outer_folds, plan.inner_folds) + ".json")
-        for seed in seeds] for dataset, features, seeds in requests]
+    paths = [_cache_paths(args.out, kind, grid, plan, *request) for request in requests]
     results = {path: _cached(path) for request_paths in paths for path in request_paths}
     missed: dict[int, dict] = {}  # request -> {path: seed} of the misses it computes
     for q, request_paths in enumerate(paths):

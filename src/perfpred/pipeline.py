@@ -66,6 +66,15 @@ def fold_assignment(model_ids, seed: int, n_folds: int) -> dict[str, int]:
     return {m: i % n_folds for i, m in enumerate(ids)}
 
 
+def _fold_splits(model_ids, seed: int, n_folds: int):
+    """``fold_assignment`` of ``model_ids`` and each fold's (training, test)
+    positions in ``model_ids``, ascending."""
+    assign = fold_assignment(model_ids, seed, n_folds)
+    folds = np.array([assign[m] for m in model_ids])
+    return assign, [(np.flatnonzero(folds != f), np.flatnonzero(folds == f))
+                    for f in range(n_folds)]
+
+
 @dataclass
 class CVResult:
     task_id: str
@@ -127,17 +136,15 @@ def _grid_search_batch(X: FeatureMatrix, y: np.ndarray, trains: list[np.ndarray]
     protos = [replace(shape, n_trees=max(nt for nt, _ in members))
               for shape, members in groups.items()]
 
-    tests, rows, held = [], [], []  # (split, its inner test rows); each prototype's rows
+    tests, rows, held = [], [], []  # (split, its inner test positions); each prototype's rows
     for s, (train, seed) in enumerate(zip(trains, seeds)):
         if len(train) < inner_folds:
             raise ValueError("training split smaller than inner_folds")
-        ids = [X.model_ids[i] for i in train]
-        assign = fold_assignment(ids, seed, inner_folds)
-        folds = np.array([assign[m] for m in ids])
-        for f in range(inner_folds):
-            tests.append((s, folds == f))
-            rows += [train[folds != f]] * len(protos)
-            held += [train[folds == f]] * len(protos)
+        for inner_train, inner_test in _fold_splits([X.model_ids[i] for i in train], seed,
+                                                    inner_folds)[1]:
+            tests.append((s, inner_test))
+            rows += [train[inner_train]] * len(protos)
+            held += [train[inner_test]] * len(protos)
     stages = [[nt for nt, _ in members] for members in groups.values()]
     staged = iter(staged_batch(X.values, y, protos * len(tests), rows, held,
                                stages * len(tests)))
@@ -219,11 +226,8 @@ def run_cv_requests(requests, predictor_kind: str, grid: list[GBTConfig] | None 
                 raise ValueError("seeds must be distinct")
             if len(rec.dataset) < 3 * plan.outer_folds:
                 raise ValueError("too few rows for the outer fold count")
-            ids = rec.dataset.model_ids
-            rec.assigns = [fold_assignment(ids, s, plan.outer_folds) for s in rec.seeds]
-            rec.splits = [[(np.flatnonzero(folds != f), np.flatnonzero(folds == f))
-                           for f in range(plan.outer_folds)]
-                          for folds in (np.array([a[m] for m in ids]) for a in rec.assigns)]
+            outer = [_fold_splits(rec.dataset.model_ids, s, plan.outer_folds) for s in rec.seeds]
+            rec.assigns, rec.splits = [a for a, _ in outer], [sp for _, sp in outer]
             if predictor_kind == "gbt":
                 rec.X = encode_features(rec.dataset, list(rec.features))
             else:

@@ -171,7 +171,7 @@ class TaskSpec:
     def __post_init__(self):
         if self.metric_kind not in METRIC_KINDS:
             raise ValueError(f"unknown metric kind: {self.metric_kind}")
-        expected = "lower_better" if self.metric_kind == "brier" else "higher_better"
+        expected = _polarity(self.metric_kind)
         if self.polarity != expected:
             raise ValueError(
                 f"metric {self.metric_kind} requires polarity {expected}, got {self.polarity}"
@@ -179,8 +179,11 @@ class TaskSpec:
 
     @classmethod
     def for_metric(cls, task_id: str, shots: int, metric_kind: str, n_items: int | None = None):
-        polarity = "lower_better" if metric_kind == "brier" else "higher_better"
-        return cls(task_id, shots, metric_kind, polarity, n_items)
+        return cls(task_id, shots, metric_kind, _polarity(metric_kind), n_items)
+
+
+def _polarity(metric_kind: str) -> str:
+    return "lower_better" if metric_kind == "brier" else "higher_better"
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,7 @@ class Registry:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered (record, score) pairs for a single task."""
+    """(record, score) pairs for a single task, in model-id order."""
 
     task: TaskSpec
     records: tuple[ModelRecord, ...]
@@ -482,7 +485,8 @@ def load_scores(path) -> tuple[list[ScoreRecord], dict[str, TaskSpec]]:
 
 
 def join_scores(registry: Registry, scores: list[ScoreRecord], task: TaskSpec) -> Dataset:
-    """Pair registry records with their score on one task.
+    """Pair registry records with their score on one task, in model-id order,
+    whatever the order of the registry's records and of the score rows.
 
     Models without a score for the task are excluded (coverage varies by
     benchmark); scores referencing unknown models are errors.
@@ -505,9 +509,9 @@ def join_scores(registry: Registry, scores: list[ScoreRecord], task: TaskSpec) -
         by_model[s.model_id] = s.value
     if violations:
         raise RegistryError(violations)
-    records = [r for r in registry.records if r.model_id in by_model]
-    values = np.array([by_model[r.model_id] for r in records], dtype=float)
-    return Dataset(task, tuple(records), values)
+    ids = sorted(by_model)
+    values = np.array([by_model[m] for m in ids], dtype=float)
+    return Dataset(task, tuple(registry.get(m) for m in ids), values)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-import perfpred
 from perfpred import cli, gbtree, pipeline, shapley
 from perfpred.cli import CV_RESULT_KEYS, build_parser, main
 from perfpred.pipeline import CVPlan, run_cv, run_cv_requests
@@ -641,7 +642,7 @@ def test_plot_data_dependence_and_errors(synth_files, tmp_path, capsys):
     capsys.readouterr()
 
     # a --feature that is not an encoded column is refused before any fit
-    for feature in ("no_such_feature", "pct_code", "positional_embeddings"):
+    for feature in ("no_such_feature", "pct_code", "positional_embeddings", ""):
         with mock.patch("perfpred.cli.fit_tuned") as fitted:
             code = main(["plot-data", "--registry", reg, "--scores", scores,
                          "--task", "taskA", "--kind", "shap_dependence",
@@ -845,9 +846,10 @@ def test_a_report_of_the_scale_features_computes_each_file_once(tmp_path):
         assert row[3] == row[4]
 
 
-def test_a_command_hashes_its_input_files_once(tmp_path):
-    # one read to load each file and one to key every cache file, whose names
-    # keep the formula sha256(registry, 0, scores, 0, each part as JSON, 0)
+def test_a_command_opens_each_input_file_once(tmp_path):
+    # one read loads each file; each cache file's name keeps the formula
+    # sha256(each part as JSON, 0) over what its CV reads of the joined task,
+    # here stated from the files' own text
     reg, scores = write_tasks(tmp_path, [("acc0", 12), ("acc1", 10)], 12)
     opened = []
     real_open = open
@@ -860,15 +862,129 @@ def test_a_command_hashes_its_input_files_once(tmp_path):
         assert main(["report", "--registry", reg, "--scores", scores, "--seeds", "2",
                      "--out", str(tmp_path / "out"),
                      "--features", "total_params,total_tokens_billions,pct_code"]) == 0
-    assert (opened.count(reg), opened.count(scores)) == (2, 2)
+    assert (opened.count(reg), opened.count(scores)) == (1, 1)
+    rows = sorted(row for row in csv.reader(pathlib.Path(scores).read_text().splitlines()[1:])
+                  if row[1] == "acc1")
+    records = {r["model_id"]: r for r in json.loads(pathlib.Path(reg).read_text())}
+    scale = ["total_params", "total_tokens_billions"]
+    task = {"task_id": "acc1", "shots": int(rows[0][2]), "metric_kind": "accuracy",
+            "polarity": "higher_better", "n_items": None}
     h = hashlib.sha256()
-    for path in (reg, scores):
-        h.update(pathlib.Path(path).read_bytes() + b"\x00")
-    for part in (perfpred.__version__, PRNG_ID, "acc1", ["total_params", "total_tokens_billions"],
-                 "gbt", 1, [vars(g) for g in gbtree.paper_grid()], 3, 3):
+    for part in (cli.NUMERICS_VERSION, PRNG_ID, task, [row[0] for row in rows],
+                 [float(row[4]) for row in rows],
+                 [[float(records[row[0]]["arch"]["total_params"]),
+                   float(records[row[0]]["data"]["total_tokens_billions"])] for row in rows],
+                 scale, "gbt", 1, [vars(g) for g in gbtree.paper_grid()], 3, 3):
         h.update(json.dumps(part, sort_keys=True).encode() + b"\x00")
     name = f"cv-{h.hexdigest()[:16]}.json"
     assert json.loads((tmp_path / "out" / "cache" / name).read_text())["seed"] == 1
+
+
+def test_a_bumped_numerics_version_misses_a_cache_file_written_before_it(synth_files, tmp_path,
+                                                                         monkeypatch):
+    reg, scores = synth_files
+    argv = ["cv", "--registry", reg, "--scores", scores, "--task", "taskA", "--kind", "median",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    (before,) = (tmp_path / "cache").iterdir()
+    monkeypatch.setattr(cli, "NUMERICS_VERSION", cli.NUMERICS_VERSION + 1)
+    with mock.patch("perfpred.cli.run_cv_requests", wraps=run_cv_requests) as computed:
+        assert main(argv) == 0
+    assert computed.call_count == 1
+    after = set((tmp_path / "cache").iterdir()) - {before}
+    assert len(after) == 1 and after.pop().read_bytes() == before.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["gbt", "power_law"])
+def test_a_cv_hits_its_cache_after_an_edit_it_does_not_read(tmp_path, kind):
+    # a score row of another task and a feature that no CV reads leave every
+    # key as it was; a value that the CV reads moves its key
+    reg, scores = write_tasks(tmp_path, [("acc0", 12), ("acc1", 10)], 12)
+    argv = ["cv", "--registry", reg, "--scores", scores, "--task", "acc0", "--kind", kind,
+            "--out", str(tmp_path / "out")]
+    if kind == "gbt":
+        argv += ["--features", "total_params,total_tokens_billions,pct_code"]
+    assert main(argv) == 0
+    cache = sorted(os.listdir(tmp_path / "out" / "cache"))
+    rows = list(csv.reader(pathlib.Path(scores).read_text().splitlines()[1:]))
+    records = json.loads(pathlib.Path(reg).read_text())
+    acc1 = [row for row in rows if row[1] == "acc1"]
+    uncovered = sorted({r["model_id"] for r in records} - {row[0] for row in acc1})[0]
+    with open(scores, "a") as f:
+        f.write(",".join([uncovered, *acc1[0][1:4], "0.5"]) + "\n")
+    records[0]["gen"]["entropy_mean"] = 1.25
+    pathlib.Path(reg).write_text(json.dumps(records))
+
+    def computed():
+        with mock.patch("perfpred.cli.run_cv_requests", wraps=run_cv_requests) as calls:
+            assert main(argv) == 0
+        return calls.call_count
+
+    assert computed() == 0
+    assert sorted(os.listdir(tmp_path / "out" / "cache")) == cache
+    acc0 = {row[0] for row in rows if row[1] == "acc0"}
+    next(r for r in records if r["model_id"] in acc0)["arch"]["total_params"] *= 2
+    pathlib.Path(reg).write_text(json.dumps(records))
+    assert computed() == 1
+    assert len(os.listdir(tmp_path / "out" / "cache")) == 2
+
+
+# every command that reads a task's rows, each writing its artifacts under --out
+PERMUTED_COMMANDS = [
+    *(["cv", "--task", "acc0", "--kind", kind] for kind in ("median", "log_linear", "power_law")),
+    ["cv", "--task", "acc0", "--features",
+     "total_params,total_tokens_billions,pct_code,positional_embeddings"],
+    ["fit-scaling", "--task", "acc1"],
+    ["report", "--seeds", "2", "--features", "total_params,total_tokens_billions,pct_code"],
+    ["bias-audit"],
+]
+
+
+def run_permuted_commands(root):
+    """Run each of ``PERMUTED_COMMANDS`` on the inputs in ``root``: the
+    artifacts and the cache files written, each name -> bytes."""
+    out = root / "out"
+    for argv in PERMUTED_COMMANDS:
+        assert main([*argv, "--registry", str(root / "registry.json"),
+                     "--scores", str(root / "scores.csv"), "--out", str(out)]) == 0
+    return ({p.name: p.read_bytes() for p in out.iterdir() if p.is_file()},
+            {p.name: p.read_bytes() for p in (out / "cache").iterdir()})
+
+
+@pytest.fixture(scope="module")
+def id_ordered_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("id_ordered")
+    write_tasks(root, [("acc0", 12), ("acc1", 11), ("acc2", 10)], 12)
+    return root, run_permuted_commands(root)
+
+
+def shuffled_keys(rnd, obj):
+    """``obj`` with the keys of each JSON object in it in an order drawn by ``rnd``."""
+    if not isinstance(obj, dict):
+        return obj
+    keys = list(obj)
+    rnd.shuffle(keys)
+    return {k: shuffled_keys(rnd, obj[k]) for k in keys}
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_permuted_input_files_write_the_same_artifacts_and_cache_files(id_ordered_run, rnd):
+    # records, score rows and each record's keys in any order: the same
+    # bytes, and a second run hits every cache file
+    root, written = id_ordered_run
+    records = [shuffled_keys(rnd, r) for r in json.loads((root / "registry.json").read_text())]
+    rnd.shuffle(records)
+    header, *rows = (root / "scores.csv").read_text().splitlines(keepends=True)
+    rnd.shuffle(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        permuted = pathlib.Path(tmp)
+        (permuted / "registry.json").write_text(json.dumps(records))
+        (permuted / "scores.csv").write_text(header + "".join(rows))
+        assert run_permuted_commands(permuted) == written
+        with mock.patch("perfpred.cli.run_cv_requests") as computed:
+            assert run_permuted_commands(permuted) == written
+        assert not computed.called
 
 
 def test_a_bias_audit_without_accuracy_tasks_lists_a_violation(tmp_path, capsys):

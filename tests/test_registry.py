@@ -317,9 +317,10 @@ def test_join_scores_excludes_uncovered_and_rejects_orphans():
     task = TaskSpec.for_metric("t", 0, "accuracy")
     scores = [ScoreRecord("a", "t", 0.4), ScoreRecord("c", "t", 0.6),
               ScoreRecord("a", "other", 0.9)]
-    ds = join_scores(registry, scores, task)
-    assert ds.model_ids == ("a", "c")
-    assert list(ds.values) == [0.4, 0.6]
+    for joined in (join_scores(registry, scores, task),  # model-id order, whatever the files'
+                   join_scores(Registry(records[::-1]), scores[::-1], task)):
+        assert joined.model_ids == ("a", "c")
+        assert list(joined.values) == [0.4, 0.6]
 
     with pytest.raises(RegistryError, match="unknown model"):
         join_scores(registry, [ScoreRecord("ghost", "t", 0.5)], task)
