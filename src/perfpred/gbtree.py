@@ -16,38 +16,44 @@ depth-wise growth of Mitchell & Frank 2017 (PeerJ CS 3:e127).
 ``staged_batch`` fits many configs in lockstep, each on its own row set
 (its root membership) of one canonical matrix: the rows of X sorted
 lexicographically, NaN last. The sort is stable, so restricted to a fit's
-rows it is the canonical order of those rows alone. Each round grows
-every fit's tree together: a level's frontier nodes, of every fit, are
-scored in one (column, node, position) block, each node's rows ascending
-and padded at the end. The block sorts, per node, only the columns that
-can split some node of it (two distinct present values): present values
-ascending, ties in row order, then missing rows, then padding. It scores
-every threshold and both missing-value routings in one cumulative-sum
-pass, and splits and leaves are written straight into each fit's ``NODE``
-table. The root level's residual-free part (the sort, the counts, which
-thresholds are inadmissible) is the same every round, so it is built once
-per set of live fits, and the searches of a batch reuse one scratch buffer
-for their large temporaries. One round loop serves every fit: a fit's
-region of the node pool holds one tree, which the next round overwrites.
-In ``staged_batch`` each fit's held-out rows walk its tree after every
-round (the walk ``staged_predict`` uses) and add its leaf to their running
-predictions in cumsum's order, so a batch keeps no trees. A nested CV's
-grid search is one such batch per request (a dataset, a feature list and
-seeds), and the refits of every request share one batch over a stacked
-matrix (``pipeline.run_cv_requests``). ``fit_gbt`` is a batch of one
-config on all rows that copies each round's tree into its ensemble.
+rows it is the canonical order of those rows alone. Each column that can
+split some root (two distinct present values) is sorted once per batch,
+at the roots: present values ascending, ties in row order, then missing
+rows, then padding (Chen & Guestrin's presorted blocks, section 4.1). A
+split's children take their rows, and their order in every column, from
+it by a stable partition (``_partition``): each child's order is its
+parent's filtered by side, which is what a fresh stable sort would give,
+so no level below the root sorts. Each round grows every fit's tree
+together: a level's frontier nodes, of every fit, are scored in one
+position-major (position, column and node) block, every threshold and
+both missing-value routings in one cumulative-sum pass, and splits and
+leaves are written straight into each fit's ``NODE`` table, one record
+assignment each. The root level's residual-free part (the counts, which
+thresholds are inadmissible) is the same every round, so it is built
+once per set of live fits, and the searches of a batch reuse one scratch
+buffer for their large temporaries. One round loop serves every fit: a
+fit's region of the node pool holds one tree, which the next round
+overwrites. In ``staged_batch`` each fit's held-out rows walk its tree
+after every round (the walk ``staged_predict`` uses) and add its leaf to
+their running predictions in cumsum's order, so a batch keeps no trees.
+A nested CV's grid search is one such batch per request (a dataset, a
+feature list and seeds), and the refits of every request share one batch
+over a stacked matrix (``pipeline.run_cv_requests``). ``fit_gbt`` is a
+batch of one config on all rows that copies each round's tree into its
+ensemble.
 
 Every number is bit-identical to fitting one config alone, one node and
-one column at a time. cumsum adds sequentially, so trailing padding leaves
-every prefix alone; np.sum sums 8 or more terms in blocks, so the node
-means and SSEs are one exact-length sum per node size, and the sums over
-the missing rows one per missing count across the block, over C-ordered
-rows, never padded. Each fit keeps its own depth limit, leaf size, gain
-floor and tie-breaks.
+one column at a time. Cumulative sums add sequentially, so trailing
+padding leaves every prefix alone; np.sum sums 8 or more terms in blocks,
+so the node means and SSEs and the sums over the missing rows follow its
+order for every node at once (``_exact_sums``), in a fixed number of
+array passes. Each fit keeps its own depth limit, leaf size, gain floor
+and tie-breaks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,62 +189,164 @@ def fold_mask(X, mask: np.ndarray | None) -> np.ndarray:
 
 LEVEL_CELLS = 1 << 16  # (column, node, row) cells of one split search block
 
+_LEAF = np.array([(-1, np.nan, False, -1, -1, np.nan, 0)], NODE)  # value and cover to fill
+_SIDE = np.array([[0], [1]], np.uint8)  # the side codes of a left and a right child
 
-def _search_plan(XT, sizes, min_leaf):
+
+def _exact_sums(T, n):
+    """``np.add.reduce(T[:n[i], i])`` for every column ``i`` of the
+    position-major (term, column) ``T``, bit for bit (a NaN's sign aside),
+    where every term past a column's ``n`` is zero: all columns at once, in
+    a fixed number of array passes.
+
+    numpy's sum is +0.0 plus its pairwise sum of the terms, which sums fewer
+    than 8 terms one after another; up to 128 in 8 lane accumulators over
+    the full blocks of 8, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), then the rest one after another; and more as two halves,
+    split at n // 2 rounded down to a multiple of 8. (``np.add.reduceat``
+    sums in another order.) Adding a zero changes no sum but the sign of a
+    zero one, so a column is padded with zeros and every sum ends with +0.0,
+    as numpy's does.
+    """
+    k = len(T)
+    if k < 8:  # one term after another, whichever axis numpy loops over
+        return np.add.reduce(T, axis=0) + 0.0
+    full = n & -8  # the terms in full blocks of 8
+    m = min(k & -8, 128)
+    lane = np.where(np.arange(m)[:, None] < full, T[:m], 0.0)
+    for b in range(8, m, 8):
+        lane[:8] += lane[b:b + 8]
+    lane = lane[0:8:2] + lane[1:8:2]
+    lane = lane[0::2] + lane[1::2]
+    out = lane[0] + lane[1]
+    for term in _shifted(T, full, n):
+        out += term
+    out += 0.0
+    if k > 128:
+        long = np.flatnonzero(n > 128)
+        T, n = T[:, long], n[long]
+        half = n // 16 * 8
+        out[long] = (_exact_sums(_shifted(T, 0, half), half)
+                     + _exact_sums(_shifted(T, half, n), n - half))
+    return out
+
+
+def _shifted(T, start, end):
+    """The terms ``start`` to ``end`` of each column of ``T``, moved to its
+    top, zeros below."""
+    at = start + np.arange((end - start).max(initial=0))[:, None]
+    terms = T.reshape(-1).take(np.minimum(at, len(T) - 1) * T.shape[1] + np.arange(T.shape[1]))
+    return np.where(at < end, terms, 0.0)
+
+
+def _presort(XT, roots):
+    """A batch's roots, sorted once: each fit's root rows ``roots``
+    (ascending, padded with the padding row, ``XT``'s last column) in each
+    column's order, present values ascending, ties in row order, then the
+    missing rows in row order, then padding.
+
+    Keeps only the columns that can split some root (two distinct present
+    values), since no other can split any node below one. Returns those
+    columns; which of their values are present, as 0.0 or 1.0 (column,
+    row); their (column, fit, position) row orders, in the smallest integer
+    type that holds the padding row; and each (column, fit) pair's present
+    rows, which come first.
+    """
+    V = XT[:, roots]
+    pos = V.argsort(axis=2, kind="stable")
+    V = np.take_along_axis(V, pos, axis=2)
+    n_present = np.add.reduce(~np.isnan(V), axis=2)
+    top = np.take_along_axis(V, n_present[..., None] - 1, axis=2)[..., 0]
+    cols = np.flatnonzero((V[..., 0] < top).any(axis=1))
+    order = np.take_along_axis(roots[None], pos[cols], axis=2)
+    present = (~np.isnan(XT[cols])).astype(float)
+    return cols, present, order.astype(np.min_scalar_type(XT.shape[1] - 1)), n_present[cols]
+
+
+def _partition(order, side, n_child, pad):
+    """Each node's rows split in two, every layer's order kept. ``order``
+    (layer, node, position) holds row ids, each node's padded at its end
+    with the padding row ``pad``; ``side`` is 0 where a row goes left, 1
+    where it goes right and 2 at padding; ``n_child`` (node, side) holds
+    the children's row counts.
+
+    Returns the children's (layer, child, position) orders, the left child
+    of node ``i`` at ``2 i`` and the right one at ``2 i + 1``, padded to the
+    largest child: each layer of a child is its parent's, filtered by side,
+    so a column's order is what a fresh stable sort of the child's rows
+    would give. One compress of the parents' rows, next to the padding that
+    fills each child up, and no sort.
+    """
+    L, s, k = order.shape
+    w = n_child.max(initial=0)
+    src = np.empty((L, s, 2, k + w), order.dtype)
+    src[..., :k] = order[:, :, None]
+    src[..., k:] = pad
+    keep = np.empty(src.shape, bool)
+    np.equal(side[:, :, None], _SIDE, out=keep[..., :k])
+    keep[..., k:] = np.arange(w) < w - n_child[..., None]
+    return np.compress(keep.reshape(-1), src.reshape(-1)).reshape(L, 2 * s, w)
+
+
+def _search_plan(XT, cols, order, n_present, sizes, min_leaf, base):
     """The part of a block's split search that does not depend on the
-    residuals, or None when no column can split any of its nodes. ``XT``
-    holds the nodes' feature values (column, node, position), rows in
-    canonical order padded with NaN, ``sizes`` their row counts and
-    ``min_leaf`` their leaf sizes.
+    residuals, or None when no column can split any of its nodes.
+    ``order`` (column, node, position) holds, for the columns ``cols`` of
+    ``XT``, each node's rows as ``_presort`` orders them, ``n_present`` each
+    (column, node) pair's present rows, ``sizes`` the nodes' row counts,
+    ``min_leaf`` their leaf sizes and ``base`` where each node's residuals
+    start in the flat residual matrix.
 
-    Returns the columns kept, their values sorted within each (column,
-    node) pair (present ascending, ties in row order, then missing, then
-    padding), each sorted value's position in the node block, the missing
-    rows' positions grouped by missing count, each pair's last present
-    position, its missing and present counts, and which (routing, pair,
-    threshold) are inadmissible.
+    Everything is position-major, (position, pair) for the pairs in
+    (column, node) order. Returns the columns kept; their values in sorted
+    order; each sorted row's residual index; each pair's last present
+    position, flat; where in ``_best_splits``' stack each pair's missing
+    rows are, the t-th of them in row t (the stack's last cell, a zero,
+    past them), and their count; each (side, routing, threshold, pair)'s
+    row count; and which (routing, threshold, pair) are inadmissible.
 
     Threshold t sends t + 1 present rows left; routing 0 sends the missing
-    rows left too, routing 1 right (tried only if some pair has any). With
-    leaf size m, a side is short of m rows where t + 1 is below m - n_miss
-    or above n_present - m (routing 0), or below m or above n_present +
-    n_miss - m (routing 1); a threshold not between two distinct present
-    values is inadmissible too.
+    rows left too, routing 1 right (tried only if some pair has any). A
+    threshold is inadmissible where a side holds fewer rows than the node's
+    leaf size, or where it is not between two distinct present values.
     """
-    _, g, k = XT.shape
-    # only a column with two distinct present values in a node can split it:
-    # sort no other (a column kept for one node is inadmissible in the rest)
-    cols = np.flatnonzero(np.logical_or.reduce(
-        np.fmin.reduce(XT, axis=2) < np.fmax.reduce(XT, axis=2), axis=1))
-    c = len(cols)
-    if not c:
+    c, g, k = order.shape
+    rows = order.transpose(2, 0, 1)
+    V = XT.take(rows + (cols * XT.shape[1])[:, None])
+    # a pair can split when its first and last present values differ (a
+    # pair without any has NaN first); only a column that can split some
+    # node of the block is scored
+    keep = (V[0] < V.reshape(-1)[(n_present - 1) * c * g + np.arange(c * g).reshape(c, g)]
+            ).any(axis=1)
+    if not keep.any():
         return None
-    V = XT[cols] if c < len(XT) else XT
-    pos = V.argsort(axis=2, kind="stable")
-    pos += (np.arange(c * g) * k).reshape(c, g, 1)
-    V = V.take(pos)
-    pos %= g * k
-    n_miss = (np.add.reduce(np.isnan(V), axis=2) - (k - sizes)).ravel()  # per (column, node)
-    n_present = np.tile(sizes, c) - n_miss
-    end = np.arange(c * g) * k + n_present + n_miss  # past each pair's last row
-    # n_miss <= k: a key of that width sorts by radix, to the same permutation
-    group = n_miss.astype(np.min_scalar_type(k)).argsort(kind="stable")
-    cut = np.cumsum(np.bincount(n_miss)).tolist()
-    tails = [(at, end[at, None] - np.arange(u, 0, -1)) for u in range(1, len(cut))
-             for at in [group[cut[u - 1]:cut[u]]] if len(at)]
-    last = end - n_miss - (n_present > 0)
-    m, kk = np.tile(min_leaf, c), np.arange(1, k)  # kk: present rows left of each threshold
-    lo = np.array([m - n_miss, m][:2 if tails else 1])[..., None]  # (routing, pair, 1)
-    hi = np.array([n_present - m, n_present + n_miss - m][:len(lo)])[..., None]
-    bad = (kk < lo) | (kk > hi) | ~(V[..., :-1] < V[..., 1:]).reshape(c * g, k - 1)
-    return cols, V.reshape(-1), pos, tails, last, n_miss, n_present, bad
+    if not keep.all():
+        cols, rows, n_present, V = cols[keep], rows[:, keep], n_present[keep], V[:, keep]
+        c = len(cols)
+    P = c * g
+    n_miss = (sizes - n_present).reshape(-1)
+    n_present = n_present.reshape(-1)
+    end = n_present * P + np.arange(P)  # past each pair's present rows
+    routings = 2 if n_miss.any() else 1
+    kk = np.arange(1, k)[:, None]  # present rows left of each threshold
+    counts = np.empty((2, routings, k - 1, P))
+    counts[0] = kk
+    np.subtract(n_present, kk, out=counts[1])
+    counts[0, 0] += n_miss
+    if routings == 2:
+        counts[1, 1] += n_miss
+    V = V.reshape(k, P)
+    bad = ((np.minimum(counts[0], counts[1]) < np.broadcast_to(min_leaf, (c, g)).reshape(-1))
+           | ~(V[:-1] < V[1:]))
+    t = np.arange(n_miss.max())[:, None, None]
+    tail = np.where(t < n_miss, end + t * P + np.array([[0], [k * P]]), 2 * k * P)
+    return (cols, V.reshape(-1), (rows + base).reshape(k, P), end - P,
+            tail.reshape(len(t), 2 * P), np.concatenate([n_miss, n_miss]), counts, bad)
 
 
 class _Scratch:
-    """One float buffer that the split searches of a batch reuse for their
-    large temporaries, grown as needed. Allocated per search, they would be
-    fresh pages each time, one page fault per page, because the allocator
-    hands freed blocks of this size back to the system."""
+    """A reusable float buffer for a batch's split-search temporaries; it
+    grows to the largest block seen."""
 
     def __init__(self):
         self.buf = np.empty(0)
@@ -246,18 +354,29 @@ class _Scratch:
     def arrays(self, *shapes):
         """One view of the buffer per shape, back to back, valid until the
         next call."""
-        sizes = [int(np.prod(shape)) for shape in shapes]
+        sizes = [math.prod(shape) for shape in shapes]
         if self.buf.size < sum(sizes):
             self.buf = None  # freed before its successor is allocated
             self.buf = np.empty(sum(sizes))
-        ends = np.cumsum(sizes).tolist()
-        return [self.buf[e - n:e].reshape(shape) for shape, n, e in zip(shapes, sizes, ends)]
+        views, end = [], 0
+        for shape, size in zip(shapes, sizes):
+            views.append(self.buf[end:end + size].reshape(shape))
+            end += size
+        return views
 
 
-def _best_splits(plan, Rn, scratch=None):
+def _first(H):
+    """The index of the first True along the first axis of ``H``, which
+    has one in each column."""
+    m = len(H)
+    return m - np.maximum.reduce(np.where(H, np.arange(m, 0, -1).reshape((m,) + (1,) * (H.ndim - 1)),
+                                          0), axis=0)
+
+
+def _best_splits(plan, R, g, scratch=None):
     """Exact greedy split search over all midpoints of present values, for
-    the nodes of ``plan`` (``_search_plan``) whose residuals, in row order
-    and padded, are the rows of ``Rn``.
+    the ``g`` nodes of ``plan`` (``_search_plan``), whose residuals are in
+    ``R``, as the plan indexes it, the padding row's zero.
 
     Missing rows are tried on both sides and kept on the lower-SSE side.
     Ties break deterministically: lowest feature index, lowest threshold,
@@ -265,145 +384,176 @@ def _best_splits(plan, Rn, scratch=None):
     side, or the value above where the midpoint is not strictly above the
     value below (adjacent floats, -inf, overflow), so every row goes to the
     side the search counted it on. Returns each node's (sse_after, feature,
-    threshold, default_left); sse_after is inf where no split is admissible. Call
-    under ``np.errstate(divide="ignore", invalid="ignore", over="ignore")``:
+    threshold, default_left, n_left), n_left the rows sent left; sse_after
+    is inf where no split is admissible. Call under
+    ``np.errstate(divide="ignore", invalid="ignore", over="ignore")``:
     positions past a column's present rows divide by zero before they are
     masked out, and two values near the float limit sum to +-inf. The
     temporaries live in ``scratch`` (a ``_Scratch``), if given.
     """
-    g, k = Rn.shape
     if plan is None:
-        return np.full(g, np.inf), np.zeros(g, np.intp), np.zeros(g), np.ones(g, bool)
-    cols, V, pos, tails, last, n_miss, n_present, bad = plan
-    routings, c = len(bad), len(cols)
-    # residuals and their squares, their cumulative sums, and (below) the
-    # (statistic, side * routings + routing, pair, threshold) sums and one
-    # (pair, threshold) row count at a time, filled in place
-    stack, cum, sides, count = (scratch or _Scratch()).arrays(
-        (2,) + pos.shape, (2,) + pos.shape, (2, 2 * routings, c * g, k - 1), (c * g, k - 1))
-    Rn.take(pos, out=stack[0])
+        return (np.full(g, np.inf), np.zeros(g, np.intp), np.zeros(g), np.ones(g, bool),
+                np.zeros(g))
+    cols, V, at, last, tail, n_miss, counts, bad = plan
+    (routings, k, P), c = bad.shape, len(cols)
+    k += 1
+    # the residuals and their squares, then a zero; their cumulative sums;
+    # and the (statistic, side, routing, threshold, pair) sums, filled in
+    # place
+    flat, cum, sides = (scratch or _Scratch()).arrays(
+        (2 * at.size + 1,), (2, k, P), (2, 2, routings, k - 1, P))
+    stack = flat[:-1].reshape(2, k, P)
+    R.take(at, out=stack[0])
     np.multiply(stack[0], stack[0], out=stack[1])
-    # sums over the missing rows must equal 1-D np.sum bit for bit, whose
-    # summation order depends on the term count: the (column, node) pairs
-    # with u missing rows are summed together, u terms each, never padded,
-    # over C-ordered rows (take gives them; stack[:, tail] would not)
-    missing = np.zeros((2, c * g, 1))
-    for at, tail in tails:
-        missing[:, at, 0] = np.add.reduce(stack.reshape(2, -1).take(tail, axis=1), axis=2)
-    # cumsum adds sequentially, so trailing padding leaves every prefix alone
-    np.cumsum(stack, axis=3, out=cum)
-    cum = cum.reshape(2, c * g, k)
-    left = cum[..., :-1]
-    total = cum.reshape(2, -1)[:, last, None]
-
-    np.add(left, missing, out=sides[:, 0])
-    np.subtract(total, left, out=sides[:, routings])
+    flat[-1] = 0.0
+    # the sums over each pair's missing rows, which follow its present ones
+    missing = _exact_sums(flat.take(tail), n_miss).reshape(2, 1, P)
+    # cumulative sums, one position after another, so the rows after a
+    # pair's present ones leave every prefix of them alone; across pairs a
+    # position at a time where that is shorter (the same sums)
+    if k > 24:
+        np.cumsum(stack, axis=1, out=cum)
+    else:
+        cum[:, 0] = stack[:, 0]
+        for j in range(1, k):
+            np.add(cum[:, j - 1], stack[:, j], out=cum[:, j])
+    left = cum[:, :-1]
+    total = cum.reshape(2, -1)[:, last].reshape(2, 1, P)
+    np.add(left, missing, out=sides[:, 0, 0])
+    np.subtract(total, left, out=sides[:, 1, 0])
     if routings == 2:
-        sides[:, 1] = left
-        np.add(sides[:, 2], missing, out=sides[:, 3])
-    S, Q = sides.reshape(2, 2, routings, c * g, k - 1)
+        sides[:, 0, 1] = left
+        np.add(sides[:, 1, 0], missing, out=sides[:, 1, 1])
+    S, Q = sides
     S *= S
-    # divide by each (side, routing)'s row count, as ``_search_plan`` counts it
-    kk, n_miss, n_present = np.arange(1, k), n_miss[:, None], n_present[:, None]
-    S[0, 0] /= np.add(kk, n_miss, out=count)
-    S[1, 0] /= np.subtract(n_present, kk, out=count)
-    if routings == 2:
-        S[0, 1] /= kk
-        S[1, 1] /= np.add(count, n_miss, out=count)
+    S /= counts
     np.subtract(Q, S, out=S)
-    sse = np.add(S[0], S[1], out=S[0])  # (routing, pair, threshold)
+    sse = np.add(S[0], S[1], out=S[0])  # (routing, threshold, pair)
     np.copyto(sse, np.inf, where=bad)
-    t = sse.argmin(axis=2)  # first occurrence: lowest threshold
-    v = sse.reshape(-1).take(t + np.arange(0, sse.size, k - 1).reshape(routings, -1))
+    # each (routing, pair)'s lowest threshold of least SSE, or its first
+    # NaN, as argmin picks
+    least = np.minimum.reduce(sse, axis=1)
+    hit = sse == least[:, None]
+    if np.isnan(least).any():
+        hit |= np.isnan(sse) & np.isnan(least)[:, None]
+    t = _first(hit.swapaxes(0, 1))
+    v = sse.reshape(-1).take(t * P + np.arange(0, sse.size, (k - 1) * P)[:, None] + np.arange(P))
     # ties between routings: lower threshold wins, then left; a column
     # without missing rows scores the same on both, so it stays left
     right = (v[-1] < v[0]) | ((v[-1] == v[0]) & (t[-1] < t[0]))
     value = np.where(right, v[-1], v[0]).reshape(c, g)
     value[~np.isfinite(value)] = np.inf
-    best = value.argmin(axis=0)  # lowest feature index
+    best = _first(value == np.minimum.reduce(value, axis=0))  # lowest feature index
     pair = best * g + np.arange(g)
-    right = right[pair]
-    at = t[right.view(np.int8), pair] + pair * k
-    below, above = V[at], V[at + 1]
+    right = right[pair].view(np.int8)
+    t = t[right, pair]
+    at = t * P + pair
+    below, above = V[at], V[at + P]
     mid = 0.5 * (below + above)
     threshold = np.where((below < mid) & (mid <= above), mid, above)
-    return value.reshape(-1)[pair], cols[best], threshold, ~right
+    return (value.reshape(-1)[pair], cols[best], threshold, right == 0,
+            counts[0, right, t, pair])
 
 
-def _grow(XT, R, max_depth, min_leaf, rows, pool, start, root_plans=None, scratch=None):
-    """One tree per residual vector (row) of ``R``, grown together one level
-    at a time from the root rows ``rows`` (each ascending and padded with
-    the padding row, ``XT``'s last column), limited by ``max_depth`` and
-    ``min_leaf`` of that row. Tree ``i`` writes its ``NODE`` records into
-    ``pool`` from position ``start[i]`` on, breadth first, with child
-    indices that are positions in ``pool``. Returns each row's training-set
-    predictions, the root level's search plans, which a later round on the
-    same roots passes back as ``root_plans``, and where each tree ends.
+def _grow(XT, roots, R, max_depth, min_leaf, pool, start, root_plans=None, scratch=None):
+    """One tree per residual vector (row) of ``R``, whose padding row is
+    zero, grown together one level at a time from the roots ``roots``: each
+    tree's root rows (ascending, padded with the padding row, ``XT``'s last
+    column) and their count, then ``_presort``'s columns, present values,
+    orders and present counts of these roots. Growth is limited by
+    ``max_depth`` and ``min_leaf`` of that row. Tree ``i`` writes its
+    ``NODE`` records into ``pool`` from position ``start[i]`` on, breadth
+    first, with child indices that are positions in ``pool``. Returns each
+    row's training-set predictions, the root level's search plans, which a
+    later round on the same roots passes back as ``root_plans``, and where
+    each tree ends.
 
-    Every frontier node of every tree is scored in one search per level;
-    node means and SSEs are exact-length sums, one call per node size, so
-    each equals the 1-D np.sum of that node alone.
+    Every frontier node that can split is scored in one search per level,
+    or per run of nodes that fits ``LEVEL_CELLS``. A split's children take
+    their rows from it (``_partition``), and, if one of them can split in
+    turn, its order in every column too. Node means and SSEs are
+    exact-length sums, each equal to the 1-D np.sum of that node alone.
     """
-    pad = R.shape[1] - 1
+    rows, sizes, cols, present, order, n_present = roots
+    W = R.shape[1]
+    pad = W - 1
     train_pred = np.zeros(R.shape)
     fit = np.arange(len(R))  # the frontier's trees, ascending
-    sizes = (rows < pad).sum(axis=1)
+    grow = np.flatnonzero((max_depth > 0) & (sizes >= 2 * min_leaf))  # the nodes that can split
+    layer = grow  # and where in ``order`` each one's columns are
+    at = start  # each frontier node's position in the pool
     free = start.copy()  # each tree's next node
     depth = 0
-    while len(fit):
-        at = free[fit] + np.arange(len(fit)) - np.searchsorted(fit, fit)
+    while True:
         free += np.bincount(fit, minlength=len(free))
-        Rn = R.take(fit[:, None] * R.shape[1] + rows)  # (node, position)
-        mean, node_sse = np.empty(len(fit)), np.empty(len(fit))
-        for k in np.flatnonzero(np.bincount(sizes)).tolist():
-            i = np.flatnonzero(sizes == k)
-            r = Rn[i, :k]  # C order
-            mean[i] = np.add.reduce(r, 1) / k  # np.mean, bit for bit
-            node_sse[i] = np.add.reduce((r - mean[i, None]) ** 2, 1)
-        pool["feature"][at], pool["threshold"][at], pool["default_left"][at] = -1, np.nan, False
-        pool["left"][at], pool["right"][at], pool["value"][at], pool["cover"][at] = \
-            -1, -1, mean, sizes
-        grow = np.flatnonzero((depth < max_depth[fit]) & (sizes >= 2 * min_leaf[fit]))
-        split = feature = threshold = default_left = grow  # all empty if none grows
-        if len(grow):
-            if depth or root_plans is None:
-                # one block per level, or per run of nodes that fits LEVEL_CELLS
-                step = max(1, LEVEL_CELLS // (len(XT) * sizes[grow].max()))
-                blocks = (np.split(grow, range(step, len(grow), step)) if step < len(grow)
-                          else [grow])
-                plans = [(a, k, _search_plan(XT[:, rows[a, :k]], sizes[a], min_leaf[fit[a]]))
-                         for a, k in ((a, sizes[a].max()) for a in blocks)]
-                root_plans = root_plans if depth else plans
-            else:
-                plans = root_plans
-            found = [_best_splits(plan, Rn[a, :k], scratch) for a, k, plan in plans]
-            sse_after, feature, threshold, default_left = (
-                np.concatenate(f) for f in zip(*found)) if len(found) > 1 else found[0]
-            gains = ~(node_sse[grow] - sse_after <= MIN_GAIN) & (sse_after < np.inf)
-            split, feature = grow[gains], feature[gains]
-            threshold, default_left = threshold[gains], default_left[gains]
-        leaf = np.ones(len(fit), bool)
-        leaf[split] = False
-        train_pred[fit[leaf, None], rows[leaf]] = mean[leaf, None]  # the padding row takes any
+        # every row takes its node's mean; a split node's children overwrite it
+        where = rows.T + fit * W  # (position, node)
+        T = R.take(where)
+        mean = _exact_sums(T, sizes) / sizes  # np.mean, bit for bit
+        train_pred.reshape(-1)[where] = mean  # the padding row takes any
+        np.subtract(T, mean, out=T, where=rows.T != pad)  # the padding row's residual stays zero
+        T *= T
+        node_sse = _exact_sums(T, sizes)
+        leaves = _LEAF.repeat(len(fit))
+        leaves["value"], leaves["cover"] = mean, sizes
+        pool[at] = leaves
+        if not len(grow):
+            return train_pred, root_plans, free
+        if depth or root_plans is None:
+            step = max(1, LEVEL_CELLS // (max(1, len(cols)) * sizes[grow].max()))
+            plans = [(a, _search_plan(XT, cols, order[:, layer[b:b + step], :k],
+                                      n_present[:, layer[b:b + step]], sizes[a],
+                                      min_leaf[fit[a]], fit[a] * W))
+                     for b in range(0, len(grow), step)
+                     for a in [grow[b:b + step]] for k in [sizes[a].max()]]
+            root_plans = root_plans if depth else plans
+        else:
+            plans = root_plans
+        found = [_best_splits(plan, R, len(a), scratch) for a, plan in plans]
+        sse_after, feature, threshold, default_left, n_left = (
+            np.concatenate(f) for f in zip(*found)) if len(found) > 1 else found[0]
+        ok = ~(node_sse[grow] - sse_after <= MIN_GAIN) & (sse_after < np.inf)
+        split = grow[ok]
+        if not len(split):
+            return train_pred, root_plans, free
+        feature, threshold, default_left = feature[ok], threshold[ok], default_left[ok]
         # a tree's children are its next level's nodes, left then right
-        at, fit = at[split], fit[split]
+        fit = fit[split]
         children = free[fit] + 2 * (np.arange(len(fit)) - np.searchsorted(fit, fit))
-        pool["feature"][at], pool["threshold"][at] = feature, threshold
-        pool["default_left"][at], pool["value"][at] = default_left, np.nan
-        pool["left"][at], pool["right"][at] = children, children + 1
+        splits = leaves[split]
+        splits["feature"], splits["threshold"], splits["default_left"] = \
+            feature, threshold, default_left
+        splits["left"], splits["right"], splits["value"] = children, children + 1, np.nan
+        pool[at[split]] = splits
 
-        # each split's rows, left then right, stay ascending with padding last
-        parent = rows[split]
-        present = parent < pad
-        left = goes_left(XT[feature[:, None], parent], threshold[:, None],
-                         default_left[:, None]) & present
-        sides = np.stack([left, present & ~left], axis=1)
-        sizes = sides.sum(axis=2).ravel()
-        rows = np.sort(np.where(sides, parent[:, None], pad), axis=2)
-        rows = rows.reshape(len(sizes), parent.shape[1])[:, :sizes.max(initial=0)]
+        # each split's (node, row) side: 0 left, 1 right, 2 the padding row
+        rows = rows[split]
+        node = np.arange(0, len(split) * W, W)[:, None]
+        side = np.full(len(split) * W, 2, np.uint8)
+        side.put(rows + node, ~goes_left(XT.take(rows + (feature * W)[:, None]),
+                                         threshold[:, None], default_left[:, None]))
+        side[node[:, 0] + pad] = 2
+        n_child = np.empty((len(split), 2), np.intp)
+        n_child[:, 0] = n_left[ok]
+        np.subtract(sizes[split], n_child[:, 0], out=n_child[:, 1])
+        rows = _partition(rows[None], side.take(rows + node)[None], n_child, pad)[0]
+        sizes = n_child.reshape(-1)
+        at = (children[:, None] + (0, 1)).reshape(-1)
         fit = fit.repeat(2)
         depth += 1
-    return train_pred, root_plans, free
+        # the children that can split, which take their parent's columns
+        can = (max_depth[fit] > depth) & (sizes >= 2 * min_leaf[fit])
+        grow = np.flatnonzero(can)
+        if len(grow):
+            parents = can.reshape(-1, 2).any(axis=1)
+            p = np.flatnonzero(parents)
+            order = order[:, layer[ok][p]]
+            order = _partition(order, side.take(order + node[p]), n_child[p], pad)
+            kids = rows.reshape(len(split), -1)[p].reshape(2 * len(p), -1)
+            member = np.zeros((len(kids), W))
+            member[np.arange(len(kids))[:, None], kids] = 1.0
+            n_present = (present @ member.T).astype(np.intp)  # exact: sums of ones
+            layer = 2 * (np.cumsum(parents) - 1)[grow // 2] + grow % 2
 
 
 def staged_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig], rows: list,
@@ -506,10 +656,13 @@ def _rounds(XT, y, member, configs):
     min_leaf = np.array([c.min_samples_leaf for c in configs])
     rates = np.array([[c.learning_rate] for c in configs])
     n_trees = np.array([c.n_trees for c in configs], dtype=np.intp)
-    # each fit's root rows, ascending, padded with the padding row n
+    # each fit's root rows, ascending, padded with the padding row n, and
+    # sorted once per batch in each column that can split one of them
     width = np.arange(counts.max(initial=0))
     roots = np.full((len(configs), len(width)), n)
     roots[width < counts[:, None]] = np.flatnonzero(member) % n
+    cols, present, order, n_present = _presort(XT, roots)
+    roots = roots.astype(order.dtype)
     # each fit's region of one pool is sized for its largest tree: 2 **
     # (depth + 1) - 1 nodes, and 2 l - 1 for l leaves of min_samples_leaf
     # rows or more (every child holds as many rows as the search counted)
@@ -518,15 +671,17 @@ def _rounds(XT, y, member, configs):
     pool, start, end = np.empty(start[-1], NODE), start[:-1], start[:-1].copy()
     yp = np.append(y, 0.0)
     pred = np.repeat(base[:, None], n + 1, axis=1)
-    root_plans = None  # the live fits' roots are the same every round
+    live = np.zeros(0, np.intp)
     scratch = _Scratch()
     for t in range(n_trees.max(initial=0)):
-        live = np.flatnonzero(n_trees > t)
-        if len(live) < (n_trees > t - 1).sum():
-            root_plans = None  # a fit retired
-        train_pred, root_plans, end[live] = _grow(XT, yp - pred[live], max_depth[live],
-                                                  min_leaf[live], roots[live], pool, start[live],
-                                                  root_plans, scratch)
+        if len(live) != (n_trees > t).sum():  # the first round, or a fit retired
+            live = np.flatnonzero(n_trees > t)
+            root = (roots[live], counts[live], cols, present, order[:, live], n_present[:, live])
+            root_plans = None
+        R = yp - pred[live]
+        R[:, n] = 0.0  # the padding row
+        train_pred, root_plans, end[live] = _grow(XT, root, R, max_depth[live], min_leaf[live],
+                                                  pool, start[live], root_plans, scratch)
         pred[live] += rates[live] * train_pred
         yield pool, start, end
 

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import _cond_expectation, random_fitted_ensemble
 from perfpred import gbtree
-from perfpred.gbtree import (GBTConfig, TreeEnsemble, _best_splits, _grow, _search_plan,
-                             fit_gbt, paper_grid, staged_batch)
+from perfpred.gbtree import (GBTConfig, TreeEnsemble, _best_splits, _grow, _presort,
+                             _search_plan, fit_gbt, paper_grid, staged_batch)
 from perfpred.prng import CounterRng
 from perfpred.registry import Column, FeatureMatrix
 from perfpred.shapley import shap_matrix, tree_shap
@@ -384,12 +384,28 @@ def test_root_split_matches_brute_force_search(problem):
                 root["default_direction"] == "left") == expected
 
 
+def block_search(XT, Rn, sizes, min_leaf):
+    """The level search on a block of nodes: node ``i`` holds the first
+    ``sizes[i]`` values of ``XT[:, i]`` (column, node, position), in row
+    order, with residuals ``Rn[i]``. Each (node, position) is one row of a
+    canonical matrix, presorted and searched as ``_grow`` searches a level:
+    (sse_after, feature, threshold, default_left) per node."""
+    c, g, k = XT.shape
+    pad = g * k
+    canonical = np.hstack([XT.reshape(c, -1), np.full((c, 1), np.nan)])
+    R = np.append(Rn.reshape(-1), 0.0)[None]
+    roots = np.where(np.arange(k) < sizes[:, None], np.arange(pad).reshape(g, k), pad)
+    cols, _, order, n_present = _presort(canonical, roots)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plan = _search_plan(canonical, cols, order, n_present, sizes, min_leaf,
+                            np.zeros(g, np.intp))
+        return _best_splits(plan, R, g)[:4]
+
+
 def score_one_node(X, r, min_leaf):
     """The level search on one node whose rows are all of ``X``, in order:
     (sse_after, feature, threshold, default_left)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plan = _search_plan(X.T[:, None, :], np.array([len(r)]), np.array([min_leaf]))
-        found = _best_splits(plan, r[None])
+    found = block_search(X.T[:, None, :], r[None], np.array([len(r)]), np.array([min_leaf]))
     return tuple(v[0].item() for v in found)
 
 
@@ -536,10 +552,8 @@ def test_level_pass_sums_are_bit_equal_to_one_node_one_column_scoring():
             Rn[i, :size] = rng.normal(size=size) * 10.0 ** rng.integers(-6, 7, size=size)
         assert [int(np.isnan(XT[1, i, :size]).sum()) >= 8 for i, size in enumerate(sizes)] == \
             [size >= 10 for size in sizes]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            found = [_best_splits(_search_plan(XT[j:j + 1], sizes, min_leaf), Rn)
-                     for j in range(p)]
-            found.append(_best_splits(_search_plan(XT, sizes, min_leaf), Rn))
+        found = [block_search(XT[j:j + 1], Rn, sizes, min_leaf) for j in range(p)]
+        found.append(block_search(XT, Rn, sizes, min_leaf))
         for i, size in enumerate(sizes.tolist()):
             by_column = [one_column_split(XT[j, i, :size], Rn[i, :size], min_leaf[i])
                          for j in range(p)]
@@ -563,8 +577,10 @@ def test_level_pass_sums_are_bit_equal_to_one_node_one_column_scoring():
     for i, size in enumerate(sizes.tolist()):
         rows[i, :size] = np.sort(rng.choice(40, size, replace=False))
     pool = np.empty(len(sizes), gbtree.NODE)
-    train_pred, _, end = _grow(np.full((1, 41), np.nan), R, np.zeros(len(sizes), int), min_leaf,
-                               rows, pool, np.arange(len(sizes)))
+    roots = (rows, sizes, np.zeros(0, np.intp), np.zeros((0, 41)),
+             np.zeros((0, len(sizes), k), np.intp), np.zeros((0, len(sizes)), np.intp))
+    train_pred, _, end = _grow(np.full((1, 41), np.nan), roots, R, np.zeros(len(sizes), int),
+                               min_leaf, pool, np.arange(len(sizes)))
     assert end.tolist() == list(range(1, len(sizes) + 1))  # one leaf each
     for i, size in enumerate(sizes.tolist()):
         mean = np.mean(R[i, rows[i, :size]])
@@ -862,3 +878,72 @@ def test_a_membership_fit_gbt_would_refuse_raises_its_error():
         assert str(batch.value) == str(alone.value)
     # the NaN target is not a member
     assert_each_fit_predicts_as_alone(X, y, [GBTConfig(n_trees=2)], [good])
+
+
+_SPECIAL_TERMS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+                           1e300, -1e300, 1e-300])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 300), min_size=1, max_size=6),
+       st.sampled_from([0.0, 0.02, 0.3]), st.sampled_from([6, 300]))
+def test_exact_sums_equal_numpy_sum_of_each_row(seed, lengths, special, decades):
+    # lengths 0 to 300 in one call, across numpy's sequential (< 8), lane
+    # (8 to 128) and halving (> 128) regimes; terms spanning many magnitudes
+    # (any other summation order rounds differently), with zeros of either
+    # sign, infinities, NaN, subnormals and values that overflow in some
+    # orders only
+    rng = np.random.default_rng(seed)
+    n = np.array(lengths)
+    T = np.zeros((max(n.max(), 1), len(n)))
+    for i, m in enumerate(lengths):
+        terms = rng.normal(size=m) * 10.0 ** rng.integers(-decades, decades + 1, size=m)
+        odd = rng.random(m) < special
+        terms[odd] = rng.choice(_SPECIAL_TERMS, size=odd.sum())
+        T[:m, i] = terms
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = gbtree._exact_sums(T, n)
+        want = np.array([np.add.reduce(T[:m, i].copy()) for i, m in enumerate(lengths)])
+    # bit for bit, but for which NaN (x86 gives inf - inf a negative one, so
+    # a NaN's sign follows the order its operands meet in)
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.integers(1, 4))
+def test_partitioned_orders_equal_a_fresh_stable_sort_of_each_child(seed, n, c):
+    # split every node at random for a few levels, as _grow does: each
+    # child's order in each column must be a stable sort of its own rows,
+    # present values ascending with ties in row order, then missing rows in
+    # row order, then padding
+    rng = np.random.default_rng(seed)
+    XT = rng.integers(0, 4, (c, n)).astype(float)
+    XT[rng.random(XT.shape) < 0.3] = np.nan
+    XT = np.hstack([XT, np.full((c, 1), np.nan)])
+    pad = n
+    rows = np.arange(n)[None]
+    order = XT[:, :n].argsort(axis=1, kind="stable")[:, None]  # the root's orders
+    for _ in range(3):
+        sizes = (rows != pad).sum(axis=1)
+        goes = rng.random((len(rows), n + 1)) < 0.5
+        side = np.where(goes, 0, 1).astype(np.uint8)
+        side[:, pad] = 2
+        n_child = np.stack([(side[np.arange(len(rows))[:, None], rows] == s).sum(axis=1)
+                            for s in (0, 1)], axis=1)
+        layers = np.concatenate([order, rows[None]])
+        codes = side[np.arange(len(rows))[None, :, None], layers]
+        out = gbtree._partition(layers, codes, n_child, pad)
+        order, rows = out[:-1], out[-1]
+        for j, child in enumerate(rows):
+            members = child[child != pad]
+            assert (np.diff(members) > 0).all()
+            assert len(members) == n_child.reshape(-1)[j]
+            for col in range(len(order)):
+                key = XT[col, members]
+                fresh = members[np.argsort(key, kind="stable")]  # NaN last
+                assert order[col, j, :len(members)].tolist() == fresh.tolist()
+                assert (order[col, j, len(members):] == pad).all()
+        keep = sizes.repeat(2) > 0
+        rows, order = rows[keep], order[:, keep]
