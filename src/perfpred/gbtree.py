@@ -169,12 +169,13 @@ def _leaf_values(nodes, X, rows, node) -> np.ndarray:
     """The value of the leaf each walker reaches in the node table
     ``nodes``: walker (i, j) routes row ``rows[i]`` of ``X`` from node
     ``node[i, j]``. Every walker steps at once, one level per step."""
-    at = nodes[node]
-    while (split := at["feature"] >= 0).any():
-        left = goes_left(X[rows, at["feature"]], at["threshold"], at["default_left"])
-        node = np.where(split, np.where(left, at["left"], at["right"]), node)
-        at = nodes[node]
-    return at["value"]
+    feature = nodes["feature"]  # each field gathered alone: a record gather costs far more
+    at = feature[node]
+    while (split := at >= 0).any():
+        left = goes_left(X[rows, at], nodes["threshold"][node], nodes["default_left"][node])
+        node = np.where(split, np.where(left, nodes["left"][node], nodes["right"][node]), node)
+        at = feature[node]
+    return nodes["value"][node]
 
 
 def fold_mask(X, mask: np.ndarray | None) -> np.ndarray:
@@ -208,18 +209,18 @@ def _exact_sums(T, n):
     zero one, so a column is padded with zeros and every sum ends with +0.0,
     as numpy's does.
     """
-    k = len(T)
+    k, c = T.shape
     if k < 8:  # one term after another, whichever axis numpy loops over
         return np.add.reduce(T, axis=0) + 0.0
     full = n & -8  # the terms in full blocks of 8
     m = min(k & -8, 128)
-    lane = np.where(np.arange(m)[:, None] < full, T[:m], 0.0)
-    for b in range(8, m, 8):
-        lane[:8] += lane[b:b + 8]
-    lane = lane[0:8:2] + lane[1:8:2]
+    # the 8 lanes, each block of 8 added to them after the one before
+    lane = np.where(np.arange(m)[:, None] < full, T[:m], 0.0).reshape(-1, 8, c)
+    lane = np.add.reduce(lane, axis=0)
+    lane = lane[0::2] + lane[1::2]
     lane = lane[0::2] + lane[1::2]
     out = lane[0] + lane[1]
-    for term in _shifted(T, full, n):
+    for term in _shifted(T, full, n):  # then the rest, at most 7 terms
         out += term
     out += 0.0
     if k > 128:
@@ -247,10 +248,10 @@ def _presort(XT, roots):
 
     Keeps only the columns that can split some root (two distinct present
     values), since no other can split any node below one. Returns those
-    columns; which of their values are present, as 0.0 or 1.0 (column,
-    row); their (column, fit, position) row orders, in the smallest integer
-    type that holds the padding row; and each (column, fit) pair's present
-    rows, which come first.
+    columns; which of their values are present (column, row); their
+    (column, fit, position) row orders, in the smallest integer type that
+    holds the padding row; and each (column, fit) pair's present rows,
+    which come first.
     """
     V = XT[:, roots]
     pos = V.argsort(axis=2, kind="stable")
@@ -259,7 +260,7 @@ def _presort(XT, roots):
     top = np.take_along_axis(V, n_present[..., None] - 1, axis=2)[..., 0]
     cols = np.flatnonzero((V[..., 0] < top).any(axis=1))
     order = np.take_along_axis(roots[None], pos[cols], axis=2)
-    present = (~np.isnan(XT[cols])).astype(float)
+    present = ~np.isnan(XT[cols])
     return cols, present, order.astype(np.min_scalar_type(XT.shape[1] - 1)), n_present[cols]
 
 
@@ -336,8 +337,8 @@ def _search_plan(XT, cols, order, n_present, sizes, min_leaf, base):
     if routings == 2:
         counts[1, 1] += n_miss
     V = V.reshape(k, P)
-    bad = ((np.minimum(counts[0], counts[1]) < np.broadcast_to(min_leaf, (c, g)).reshape(-1))
-           | ~(V[:-1] < V[1:]))
+    short = np.minimum(counts[0], counts[1]).reshape(routings, k - 1, c, g) < min_leaf
+    bad = short.reshape(routings, k - 1, P) | ~(V[:-1] < V[1:])
     t = np.arange(n_miss.max())[:, None, None]
     tail = np.where(t < n_miss, end + t * P + np.array([[0], [k * P]]), 2 * k * P)
     return (cols, V.reshape(-1), (rows + base).reshape(k, P), end - P,
@@ -363,14 +364,6 @@ class _Scratch:
             views.append(self.buf[end:end + size].reshape(shape))
             end += size
         return views
-
-
-def _first(H):
-    """The index of the first True along the first axis of ``H``, which
-    has one in each column."""
-    m = len(H)
-    return m - np.maximum.reduce(np.where(H, np.arange(m, 0, -1).reshape((m,) + (1,) * (H.ndim - 1)),
-                                          0), axis=0)
 
 
 def _best_splits(plan, R, g, scratch=None):
@@ -408,15 +401,9 @@ def _best_splits(plan, R, g, scratch=None):
     flat[-1] = 0.0
     # the sums over each pair's missing rows, which follow its present ones
     missing = _exact_sums(flat.take(tail), n_miss).reshape(2, 1, P)
-    # cumulative sums, one position after another, so the rows after a
-    # pair's present ones leave every prefix of them alone; across pairs a
-    # position at a time where that is shorter (the same sums)
-    if k > 24:
-        np.cumsum(stack, axis=1, out=cum)
-    else:
-        cum[:, 0] = stack[:, 0]
-        for j in range(1, k):
-            np.add(cum[:, j - 1], stack[:, j], out=cum[:, j])
+    # cumsum adds one position after another, so the rows after a pair's
+    # present ones leave every prefix of them alone
+    np.cumsum(stack, axis=1, out=cum)
     left = cum[:, :-1]
     total = cum.reshape(2, -1)[:, last].reshape(2, 1, P)
     np.add(left, missing, out=sides[:, 0, 0])
@@ -430,20 +417,14 @@ def _best_splits(plan, R, g, scratch=None):
     np.subtract(Q, S, out=S)
     sse = np.add(S[0], S[1], out=S[0])  # (routing, threshold, pair)
     np.copyto(sse, np.inf, where=bad)
-    # each (routing, pair)'s lowest threshold of least SSE, or its first
-    # NaN, as argmin picks
-    least = np.minimum.reduce(sse, axis=1)
-    hit = sse == least[:, None]
-    if np.isnan(least).any():
-        hit |= np.isnan(sse) & np.isnan(least)[:, None]
-    t = _first(hit.swapaxes(0, 1))
-    v = sse.reshape(-1).take(t * P + np.arange(0, sse.size, (k - 1) * P)[:, None] + np.arange(P))
+    t = sse.argmin(axis=1)  # first occurrence: lowest threshold
+    v = np.minimum.reduce(sse, axis=1)  # its SSE, or NaN where argmin took one
     # ties between routings: lower threshold wins, then left; a column
     # without missing rows scores the same on both, so it stays left
     right = (v[-1] < v[0]) | ((v[-1] == v[0]) & (t[-1] < t[0]))
     value = np.where(right, v[-1], v[0]).reshape(c, g)
     value[~np.isfinite(value)] = np.inf
-    best = _first(value == np.minimum.reduce(value, axis=0))  # lowest feature index
+    best = value.argmin(axis=0)  # lowest feature index
     pair = best * g + np.arange(g)
     right = right[pair].view(np.int8)
     t = t[right, pair]
@@ -453,6 +434,24 @@ def _best_splits(plan, R, g, scratch=None):
     threshold = np.where((below < mid) & (mid <= above), mid, above)
     return (value.reshape(-1)[pair], cols[best], threshold, right == 0,
             counts[0, right, t, pair])
+
+
+def _node_sums(R, rows, base, sizes, train_pred, sse):
+    """Each node's mean residual and, if ``sse``, its sum of squared
+    deviations (else None), each bit for bit np.mean and np.sum of that
+    node alone. Node ``i`` holds the rows ``rows[i]`` (padded with the
+    padding row, whose residual is zero) of the residuals that start at
+    ``base[i]`` in the flat ``R``. Every row's training prediction in
+    ``train_pred`` becomes its node's mean (the padding row's any)."""
+    where = rows.T + base  # (position, node)
+    T = R.take(where)
+    mean = _exact_sums(T, sizes) / sizes  # np.mean, bit for bit
+    train_pred.reshape(-1)[where] = mean
+    if not sse:
+        return mean, None
+    np.subtract(T, mean, out=T, where=rows.T != R.shape[1] - 1)  # the padding row's stays zero
+    T *= T
+    return mean, _exact_sums(T, sizes)
 
 
 def _grow(XT, roots, R, max_depth, min_leaf, pool, start, root_plans=None, scratch=None):
@@ -480,33 +479,28 @@ def _grow(XT, roots, R, max_depth, min_leaf, pool, start, root_plans=None, scrat
     train_pred = np.zeros(R.shape)
     fit = np.arange(len(R))  # the frontier's trees, ascending
     grow = np.flatnonzero((max_depth > 0) & (sizes >= 2 * min_leaf))  # the nodes that can split
-    layer = grow  # and where in ``order`` each one's columns are
     at = start  # each frontier node's position in the pool
     free = start.copy()  # each tree's next node
     depth = 0
     while True:
         free += np.bincount(fit, minlength=len(free))
         # every row takes its node's mean; a split node's children overwrite it
-        where = rows.T + fit * W  # (position, node)
-        T = R.take(where)
-        mean = _exact_sums(T, sizes) / sizes  # np.mean, bit for bit
-        train_pred.reshape(-1)[where] = mean  # the padding row takes any
-        np.subtract(T, mean, out=T, where=rows.T != pad)  # the padding row's residual stays zero
-        T *= T
-        node_sse = _exact_sums(T, sizes)
+        mean, node_sse = _node_sums(R, rows, fit * W, sizes, train_pred, len(grow) > 0)
         leaves = _LEAF.repeat(len(fit))
         leaves["value"], leaves["cover"] = mean, sizes
         pool[at] = leaves
         if not len(grow):
             return train_pred, root_plans, free
         if depth or root_plans is None:
+            # below the root, each block's plan is dropped once searched
             step = max(1, LEVEL_CELLS // (max(1, len(cols)) * sizes[grow].max()))
-            plans = [(a, _search_plan(XT, cols, order[:, layer[b:b + step], :k],
-                                      n_present[:, layer[b:b + step]], sizes[a],
+            plans = ((a, _search_plan(XT, cols, order[:, grow[b:b + step], :k],
+                                      n_present[:, grow[b:b + step]], sizes[a],
                                       min_leaf[fit[a]], fit[a] * W))
                      for b in range(0, len(grow), step)
-                     for a in [grow[b:b + step]] for k in [sizes[a].max()]]
-            root_plans = root_plans if depth else plans
+                     for a in [grow[b:b + step]] for k in [sizes[a].max()])
+            if not depth:
+                plans = root_plans = list(plans)
         else:
             plans = root_plans
         found = [_best_splits(plan, R, len(a), scratch) for a, plan in plans]
@@ -536,24 +530,18 @@ def _grow(XT, roots, R, max_depth, min_leaf, pool, start, root_plans=None, scrat
         n_child = np.empty((len(split), 2), np.intp)
         n_child[:, 0] = n_left[ok]
         np.subtract(sizes[split], n_child[:, 0], out=n_child[:, 1])
-        rows = _partition(rows[None], side.take(rows + node)[None], n_child, pad)[0]
         sizes = n_child.reshape(-1)
         at = (children[:, None] + (0, 1)).reshape(-1)
         fit = fit.repeat(2)
         depth += 1
-        # the children that can split, which take their parent's columns
-        can = (max_depth[fit] > depth) & (sizes >= 2 * min_leaf[fit])
-        grow = np.flatnonzero(can)
+        grow = np.flatnonzero((max_depth[fit] > depth) & (sizes >= 2 * min_leaf[fit]))
+        # the children's rows and, if one of them can split, their orders in
+        # every column
+        layers = np.concatenate([order[:, split], rows[None]]) if len(grow) else rows[None]
+        layers = _partition(layers, side.take(layers + node), n_child, pad)
+        order, rows = layers[:-1], layers[-1]
         if len(grow):
-            parents = can.reshape(-1, 2).any(axis=1)
-            p = np.flatnonzero(parents)
-            order = order[:, layer[ok][p]]
-            order = _partition(order, side.take(order + node[p]), n_child[p], pad)
-            kids = rows.reshape(len(split), -1)[p].reshape(2 * len(p), -1)
-            member = np.zeros((len(kids), W))
-            member[np.arange(len(kids))[:, None], kids] = 1.0
-            n_present = (present @ member.T).astype(np.intp)  # exact: sums of ones
-            layer = 2 * (np.cumsum(parents) - 1)[grow // 2] + grow % 2
+            n_present = np.add.reduce(present[:, rows], axis=2)  # the padding row is absent
 
 
 def staged_batch(X: np.ndarray, y: np.ndarray, configs: list[GBTConfig], rows: list,
@@ -670,19 +658,20 @@ def _rounds(XT, y, member, configs):
                              for c, k in zip(configs, counts.tolist())])
     pool, start, end = np.empty(start[-1], NODE), start[:-1], start[:-1].copy()
     yp = np.append(y, 0.0)
-    pred = np.repeat(base[:, None], n + 1, axis=1)
-    live = np.zeros(0, np.intp)
+    live = np.arange(len(configs))
+    pred = np.repeat(base[:, None], n + 1, axis=1)  # the live fits' training predictions
     scratch = _Scratch()
     for t in range(n_trees.max(initial=0)):
-        if len(live) != (n_trees > t).sum():  # the first round, or a fit retired
-            live = np.flatnonzero(n_trees > t)
+        if not t or (n_trees[live] == t).any():  # the first round, or a fit retired
+            keep = n_trees[live] > t
+            live, pred = live[keep], pred[keep]
             root = (roots[live], counts[live], cols, present, order[:, live], n_present[:, live])
-            root_plans = None
-        R = yp - pred[live]
+            limits, rate, root_plans = (max_depth[live], min_leaf[live]), rates[live], None
+        R = yp - pred
         R[:, n] = 0.0  # the padding row
-        train_pred, root_plans, end[live] = _grow(XT, root, R, max_depth[live], min_leaf[live],
-                                                  pool, start[live], root_plans, scratch)
-        pred[live] += rates[live] * train_pred
+        train_pred, root_plans, end[live] = _grow(XT, root, R, *limits, pool, start[live],
+                                                  root_plans, scratch)
+        pred += rate * train_pred
         yield pool, start, end
 
 

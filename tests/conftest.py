@@ -88,35 +88,54 @@ def _cond_expectation(node: dict, x, miss, coalition: set) -> float:
             ) / node["cover"]
 
 
+def _split_features(node: dict):
+    """The split features of one tree in ``TreeEnsemble.to_dict`` form."""
+    if "leaf_value" not in node:
+        yield node["split_feature"]
+        yield from _split_features(node["left"])
+        yield from _split_features(node["right"])
+
+
 def brute_shapley(ensemble: TreeEnsemble, x, miss=None):
     """Exact Shapley values by enumerating all 2^p coalitions."""
     x = np.asarray(x, dtype=float)
     if miss is None:
         miss = np.isnan(x)
     p = len(ensemble.column_names)
-
-    cache = {}
     trees = ensemble.to_dict()["trees"]
 
-    def v(coalition: frozenset) -> float:
-        if coalition not in cache:
-            total = ensemble.base_score
-            for tree in trees:
-                total += ensemble.learning_rate * _cond_expectation(tree, x, miss, coalition)
-            cache[coalition] = total
-        return cache[coalition]
+    # a tree's value depends only on which of its own split features are
+    # known, so each is computed once per such subset; coalitions are bit
+    # masks, feature j the bit 1 << j
+    used = [sum(1 << j for j in set(_split_features(tree))) for tree in trees]
+    known: list[dict] = [{} for _ in trees]
+
+    def tree_value(t: int, coalition: int) -> float:
+        key = coalition & used[t]
+        if key not in known[t]:
+            features = {j for j in range(p) if key >> j & 1}
+            known[t][key] = _cond_expectation(trees[t], x, miss, features)
+        return known[t][key]
+
+    v = []  # by coalition
+    for coalition in range(1 << p):
+        total = ensemble.base_score
+        for t in range(len(trees)):
+            total += ensemble.learning_rate * tree_value(t, coalition)
+        v.append(total)
 
     phi = np.zeros(p)
-    others = list(range(p))
     for i in range(p):
-        rest = [j for j in others if j != i]
+        rest = [1 << j for j in range(p) if j != i]
+        phi_i = 0.0
         for size in range(p):
             weight = (math.factorial(size) * math.factorial(p - size - 1)
                       / math.factorial(p))
             for subset in combinations(rest, size):
-                s = frozenset(subset)
-                phi[i] += weight * (v(s | {i}) - v(s))
-    return phi, v(frozenset())
+                s = sum(subset)
+                phi_i += weight * (v[s | 1 << i] - v[s])
+        phi[i] = phi_i
+    return phi, v[0]
 
 
 # ---------------------------------------------------------------------------

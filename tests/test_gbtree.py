@@ -577,7 +577,7 @@ def test_level_pass_sums_are_bit_equal_to_one_node_one_column_scoring():
     for i, size in enumerate(sizes.tolist()):
         rows[i, :size] = np.sort(rng.choice(40, size, replace=False))
     pool = np.empty(len(sizes), gbtree.NODE)
-    roots = (rows, sizes, np.zeros(0, np.intp), np.zeros((0, 41)),
+    roots = (rows, sizes, np.zeros(0, np.intp), np.zeros((0, 41), bool),
              np.zeros((0, len(sizes), k), np.intp), np.zeros((0, len(sizes)), np.intp))
     train_pred, _, end = _grow(np.full((1, 41), np.nan), roots, R, np.zeros(len(sizes), int),
                                min_leaf, pool, np.arange(len(sizes)))
